@@ -49,31 +49,8 @@ void BM_OverlaySetBuildK10(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlaySetBuildK10)->Arg(100)->Arg(200)->Unit(benchmark::kMillisecond);
 
-// One annealing pass as build_overlay_set runs it: the shortest-latency
-// cache is shared across calls (it is immutable w.r.t. the physical graph),
-// so only the moves themselves are measured.
+// One annealing pass as build_overlay_set runs it (N = 200, bench config).
 void BM_SimulatedAnnealingPass(benchmark::State& state) {
-  const std::size_t n = 200;
-  const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::RobustTreeParams tree_params;
-  tree_params.f = 1;
-  overlay::RankTable ranks(n, 0.0);
-  const overlay::Overlay tree =
-      overlay::build_robust_tree(topo.graph, tree_params, ranks);
-  const overlay::AnnealingParams params =
-      bench::bench_hermes_config().builder.annealing;
-  overlay::LinkCostCache costs(topo.graph);
-  for (auto _ : state) {
-    Rng rng(9);
-    benchmark::DoNotOptimize(
-        overlay::anneal(tree, ranks, params, rng, costs, nullptr));
-  }
-}
-BENCHMARK(BM_SimulatedAnnealingPass)->Unit(benchmark::kMillisecond);
-
-// Same pass with a cache rebuilt per call (the pre-shared-cache behavior);
-// the gap to BM_SimulatedAnnealingPass is the cache amortization.
-void BM_SimulatedAnnealingColdCache(benchmark::State& state) {
   const std::size_t n = 200;
   const net::Topology topo = bench::make_bench_topology(n, 42);
   overlay::RobustTreeParams tree_params;
@@ -89,7 +66,7 @@ void BM_SimulatedAnnealingColdCache(benchmark::State& state) {
         overlay::anneal(tree, topo.graph, ranks, params, rng));
   }
 }
-BENCHMARK(BM_SimulatedAnnealingColdCache)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulatedAnnealingPass)->Unit(benchmark::kMillisecond);
 
 // Serial vs parallel candidate evaluation at a fixed batch size; Arg is the
 // worker count. The annealed overlay is bit-identical across all Args.
@@ -105,12 +82,11 @@ void BM_SimulatedAnnealingWorkers(benchmark::State& state) {
       bench::bench_hermes_config().builder.annealing;
   params.batch_size = 8;
   params.workers = static_cast<std::size_t>(state.range(0));
-  overlay::LinkCostCache costs(topo.graph);
   ThreadPool pool(params.workers > 1 ? params.workers - 1 : 0);
   for (auto _ : state) {
     Rng rng(9);
     benchmark::DoNotOptimize(
-        overlay::anneal(tree, ranks, params, rng, costs, &pool));
+        overlay::anneal(tree, topo.graph, ranks, params, rng, &pool));
   }
 }
 BENCHMARK(BM_SimulatedAnnealingWorkers)

@@ -1448,13 +1448,8 @@ std::unique_ptr<ProtocolNode> HermesProtocol::make_node(ExperimentContext& ctx,
     shared->config.builder.k = config_.k;
 
     Rng build_rng = ctx.rng.fork(0x0e11a5);
-    // The physical graph is fixed for the experiment's lifetime, so one
-    // shortest-path cache serves the initial build and every later epoch
-    // rebuild (scratch or warm).
-    costs_ = std::make_unique<overlay::LinkCostCache>(ctx.topology.graph);
-    auto set =
-        overlay::build_overlay_set(ctx.topology.graph, shared->config.builder,
-                                   build_rng, costs_.get());
+    auto set = overlay::build_overlay_set(ctx.topology.graph,
+                                          shared->config.builder, build_rng);
     shared->overlays = std::move(set.overlays);
     last_set_.final_ranks = std::move(set.final_ranks);
 
@@ -1644,12 +1639,8 @@ void HermesProtocol::advance_epoch(ExperimentContext& ctx,
   // Deterministic per-epoch construction seed (Section VII-B: the committee
   // publishes it so every node can verify the pseudo-random optimization).
   Rng build_rng(epoch_seed ^ (next->epoch * 0x9e3779b97f4a7c15ULL));
-  if (!costs_) {
-    costs_ = std::make_unique<overlay::LinkCostCache>(ctx.topology.graph);
-  }
   auto set = overlay::build_overlay_set(ctx.topology.graph,
-                                        next->config.builder, build_rng,
-                                        costs_.get());
+                                        next->config.builder, build_rng);
   ++stw_advances_;
   install_generation(ctx, std::move(next), std::move(set));
 }
@@ -1670,6 +1661,9 @@ void HermesProtocol::install_pipelined(
   // The pipelined epoch's seed is a pure function of the epoch number, so
   // any node can verify the warm rebuild just like a scratch one.
   Rng build_rng(0x91e11e5eULL ^ (next->epoch * 0x9e3779b97f4a7c15ULL));
+  if (!costs_) {
+    costs_ = std::make_unique<overlay::LinkCostCache>(ctx.topology.graph);
+  }
   auto set = overlay::build_overlay_set_warm(ctx.topology.graph,
                                              next->config.builder, last_set_,
                                              churned, build_rng, costs_.get());

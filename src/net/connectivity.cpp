@@ -1,114 +1,127 @@
 #include "net/connectivity.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <cstdint>
+#include <utility>
 
 namespace hermes::net {
 
 namespace {
 
-// Unit-capacity flow network over the vertex-split graph.
-// Vertex v becomes in-node 2v and out-node 2v+1.
-struct FlowNetwork {
+std::uint32_t in_node(NodeId v) { return 2 * v; }
+std::uint32_t out_node(NodeId v) { return 2 * v + 1; }
+
+// Unit-capacity flow network over the vertex-split graph: vertex v becomes
+// in-node 2v and out-node 2v+1 joined by one unit arc, and each undirected
+// edge {u, w} becomes out(u) -> in(w) and out(w) -> in(u). Built once per
+// graph and reused across (s, t) pairs: each flow first undoes only the
+// arcs the previous one pushed along. The s and t vertex arcs need no
+// larger capacity: paths start at out(s) and stop on reaching in(t), so no
+// augmenting path can cross either arc.
+class SplitNetwork {
+ public:
   struct Arc {
     std::uint32_t to;
+    std::int32_t flow;  // residual capacity is cap - flow
     std::int32_t cap;
     std::uint32_t rev;  // index of the reverse arc in adj[to]
   };
 
-  explicit FlowNetwork(std::size_t vertex_count) : adj(vertex_count * 2) {}
+  explicit SplitNetwork(const Graph& g)
+      : adj(g.node_count() * 2), parent_(adj.size(), kUnseen) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      add_arc(in_node(v), out_node(v));
+      for (const Edge& e : g.neighbors(v)) add_arc(out_node(v), in_node(e.to));
+    }
+  }
 
-  void add_arc(std::uint32_t from, std::uint32_t to, std::int32_t cap) {
-    adj[from].push_back(Arc{to, cap, static_cast<std::uint32_t>(adj[to].size())});
-    adj[to].push_back(Arc{from, 0, static_cast<std::uint32_t>(adj[from].size() - 1)});
+  // Number of internally vertex-disjoint s-t paths, stopping early once
+  // `cap` are found (SIZE_MAX for the exact count). The flow stays in the
+  // arcs until the next call.
+  std::size_t max_flow(NodeId s, NodeId t, std::size_t cap) {
+    for (const auto& [v, i] : pushed_) {
+      Arc& a = adj[v][i];
+      a.flow = 0;
+      adj[a.to][a.rev].flow = 0;
+    }
+    pushed_.clear();
+    std::size_t flow = 0;
+    while (flow < cap && augment(out_node(s), in_node(t))) ++flow;
+    return flow;
+  }
+
+  std::vector<std::vector<Arc>> adj;
+
+ private:
+  static constexpr std::pair<std::uint32_t, std::uint32_t> kUnseen{UINT32_MAX,
+                                                                   UINT32_MAX};
+
+  void add_arc(std::uint32_t from, std::uint32_t to) {
+    adj[from].push_back(Arc{to, 0, 1, static_cast<std::uint32_t>(adj[to].size())});
+    adj[to].push_back(
+        Arc{from, 0, 0, static_cast<std::uint32_t>(adj[from].size() - 1)});
   }
 
   // One BFS augmentation of value 1; returns false when no augmenting path.
   bool augment(std::uint32_t s, std::uint32_t t) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> parent(
-        adj.size(), {UINT32_MAX, UINT32_MAX});  // (node, arc index)
-    std::queue<std::uint32_t> q;
-    q.push(s);
-    parent[s] = {s, UINT32_MAX};
-    while (!q.empty() && parent[t].first == UINT32_MAX) {
-      const std::uint32_t v = q.front();
-      q.pop();
+    queue_.assign(1, s);
+    parent_[s] = {s, UINT32_MAX};
+    for (std::size_t head = 0;
+         head < queue_.size() && parent_[t].first == UINT32_MAX; ++head) {
+      const std::uint32_t v = queue_[head];
       for (std::uint32_t i = 0; i < adj[v].size(); ++i) {
         const Arc& a = adj[v][i];
-        if (a.cap > 0 && parent[a.to].first == UINT32_MAX) {
-          parent[a.to] = {v, i};
-          q.push(a.to);
+        if (a.flow < a.cap && parent_[a.to].first == UINT32_MAX) {
+          parent_[a.to] = {v, i};
+          queue_.push_back(a.to);
         }
       }
     }
-    if (parent[t].first == UINT32_MAX) return false;
+    const bool found = parent_[t].first != UINT32_MAX;
     // Walk back and push one unit.
-    std::uint32_t cur = t;
-    while (cur != s) {
-      const auto [prev, arc_idx] = parent[cur];
+    for (std::uint32_t cur = t; found && cur != s;) {
+      const auto [prev, arc_idx] = parent_[cur];
       Arc& a = adj[prev][arc_idx];
-      a.cap -= 1;
-      adj[a.to][a.rev].cap += 1;
+      a.flow += 1;
+      adj[a.to][a.rev].flow -= 1;
+      pushed_.emplace_back(prev, arc_idx);
       cur = prev;
     }
-    return true;
+    for (std::uint32_t v : queue_) parent_[v] = kUnseen;
+    return found;
   }
 
-  std::vector<std::vector<Arc>> adj;
+  // BFS marks: (node, arc index) of each visited node's discovery.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> parent_;
+  std::vector<std::uint32_t> queue_;
+  // Arcs that carry flow changes since the last reset.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pushed_;
 };
-
-constexpr std::int32_t kBigCap = 1 << 28;
-
-std::uint32_t in_node(NodeId v) { return 2 * v; }
-std::uint32_t out_node(NodeId v) { return 2 * v + 1; }
-
-FlowNetwork build_split_network(const Graph& g, NodeId s, NodeId t) {
-  FlowNetwork net(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const std::int32_t cap = (v == s || v == t) ? kBigCap : 1;
-    net.add_arc(in_node(v), out_node(v), cap);
-    for (const Edge& e : g.neighbors(v)) {
-      net.add_arc(out_node(v), in_node(e.to), 1);
-    }
-  }
-  return net;
-}
-
-// Max flow from s to t on the split network, stopping early once `cap`
-// augmenting paths are found (cap == SIZE_MAX for exact flow).
-std::size_t bounded_disjoint_paths(const Graph& g, NodeId s, NodeId t,
-                                   std::size_t cap, FlowNetwork* keep = nullptr) {
-  FlowNetwork net = build_split_network(g, s, t);
-  std::size_t flow = 0;
-  while (flow < cap && net.augment(out_node(s), in_node(t))) ++flow;
-  if (keep) *keep = std::move(net);
-  return flow;
-}
 
 }  // namespace
 
 std::size_t max_vertex_disjoint_paths(const Graph& g, NodeId s, NodeId t) {
   HERMES_REQUIRE(s != t);
-  return bounded_disjoint_paths(g, s, t, SIZE_MAX);
+  return SplitNetwork(g).max_flow(s, t, SIZE_MAX);
 }
 
 std::vector<std::vector<NodeId>> vertex_disjoint_paths(const Graph& g, NodeId s,
                                                        NodeId t,
                                                        std::size_t want) {
   HERMES_REQUIRE(s != t);
-  FlowNetwork net(0);
-  const std::size_t flow = bounded_disjoint_paths(g, s, t, want, &net);
+  SplitNetwork net(g);
+  const std::size_t flow = net.max_flow(s, t, want);
 
   // Flow decomposition. An out(u) -> in(v) arc with u != v is a forward
-  // edge arc (original capacity 1); it carried one flow unit iff its
-  // residual capacity is now 0. Unit vertex capacities mean every
-  // intermediate vertex has at most one flow successor, so following
-  // successors from s yields vertex-disjoint paths directly.
+  // edge arc; it carries one flow unit iff its flow is 1. Unit vertex
+  // capacities mean every intermediate vertex has at most one flow
+  // successor, so following successors from s yields vertex-disjoint
+  // paths directly.
   std::vector<std::vector<NodeId>> successors(g.node_count());
   for (NodeId u = 0; u < g.node_count(); ++u) {
     for (const auto& a : net.adj[out_node(u)]) {
       const bool is_edge_arc = (a.to % 2 == 0) && (a.to / 2 != u);
-      if (is_edge_arc && a.cap == 0) {
+      if (is_edge_arc && a.flow == 1) {
         successors[u].push_back(static_cast<NodeId>(a.to / 2));
       }
     }
@@ -151,13 +164,14 @@ std::size_t vertex_connectivity(const Graph& g) {
   // kappa <= deg(v0), so the minimum cut misses at least one vertex of
   // {v0} union N(v0); flows from every member of that set to every
   // non-neighbor cover all cuts.
+  SplitNetwork net(g);
   std::size_t best = min_degree;
   std::vector<NodeId> sources{v0};
   for (const Edge& e : g.neighbors(v0)) sources.push_back(e.to);
   for (NodeId s : sources) {
     for (NodeId u = 0; u < n; ++u) {
       if (u == s || g.has_edge(s, u)) continue;
-      best = std::min(best, bounded_disjoint_paths(g, s, u, best + 1));
+      best = std::min(best, net.max_flow(s, u, best + 1));
       if (best == 0) return 0;
     }
   }
@@ -171,7 +185,18 @@ bool is_k_vertex_connected(const Graph& g, std::size_t k) {
   for (NodeId v = 0; v < n; ++v) {
     if (g.degree(v) < k) return false;
   }
-  return vertex_connectivity(g) >= k;
+  // A separator of fewer than k vertices misses one of any k vertices, and
+  // that vertex is then cut off from some non-neighbor. So flows from k
+  // fixed vertices to each of their non-neighbors, capped at k paths,
+  // decide kappa >= k exactly.
+  SplitNetwork net(g);
+  for (NodeId s = 0; s < k; ++s) {
+    for (NodeId u = 0; u < n; ++u) {
+      if (u == s || g.has_edge(s, u)) continue;
+      if (net.max_flow(s, u, k) < k) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace hermes::net

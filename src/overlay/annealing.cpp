@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <queue>
 #include <utility>
 
@@ -67,80 +68,85 @@ ObjectiveComponents components_from(const Overlay& o, const RankTable& ranks,
 // Repairs the overlay after a random move: every non-last-layer node gets
 // back to >= f+1 successors, every non-entry node to >= f+1 predecessors
 // (Algorithm 3 step 2, extended to predecessors which the delivery
-// guarantee needs).
-void repair_connectivity(IncrementalObjective& state,
-                         const AnnealingParams& params,
-                         const LinkCostCache& costs, MoveDelta* delta) {
+// guarantee needs). Each link goes to the cheapest physical neighbor in
+// the eligible layers; when none is left, a logical link goes to the
+// nearest eligible node by shortest-path latency from the deficient node.
+// Latency ties go to the lowest id (successors) or to the shallowest
+// layer, then the lowest id (predecessors): the order of a scan over the
+// layers in depth and id order.
+void repair_connectivity(IncrementalObjective& state, const net::Graph& g,
+                         net::NearestScratch& search, MoveDelta* delta) {
   const Overlay& o = state.overlay();
   const std::size_t f = o.f();
   const auto& layer_list = state.layers();
   if (layer_list.size() < 2) return;
   const std::size_t deepest = layer_list.size() - 1;
+  constexpr NodeId kNone = net::NodeId(-1);
 
   for (std::size_t d = 1; d < deepest; ++d) {
     for (NodeId v : layer_list[d]) {
       while (o.successors(v).size() < f + 1) {
         // Cheapest next-layer node not already a successor.
-        NodeId best = net::NodeId(-1);
+        NodeId best = kNone;
         double best_cost = net::kInfLatency;
-        for (NodeId c : layer_list[d + 1]) {
-          if (o.has_link(v, c)) continue;
-          if (params.physical_links_only && !costs.physical(v, c)) continue;
-          const double w = costs.cost(v, c);
-          if (w < best_cost) {
-            best_cost = w;
-            best = c;
+        for (const net::Edge& e : g.neighbors(v)) {
+          if (o.depth(e.to) != d + 1 || o.has_link(v, e.to)) continue;
+          if (e.latency_ms < best_cost ||
+              (best != kNone && e.latency_ms == best_cost && e.to < best)) {
+            best = e.to;
+            best_cost = e.latency_ms;
           }
         }
-        if (best == net::NodeId(-1) && params.physical_links_only) {
-          // No physical candidate left; fall back to a logical link.
-          for (NodeId c : layer_list[d + 1]) {
-            if (o.has_link(v, c)) continue;
-            const double w = costs.cost(v, c);
-            if (w < best_cost) {
-              best_cost = w;
-              best = c;
-            }
-          }
+        if (best == kNone) {
+          // A search that finds nothing settles the whole graph, so first
+          // rule out a next layer that v already links to in full (it does
+          // in the deepest layers, which hold a handful of nodes).
+          const auto linked = static_cast<std::size_t>(std::count_if(
+              o.successors(v).begin(), o.successors(v).end(),
+              [&](NodeId c) { return o.depth(c) == d + 1; }));
+          if (linked == layer_list[d + 1].size()) break;  // layer exhausted
+          const auto& nearest = g.nearest(v, 1, search, [&](NodeId c) {
+            return o.depth(c) == d + 1 && !o.has_link(v, c);
+          });
+          if (nearest.empty()) break;  // the rest is unreachable
+          best = nearest.front().to;
+          best_cost = nearest.front().latency_ms;
         }
-        if (best == net::NodeId(-1)) break;  // layer exhausted
         state.add_link(v, best, best_cost, delta);
       }
     }
   }
 
+  const auto shallower = [&o](NodeId a, NodeId b) {
+    return o.depth(a) < o.depth(b) || (o.depth(a) == o.depth(b) && a < b);
+  };
   for (std::size_t d = 2; d <= deepest; ++d) {
     for (NodeId v : layer_list[d]) {
       while (o.predecessors(v).size() < f + 1) {
-        NodeId best = net::NodeId(-1);
+        NodeId best = kNone;
         double best_cost = net::kInfLatency;
-        for (std::size_t pd = 1; pd < d; ++pd) {
-          for (NodeId p : layer_list[pd]) {
-            if (o.has_link(p, v)) continue;
-            if (params.physical_links_only && !costs.physical(p, v)) continue;
-            const double w = costs.cost(p, v);
-            if (w < best_cost) {
-              best_cost = w;
-              best = p;
-            }
+        for (const net::Edge& e : g.neighbors(v)) {
+          const std::size_t pd = o.depth(e.to);
+          if (pd < 1 || pd >= d || o.has_link(e.to, v)) continue;
+          if (e.latency_ms < best_cost ||
+              (best != kNone && e.latency_ms == best_cost &&
+               shallower(e.to, best))) {
+            best = e.to;
+            best_cost = e.latency_ms;
           }
         }
-        if (best == net::NodeId(-1)) {
-          for (std::size_t pd = 1; pd < d; ++pd) {
-            for (NodeId p : layer_list[pd]) {
-              if (o.has_link(p, v)) continue;
-              // Physical latencies are symmetric; querying from v keeps the
-              // whole fallback scan on v's cached shortest-path row instead
-              // of one Dijkstra per parent candidate.
-              const double w = costs.cost(v, p);
-              if (w < best_cost) {
-                best_cost = w;
-                best = p;
-              }
-            }
+        if (best == kNone) {
+          const auto& nearest = g.nearest(v, 1, search, [&](NodeId p) {
+            const std::size_t pd = o.depth(p);
+            return pd >= 1 && pd < d && !o.has_link(p, v);
+          });
+          if (nearest.empty()) break;
+          best_cost = nearest.front().latency_ms;
+          for (const net::Edge& e : nearest) {
+            if (e.latency_ms != best_cost) break;
+            if (best == kNone || shallower(e.to, best)) best = e.to;
           }
         }
-        if (best == net::NodeId(-1)) break;
         state.add_link(best, v, best_cost, delta);
       }
     }
@@ -150,9 +156,9 @@ void repair_connectivity(IncrementalObjective& state,
 // One random neighbor move (Algorithm 3) applied in place, recording every
 // effective edit. The caller brackets this with begin_move()/
 // take_move_delta()/revert().
-MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
-                        double mean, const AnnealingParams& params,
-                        const LinkCostCache& costs, Rng& rng) {
+MoveDelta generate_move(IncrementalObjective& state, const net::Graph& g,
+                        const RankTable& ranks, double mean,
+                        net::NearestScratch& search, Rng& rng) {
   MoveDelta delta;
   const Overlay& o = state.overlay();
   const auto& layer_list = state.layers();
@@ -184,14 +190,15 @@ MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
       const NodeId c =
           layer_list[d + 1][rng.uniform_u64(layer_list[d + 1].size())];
       if (o.has_link(p, c)) continue;
-      if (params.physical_links_only && !costs.physical(p, c)) continue;
-      state.add_link(p, c, costs.cost(p, c), &delta);
+      const auto lat = g.edge_latency(p, c);
+      if (!lat) continue;
+      state.add_link(p, c, *lat, &delta);
       break;
     }
   }
 
   // --- Step 2: restore f+1 connectivity.
-  repair_connectivity(state, params, costs, &delta);
+  repair_connectivity(state, g, search, &delta);
 
   // --- Step 3: rank-penalty adjustment — nodes sitting near the root with
   // excess edges shed load; children with spare predecessors lose the link
@@ -217,19 +224,6 @@ MoveDelta generate_move(IncrementalObjective& state, const RankTable& ranks,
 }
 
 }  // namespace
-
-double LinkCostCache::cost(NodeId a, NodeId b) const {
-  if (const auto lat = g_.edge_latency(a, b)) return *lat;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(a);
-  if (it == cache_.end()) {
-    it = cache_
-             .emplace(a, std::make_unique<const std::vector<double>>(
-                             g_.shortest_latencies(a)))
-             .first;
-  }
-  return (*it->second)[b];
-}
 
 double ObjectiveComponents::value(std::size_t node_count,
                                   const ObjectiveWeights& w) const {
@@ -428,17 +422,11 @@ void IncrementalObjective::revert(const MoveDelta& delta) {
 Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng) {
-  LinkCostCache costs(g);
-  return generate_neighbor(current, ranks, params, costs, rng);
-}
-
-Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
-                          const AnnealingParams& params,
-                          const LinkCostCache& costs, Rng& rng) {
   IncrementalObjective state(current, ranks, params.weights);
   const double current_value = state.value();
+  net::NearestScratch search;
   state.begin_move();
-  generate_move(state, ranks, mean_rank(ranks), params, costs, rng);
+  generate_move(state, g, ranks, mean_rank(ranks), search, rng);
   state.flush();
   if (params.greedy_neighbor_filter && state.value() >= current_value) {
     return current;  // Algorithm 3 step 4: discard if no improvement
@@ -447,15 +435,8 @@ Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
 }
 
 Overlay anneal(const Overlay& initial, const net::Graph& g,
-               const RankTable& ranks, const AnnealingParams& params,
-               Rng& rng) {
-  LinkCostCache costs(g);
-  return anneal(initial, ranks, params, rng, costs, nullptr);
-}
-
-Overlay anneal(const Overlay& initial, const RankTable& ranks,
-               const AnnealingParams& params, Rng& rng,
-               const LinkCostCache& costs, ThreadPool* pool) {
+               const RankTable& ranks, const AnnealingParams& params, Rng& rng,
+               ThreadPool* pool) {
   const std::size_t n = initial.node_count();
   if (n == 0) return initial;
 
@@ -471,19 +452,24 @@ Overlay anneal(const Overlay& initial, const RankTable& ranks,
   }
 
   const double mean = mean_rank(ranks);
-  // One replica per lane; all replicas replay the same accepted deltas, so
-  // they stay structurally identical and any lane can score any candidate.
-  std::vector<std::unique_ptr<IncrementalObjective>> replicas;
-  replicas.reserve(lanes);
+  // Each lane owns a replica and a search scratch. All replicas replay the
+  // same accepted deltas, so they stay structurally identical and any lane
+  // can score any candidate.
+  struct Lane {
+    IncrementalObjective replica;
+    net::NearestScratch search;
+  };
+  std::vector<std::unique_ptr<Lane>> lane_state;
+  lane_state.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    replicas.push_back(
-        std::make_unique<IncrementalObjective>(initial, ranks, params.weights));
+    lane_state.push_back(std::make_unique<Lane>(
+        Lane{IncrementalObjective(initial, ranks, params.weights), {}}));
   }
 
   // The chain's components live outside the replicas and only ever absorb
   // accepted ComponentDeltas — replica-local float drift from speculative
   // apply/revert cycles never reaches an acceptance decision.
-  ObjectiveComponents current = replicas[0]->components();
+  ObjectiveComponents current = lane_state[0]->replica.components();
   double current_value = current.value(n, params.weights);
   Overlay best = initial;
   double best_value = current_value;
@@ -506,11 +492,11 @@ Overlay anneal(const Overlay& initial, const RankTable& ranks,
       for (std::size_t i = 0; i < batch; ++i) cand_rngs.push_back(rng.fork(i + 1));
 
       auto eval_lane = [&](std::size_t lane) {
-        IncrementalObjective& rep = *replicas[lane];
+        IncrementalObjective& rep = lane_state[lane]->replica;
+        net::NearestScratch& search = lane_state[lane]->search;
         for (std::size_t i = lane; i < batch; i += lanes) {
           rep.begin_move();
-          MoveDelta d = generate_move(rep, ranks, mean, params, costs,
-                                      cand_rngs[i]);
+          MoveDelta d = generate_move(rep, g, ranks, mean, search, cand_rngs[i]);
           cands[i].d = rep.take_move_delta();
           cands[i].accept_u = cand_rngs[i].uniform01();
           rep.revert(d);
@@ -544,10 +530,10 @@ Overlay anneal(const Overlay& initial, const RankTable& ranks,
         if (!accept) continue;
         current = next;
         current_value = next_value;
-        for (auto& rep : replicas) rep->apply(cand.delta);
+        for (auto& lane : lane_state) lane->replica.apply(cand.delta);
         if (current_value < best_value) {
           best_value = current_value;
-          best = replicas[0]->overlay();
+          best = lane_state[0]->replica.overlay();
         }
         break;
       }

@@ -30,9 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -65,33 +62,11 @@ struct AnnealingParams {
   // bit-identical for a fixed seed regardless of this value; it only
   // controls how candidate scoring is scheduled.
   std::size_t workers = 1;
-  // Restrict edge additions to physical links of G; logical fallbacks use
-  // shortest-path latencies (same rule as robust-tree integration).
-  bool physical_links_only = true;
   // When true, GenerateNeighbor discards non-improving candidates before
   // the SA accept rule, as literally written in Algorithm 3 step 4. The
   // default keeps the standard SA accept rule of Algorithm 2.
   bool greedy_neighbor_filter = false;
   ObjectiveWeights weights;
-};
-
-// Lazily caches single-source shortest-path latencies of the physical
-// graph, so logical-link costs stay cheap inside the annealing loop.
-// Thread-safe: one instance is shared by all annealing workers and across
-// all k trees of build_overlay_set. Rows are immutable once computed.
-class LinkCostCache {
- public:
-  explicit LinkCostCache(const net::Graph& g) : g_(g) {}
-
-  double cost(NodeId a, NodeId b) const;
-  bool physical(NodeId a, NodeId b) const { return g_.has_edge(a, b); }
-  const net::Graph& graph() const { return g_; }
-
- private:
-  const net::Graph& g_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<NodeId, std::unique_ptr<const std::vector<double>>>
-      cache_ HERMES_GUARDED_BY(mu_);
 };
 
 // One candidate move as an apply/undo edit list. Ops are recorded in the
@@ -207,26 +182,22 @@ ObjectiveComponents objective_components(const Overlay& o,
                                          const RankTable& ranks);
 
 // One random neighbor move (Algorithm 3): add or remove an edge between
-// consecutive layers, then repair f+1-connectivity, then push low-rank
-// nodes' excess links toward higher-rank, deeper nodes. The overload with
-// a LinkCostCache reuses the caller's cache instead of rebuilding one per
-// call.
+// consecutive layers of G's physical links, then repair f+1-connectivity,
+// then push low-rank nodes' excess links toward higher-rank, deeper nodes.
+// A repair prefers the cheapest physical link; only when none is left does
+// it take a logical link to the nearest eligible node by shortest-path
+// latency (same rule as robust-tree integration).
 Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng);
-Overlay generate_neighbor(const Overlay& current, const RankTable& ranks,
-                          const AnnealingParams& params,
-                          const LinkCostCache& costs, Rng& rng);
 
 // Algorithm 2: returns the best overlay found. Deterministic for a fixed
-// seed, independent of params.workers and of the pool passed in. The
-// overload taking a LinkCostCache/ThreadPool shares them across calls
-// (build_overlay_set uses one of each for all k trees); pass pool ==
-// nullptr to let the call spin up its own lanes when params.workers > 1.
+// seed, independent of params.workers and of the pool passed in. Pass a
+// pool to share its threads across calls (build_overlay_set uses one for
+// all k trees); with pool == nullptr the call spins up its own lanes when
+// params.workers > 1.
 Overlay anneal(const Overlay& initial, const net::Graph& g,
-               const RankTable& ranks, const AnnealingParams& params, Rng& rng);
-Overlay anneal(const Overlay& initial, const RankTable& ranks,
-               const AnnealingParams& params, Rng& rng,
-               const LinkCostCache& costs, ThreadPool* pool);
+               const RankTable& ranks, const AnnealingParams& params, Rng& rng,
+               ThreadPool* pool = nullptr);
 
 }  // namespace hermes::overlay

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "overlay/join.hpp"
 #include "overlay/repair.hpp"
 #include "support/thread_pool.hpp"
 
@@ -12,39 +11,26 @@ namespace hermes::overlay {
 
 namespace {
 
-// Shared per-build state: the cost cache (external when the caller owns
-// one across epochs) and the worker pool for parallel candidate scoring.
-struct BuildContext {
-  const LinkCostCache* costs = nullptr;
-  std::optional<LinkCostCache> owned_costs;
-  std::unique_ptr<ThreadPool> pool;
-
-  BuildContext(const net::Graph& g, const BuilderParams& params,
-               const LinkCostCache* external) {
-    if (external != nullptr) {
-      costs = external;
-    } else {
-      owned_costs.emplace(g);
-      costs = &*owned_costs;
-    }
-    if (params.optimize && params.annealing.workers > 1 &&
-        params.annealing.batch_size > 1) {
-      const std::size_t lanes =
-          std::min(params.annealing.workers, params.annealing.batch_size);
-      pool = std::make_unique<ThreadPool>(lanes - 1);
-    }
+// The worker pool for parallel candidate scoring, shared by all k trees of
+// one build; null when annealing runs on one lane.
+std::unique_ptr<ThreadPool> make_pool(const BuilderParams& params) {
+  if (params.optimize && params.annealing.workers > 1 &&
+      params.annealing.batch_size > 1) {
+    const std::size_t lanes =
+        std::min(params.annealing.workers, params.annealing.batch_size);
+    return std::make_unique<ThreadPool>(lanes - 1);
   }
-};
+  return nullptr;
+}
 
 // The shared per-tree tail of both build paths: anneal the seed tree and
 // fold its optimized depths into the accumulated rank table.
 void optimize_and_rank(Overlay&& tree, std::size_t l, const net::Graph& g,
                        const BuilderParams& params, const RankTable& before,
-                       OverlaySet& set, Rng& rng, const BuildContext& ctx) {
+                       OverlaySet& set, Rng& rng, ThreadPool* pool) {
   if (params.optimize) {
     Rng anneal_rng = rng.fork(0x5eedl + l);
-    tree = anneal(tree, before, params.annealing, anneal_rng, *ctx.costs,
-                  ctx.pool.get());
+    tree = anneal(tree, g, before, params.annealing, anneal_rng, pool);
     // Re-derive the rank contribution (root proximity, see robust_tree.cpp)
     // from the optimized depths.
     const double max_depth = static_cast<double>(tree.max_depth());
@@ -70,7 +56,7 @@ RankTable rank_snapshot(const BuilderParams& params, OverlaySet& set) {
 }  // namespace
 
 OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
-                             Rng& rng, const LinkCostCache* costs) {
+                             Rng& rng) {
   OverlaySet set;
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
@@ -78,12 +64,13 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
   RobustTreeParams tree_params = params.tree;
   tree_params.f = params.f;
 
-  BuildContext ctx(g, params, costs);
+  const auto pool = make_pool(params);
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
     Overlay tree = build_robust_tree(g, tree_params, set.final_ranks);
-    optimize_and_rank(std::move(tree), l, g, params, before, set, rng, ctx);
+    optimize_and_rank(std::move(tree), l, g, params, before, set, rng,
+                      pool.get());
   }
   return set;
 }
@@ -100,7 +87,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
   RobustTreeParams tree_params = params.tree;
   tree_params.f = params.f;
 
-  BuildContext ctx(g, params, costs);
+  const auto pool = make_pool(params);
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
@@ -124,7 +111,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
       if (ok) {
         for (NodeId v : churned) {
           if (!attach_node_locally(warm, v, g, /*allow_logical=*/true,
-                                   ctx.costs, params.annealing.weights)
+                                   costs, params.annealing.weights)
                    .ok) {
             ok = false;
             break;
@@ -135,7 +122,8 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
     }
     Overlay tree = seed ? std::move(*seed)
                         : build_robust_tree(g, tree_params, set.final_ranks);
-    optimize_and_rank(std::move(tree), l, g, params, before, set, rng, ctx);
+    optimize_and_rank(std::move(tree), l, g, params, before, set, rng,
+                      pool.get());
   }
   return set;
 }

@@ -6,6 +6,7 @@
 
 #include "net/graph.hpp"
 #include "overlay/annealing.hpp"
+#include "overlay/join.hpp"
 #include "overlay/overlay.hpp"
 #include "overlay/robust_tree.hpp"
 #include "support/rng.hpp"
@@ -32,12 +33,9 @@ struct OverlaySet {
 
 // Builds k robust trees with shared rank accounting, annealing each before
 // the next tree's ranks are computed (Algorithm 1 line 25: optimize, then
-// move on). Deterministic given the rng seed. Passing `costs` (built over
-// the same graph) reuses the caller's shortest-path cache across calls —
-// the physical graph does not change between epochs, so re-deriving the
-// pairwise rows on every rebuild is pure waste.
+// move on). Deterministic given the rng seed.
 OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
-                             Rng& rng, const LinkCostCache* costs = nullptr);
+                             Rng& rng);
 
 // Warm-started rebuild: instead of growing each tree from scratch, seed
 // tree l with the previous epoch's tree l after surgically detaching and
@@ -47,6 +45,9 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 // to the scratch robust-tree build. `churned` must be sorted ascending —
 // the canonical application order that keeps results byte-identical across
 // replicas. Deterministic given the rng seed, independent of worker count.
+// Passing `costs` (built over the same graph) lets the joins reuse the
+// caller's shortest-path rows across trees and epochs; the physical graph
+// does not change between epochs.
 OverlaySet build_overlay_set_warm(const net::Graph& g,
                                   const BuilderParams& params,
                                   const OverlaySet& previous,

@@ -35,6 +35,19 @@ struct Candidate {
 
 }  // namespace
 
+double LinkCostCache::cost(NodeId a, NodeId b) const {
+  if (const auto lat = g_.edge_latency(a, b)) return *lat;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(a);
+  if (it == cache_.end()) {
+    it = cache_
+             .emplace(a, std::make_unique<const std::vector<double>>(
+                             g_.shortest_latencies(a)))
+             .first;
+  }
+  return (*it->second)[b];
+}
+
 std::size_t join_out_degree_cap(std::size_t f) {
   return std::max<std::size_t>(4, 2 * (f + 1));
 }

@@ -18,11 +18,36 @@
 // determinism bar remove_node_locally meets).
 #pragma once
 
+#include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
+
 #include "net/graph.hpp"
 #include "overlay/annealing.hpp"
 #include "overlay/overlay.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace hermes::overlay {
+
+// Lazily caches single-source shortest-path rows of the physical graph, so
+// repeated joins of the same node (one per tree, and again in later epochs)
+// price their logical links without rerunning Dijkstra. Thread-safe; rows
+// are immutable once computed.
+class LinkCostCache {
+ public:
+  explicit LinkCostCache(const net::Graph& g) : g_(g) {}
+
+  // Physical edge latency of (a, b) if the edge exists, else the
+  // shortest-path latency from a's cached row.
+  double cost(NodeId a, NodeId b) const;
+
+ private:
+  const net::Graph& g_;
+  mutable std::mutex mu_;
+  mutable std::unordered_map<NodeId, std::unique_ptr<const std::vector<double>>>
+      cache_ HERMES_GUARDED_BY(mu_);
+};
 
 struct JoinPlacementResult {
   bool ok = false;

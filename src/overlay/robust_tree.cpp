@@ -106,6 +106,7 @@ Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
   // --- Missing nodes (Alg. 1 lines 17-21): attach every remaining node
   // with f+1 edges to nodes already in the overlay. Multiple passes let a
   // node whose physical neighbors were themselves missing join later.
+  net::NearestScratch search;
   auto attach = [&](NodeId v, bool allow_logical) -> bool {
     // Physical candidates already in the overlay, cheapest links first.
     std::vector<Candidate> parents;
@@ -124,27 +125,17 @@ Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
     if (chosen.size() < f + 1) {
       if (!allow_logical) return false;
       // Logical links over multi-hop paths: nearest placed nodes by
-      // physical shortest-path latency.
-      const auto dist = g.shortest_latencies(v);
-      std::vector<Candidate> logical;
-      for (NodeId u = 0; u < n; ++u) {
-        if (!placed[u] || u == v) continue;
-        const bool already = std::any_of(
-            chosen.begin(), chosen.end(),
-            [u](const auto& cu) { return cu.first == u; });
-        if (already || dist[u] == net::kInfLatency) continue;
-        logical.push_back({u, ranks[u], dist[u]});
+      // physical shortest-path latency, ties to the lower id.
+      const std::size_t missing = f + 1 - chosen.size();
+      const auto& logical = g.nearest(v, missing, search, [&](NodeId u) {
+        return placed[u] &&
+               std::none_of(chosen.begin(), chosen.end(),
+                            [u](const auto& cu) { return cu.first == u; });
+      });
+      if (logical.size() < missing) return false;
+      for (std::size_t i = 0; i < missing; ++i) {
+        chosen.emplace_back(logical[i].to, logical[i].latency_ms);
       }
-      std::sort(logical.begin(), logical.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.latency < b.latency ||
-                         (a.latency == b.latency && a.node < b.node);
-                });
-      for (const Candidate& c : logical) {
-        if (chosen.size() == f + 1) break;
-        chosen.emplace_back(c.node, c.latency);
-      }
-      if (chosen.size() < f + 1) return false;
     }
     std::size_t depth = 0;
     for (const auto& [p, lat] : chosen) depth = std::max(depth, overlay.depth(p));

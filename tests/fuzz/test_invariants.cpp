@@ -85,6 +85,24 @@ struct MutationCase {
   const char* checker;
 };
 
+// gtest prints each case's raw bytes into the test's listed name. Cases
+// built as temporaries carry whatever the stack held in the padding after
+// `mutation`, often an address that changes from run to run. A table with
+// static storage has zeroed padding, so those bytes stay the same; only
+// the `checker` pointer at the end still follows the load address.
+constexpr MutationCase kMutationCases[] = {
+    {Mutation::kDuplicateDelivery, "no-duplicate-delivery"},
+    {Mutation::kSequenceFabrication, "sequence-integrity"},
+    {Mutation::kWrongOverlay, "overlay-consistency"},
+    {Mutation::kFalseAccusation, "no-false-accusation"},
+    {Mutation::kOverlayDeficit, "overlay-connectivity"},
+    {Mutation::kRepairDivergence, "repair-convergence"},
+    {Mutation::kLostRecovery, "recovery-liveness"},
+    {Mutation::kPhantomEviction, "mempool-pressure"},
+    {Mutation::kEpochSkew, "epoch-transition-safety"},
+    {Mutation::kTransitionCut, "transition-connectivity"},
+};
+
 class MutationCatches : public ::testing::TestWithParam<MutationCase> {};
 
 TEST_P(MutationCatches, ByItsChecker) {
@@ -112,18 +130,7 @@ TEST_P(MutationCatches, ByItsChecker) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMutations, MutationCatches,
-    ::testing::Values(
-        MutationCase{Mutation::kDuplicateDelivery, "no-duplicate-delivery"},
-        MutationCase{Mutation::kSequenceFabrication, "sequence-integrity"},
-        MutationCase{Mutation::kWrongOverlay, "overlay-consistency"},
-        MutationCase{Mutation::kFalseAccusation, "no-false-accusation"},
-        MutationCase{Mutation::kOverlayDeficit, "overlay-connectivity"},
-        MutationCase{Mutation::kRepairDivergence, "repair-convergence"},
-        MutationCase{Mutation::kLostRecovery, "recovery-liveness"},
-        MutationCase{Mutation::kPhantomEviction, "mempool-pressure"},
-        MutationCase{Mutation::kEpochSkew, "epoch-transition-safety"},
-        MutationCase{Mutation::kTransitionCut, "transition-connectivity"}),
+    AllMutations, MutationCatches, ::testing::ValuesIn(kMutationCases),
     [](const ::testing::TestParamInfo<MutationCase>& info) {
       std::string name = mutation_name(info.param.mutation);
       for (char& c : name) {

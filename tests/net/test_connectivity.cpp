@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "support/rng.hpp"
@@ -24,6 +27,94 @@ Graph complete_graph(std::size_t n) {
     for (NodeId b = a + 1; b < n; ++b) g.add_edge(a, b, 1.0);
   }
   return g;
+}
+
+// Random graphs for the connectivity property test, one family per seed
+// residue: sparse G(n, p) (often disconnected or with low degree), dense
+// G(n, p), complete graphs, two dense blobs sharing 0-4 cut vertices (high
+// minimum degree, low connectivity) and circulant rings with extra chords.
+Graph random_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = 2 + rng.uniform_u64(79);  // 2..80
+  Graph g(n);
+  const auto maybe_edge = [&](NodeId a, NodeId b, double p) {
+    if (a != b && rng.bernoulli(p)) g.add_edge(a, b, 1.0);
+  };
+  switch (seed % 5) {
+    case 0: {
+      const double p = (1.0 + 5.0 * rng.uniform01()) / static_cast<double>(n);
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) maybe_edge(a, b, p);
+      }
+      break;
+    }
+    case 1: {
+      const double p = 0.3 + 0.6 * rng.uniform01();
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) maybe_edge(a, b, p);
+      }
+      break;
+    }
+    case 2:
+      return complete_graph(1 + rng.uniform_u64(12));
+    case 3: {
+      // Blob A = [0, half), blob B = [half, n - cut), shared cut vertices
+      // [n - cut, n) adjacent to both blobs.
+      const std::size_t cut = std::min<std::size_t>(rng.uniform_u64(5), n / 3);
+      const std::size_t half = (n - cut) / 2;
+      const auto blob = [&](NodeId v) {
+        return v >= n - cut ? 2 : (v < half ? 0 : 1);
+      };
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) {
+          if (blob(a) == 2 || blob(b) == 2 || blob(a) == blob(b)) {
+            maybe_edge(a, b, 0.8);
+          }
+        }
+      }
+      break;
+    }
+    default: {
+      const std::size_t strides = 1 + rng.uniform_u64(4);
+      for (NodeId v = 0; v < n; ++v) {
+        for (std::size_t s = 1; s <= strides; ++s) {
+          const auto u = static_cast<NodeId>((v + s) % n);
+          if (u != v && !g.has_edge(v, u)) g.add_edge(v, u, 1.0);
+        }
+      }
+      for (std::size_t i = 0; i < n / 4; ++i) {
+        maybe_edge(static_cast<NodeId>(rng.uniform_u64(n)),
+                   static_cast<NodeId>(rng.uniform_u64(n)), 1.0);
+      }
+      break;
+    }
+  }
+  return g;
+}
+
+// Vertex connectivity by exhaustive search: the size of the smallest vertex
+// set whose removal disconnects the rest, n - 1 when none does.
+std::size_t brute_force_connectivity(const Graph& g) {
+  const std::size_t n = g.node_count();
+  if (n < 2) return 0;
+  std::size_t best = n - 1;
+  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+    const auto removed = static_cast<std::size_t>(__builtin_popcount(mask));
+    if (removed >= best || removed > n - 2) continue;
+    Graph rest(n - removed);
+    std::vector<NodeId> index(n, 0);
+    for (NodeId v = 0, next = 0; v < n; ++v) {
+      if (!(mask >> v & 1u)) index[v] = next++;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (mask >> v & 1u) continue;
+      for (const Edge& e : g.neighbors(v)) {
+        if (!(mask >> e.to & 1u)) rest.add_edge(index[v], index[e.to], 1.0);
+      }
+    }
+    if (!rest.is_connected()) best = removed;
+  }
+  return best;
 }
 
 TEST(Connectivity, CycleHasTwoDisjointPaths) {
@@ -109,6 +200,40 @@ TEST(Connectivity, IsKVertexConnected) {
   EXPECT_TRUE(is_k_vertex_connected(c, 2));
   EXPECT_FALSE(is_k_vertex_connected(c, 3));
   EXPECT_FALSE(is_k_vertex_connected(Graph(2), 1));  // too few nodes/edges
+}
+
+TEST(Connectivity, IsKVertexConnectedAgreesWithVertexConnectivity) {
+  std::size_t cases = 0;
+  std::size_t disconnected = 0;
+  std::size_t complete = 0;
+  std::size_t low_degree = 0;
+  std::size_t by_flow[2] = {0, 0};  // past the degree test: false / true
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const Graph g = random_graph(seed);
+    const std::size_t n = g.node_count();
+    const std::size_t kappa = vertex_connectivity(g);
+    if (n <= 10) {
+      ASSERT_EQ(kappa, brute_force_connectivity(g)) << "seed " << seed;
+    }
+    std::size_t min_degree = n;
+    for (NodeId v = 0; v < n; ++v) min_degree = std::min(min_degree, g.degree(v));
+    disconnected += g.is_connected() ? 0 : 1;
+    complete += g.edge_count() == n * (n - 1) / 2 ? 1 : 0;
+    for (std::size_t k = 0; k <= 6; ++k) {
+      const bool connected = is_k_vertex_connected(g, k);
+      ASSERT_EQ(connected, kappa >= k)
+          << "seed " << seed << " n=" << n << " k=" << k << " kappa=" << kappa;
+      ++cases;
+      if (k > 0 && min_degree < k) ++low_degree;
+      if (k > 0 && min_degree >= k && n > k) ++by_flow[connected ? 1 : 0];
+    }
+  }
+  EXPECT_EQ(cases, 840u);
+  EXPECT_GT(disconnected, 0u);
+  EXPECT_GT(complete, 0u);
+  EXPECT_GT(low_degree, 0u);
+  EXPECT_GT(by_flow[0], 0u);
+  EXPECT_GT(by_flow[1], 0u);
 }
 
 TEST(Connectivity, HypercubeIsFourConnected) {

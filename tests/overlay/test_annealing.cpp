@@ -234,24 +234,71 @@ TEST(GenerateNeighbor, PreservesValidity) {
   }
 }
 
-TEST(GenerateNeighbor, SharedCacheMatchesPerCallCache) {
-  // The LinkCostCache overload must behave identically to the convenience
-  // overload that rebuilds the cache internally (cost rows are pure
-  // functions of the physical graph).
-  AnnealFixture s = make_setup();
-  const AnnealingParams params = fast_params();
-  LinkCostCache costs(s.topo.graph);
-  Rng r1(3), r2(3);
-  Overlay a = s.tree;
-  Overlay b = s.tree;
-  for (int i = 0; i < 20; ++i) {
-    a = generate_neighbor(a, s.topo.graph, s.ranks, params, r1);
-    b = generate_neighbor(b, s.ranks, params, costs, r2);
-    for (net::NodeId v = 0; v < a.node_count(); ++v) {
-      ASSERT_EQ(a.successors(v), b.successors(v)) << "iteration " << i;
-    }
-    ASSERT_TRUE(b.is_valid());
+// Predecessor-fallback fixture, f = 1. Entries A = 2 and B = 3 feed
+// layer 2 = {C = 0, D = 1}, which feeds w = 5 and x = 6 in layer 3. Node
+// v = 4 (layer 3) keeps one predecessor, B, and has no physical link into
+// layers 1-2, so the repair must add a logical link. Every physical pair
+// of consecutive layers is already linked, so a move that draws the "add"
+// branch changes nothing and the repair step alone decides the result.
+Overlay predecessor_fallback_overlay() {
+  Overlay o(7, 1);
+  o.add_entry_point(2);
+  o.add_entry_point(3);
+  for (net::NodeId v : {2u, 3u}) o.set_depth(v, 1);
+  for (net::NodeId v : {0u, 1u}) o.set_depth(v, 2);
+  for (net::NodeId v : {4u, 5u, 6u}) o.set_depth(v, 3);
+  for (net::NodeId p : {2u, 3u}) {
+    for (net::NodeId c : {0u, 1u}) o.add_link(p, c, 1.0);
   }
+  for (net::NodeId p : {0u, 1u}) {
+    for (net::NodeId c : {5u, 6u}) o.add_link(p, c, 4.0);
+  }
+  o.add_link(3, 4, 50.0);
+  return o;
+}
+
+// The first seed whose first draw takes generate_move's "add" branch.
+Rng add_branch_rng() {
+  for (std::uint64_t seed = 1;; ++seed) {
+    Rng probe(seed);
+    if (probe.uniform01() >= 0.5) return Rng(seed);
+  }
+}
+
+TEST(GenerateNeighbor, PredecessorFallbackTiePrefersShallowerLayer) {
+  // A (layer 1) and C (layer 2, lower id) are both 5 ms from v.
+  net::Graph g(7);
+  g.add_edge(4, 5, 1.0);
+  g.add_edge(5, 2, 4.0);
+  g.add_edge(5, 0, 4.0);
+  const auto from_v = g.shortest_latencies(4);
+  ASSERT_EQ(from_v[2], from_v[0]);
+
+  Rng rng = add_branch_rng();
+  const Overlay out = generate_neighbor(predecessor_fallback_overlay(), g,
+                                        RankTable(7, 0.0), fast_params(), rng);
+  EXPECT_EQ(out.predecessors(4), (std::vector<net::NodeId>{3, 2}));
+  EXPECT_EQ(out.link_latency(2, 4), 5.0);
+}
+
+TEST(GenerateNeighbor, PredecessorFallbackTieInOneLayerPrefersLowerId) {
+  // C and D (both layer 2) are 5 ms from v; A is 7 ms away. D is settled
+  // first, and C is reached only through the zero-latency link x-C.
+  net::Graph g(7);
+  g.add_edge(4, 5, 1.0);
+  g.add_edge(5, 1, 4.0);
+  g.add_edge(5, 6, 4.0);
+  g.add_edge(6, 0, 0.0);
+  g.add_edge(5, 2, 6.0);
+  const auto from_v = g.shortest_latencies(4);
+  ASSERT_EQ(from_v[0], from_v[1]);
+  ASSERT_LT(from_v[0], from_v[2]);
+
+  Rng rng = add_branch_rng();
+  const Overlay out = generate_neighbor(predecessor_fallback_overlay(), g,
+                                        RankTable(7, 0.0), fast_params(), rng);
+  EXPECT_EQ(out.predecessors(4), (std::vector<net::NodeId>{3, 0}));
+  EXPECT_EQ(out.link_latency(0, 4), 5.0);
 }
 
 TEST(Anneal, NeverWorseThanInitial) {
@@ -337,21 +384,25 @@ TEST(Anneal, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(Anneal, SharedPoolAndCacheMatchOwnedOnes) {
-  // build_overlay_set hands anneal() a shared cache and pool; neither may
-  // change the result vs. the self-contained overload.
+TEST(Anneal, SharedPoolMatchesOwnLanes) {
+  // build_overlay_set hands anneal() one pool for all k trees; a shared
+  // pool (larger than the lane count here) must not change the result vs.
+  // the lanes the call spins up itself.
   AnnealFixture s = make_setup();
   AnnealingParams params = fast_params();
   params.batch_size = 3;
   params.workers = 2;
   Rng r1(13), r2(13);
   const Overlay own = anneal(s.tree, s.topo.graph, s.ranks, params, r1);
-  LinkCostCache costs(s.topo.graph);
   ThreadPool pool(3);
-  const Overlay shared = anneal(s.tree, s.ranks, params, r2, costs, &pool);
+  const Overlay shared =
+      anneal(s.tree, s.topo.graph, s.ranks, params, r2, &pool);
   ASSERT_EQ(own.edge_count(), shared.edge_count());
   for (net::NodeId v = 0; v < own.node_count(); ++v) {
     ASSERT_EQ(own.successors(v), shared.successors(v));
+    for (net::NodeId c : own.successors(v)) {
+      ASSERT_EQ(own.link_latency(v, c), shared.link_latency(v, c));
+    }
   }
 }
 

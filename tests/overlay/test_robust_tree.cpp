@@ -157,5 +157,40 @@ TEST(RobustTree, WorksOnDenseGraph) {
   EXPECT_LE(o.max_depth(), 6u);
 }
 
+TEST(RobustTree, LogicalLinkTieGoesToLowerId) {
+  // Entries {0, 1} (lowest average neighbor latency) share no neighbor, so
+  // layer doubling stops at once and every other node joins through the
+  // integration passes. Nodes 2, 3 and 5 lack f+1 placed physical
+  // neighbors and take logical links to the nearest placed nodes. Nodes 0
+  // and 1 tie on shortest-path latency for each of them; the zero-latency
+  // link 1-0 means 1 is settled first, yet the lower id must win.
+  net::Graph g(6);
+  g.add_edge(2, 3, 1.0);
+  g.add_edge(3, 4, 1.0);
+  g.add_edge(2, 4, 1.0);
+  g.add_edge(4, 1, 1.0);
+  g.add_edge(1, 0, 0.0);
+  g.add_edge(4, 5, 10.0);
+  RobustTreeParams params;
+  params.f = 1;
+  RankTable ranks(6, 0.0);
+  const Overlay o = build_robust_tree(g, params, ranks);
+  ASSERT_TRUE(o.is_valid());
+  EXPECT_EQ(o.entry_points(), (std::vector<net::NodeId>{0, 1}));
+
+  const auto from3 = g.shortest_latencies(3);
+  ASSERT_EQ(from3[0], from3[1]);
+  // Physical neighbor 2 first, then the logical tie at 2 ms.
+  EXPECT_EQ(o.predecessors(3), (std::vector<net::NodeId>{2, 0}));
+  EXPECT_EQ(o.link_latency(0, 3), 2.0);
+
+  const auto from5 = g.shortest_latencies(5);
+  ASSERT_EQ(from5[0], from5[1]);
+  ASSERT_EQ(from5[0], from5[2]);
+  // Physical neighbor 4, then 0 out of the four-way tie at 11 ms.
+  EXPECT_EQ(o.predecessors(5), (std::vector<net::NodeId>{4, 0}));
+  EXPECT_EQ(o.link_latency(0, 5), 11.0);
+}
+
 }  // namespace
 }  // namespace hermes::overlay

@@ -94,9 +94,11 @@ run_overlay() {
     --benchmark_out_format=json \
     "${extra[@]}"
 
-  # Baseline: seed revision (whole-overlay copies + from-scratch objective per
-  # candidate, per-call link-cost cache), measured on the same machine with the
-  # same bench configs before the incremental-objective rewrite.
+  # Baselines measured with the same bench configs: the seed revision
+  # (whole-overlay copies + from-scratch objective per candidate, per-call
+  # link-cost cache) on 1 vCPU, and the revision before bounded set-up
+  # searches on 4 vCPUs, whose annealing pass reused a warm link-cost cache
+  # across iterations and so timed the moves alone.
   cat > "$out" <<EOF
 {
   "baseline_before_incremental_objective": {
@@ -104,6 +106,14 @@ run_overlay() {
     "BM_SimulatedAnnealingPass_ms": 8.27,
     "BM_OverlaySetBuildK10/100_ms": 35.8,
     "BM_OverlaySetBuildK10/200_ms": 101.0
+  },
+  "baseline_before_bounded_searches": {
+    "note": "full shortest-path rows for logical links; annealing pass timed with a warm LinkCostCache, cold-cache pass rebuilt it per call",
+    "BM_RobustTreeBuild/400_ms": 5.85,
+    "BM_SimulatedAnnealingPass_warm_cache_ms": 0.561,
+    "BM_SimulatedAnnealingColdCache_ms": 5.37,
+    "BM_OverlaySetBuildK10/100_ms": 6.98,
+    "BM_OverlaySetBuildK10/200_ms": 29.9
   },
   "current": $(cat "$tmp")
 }
