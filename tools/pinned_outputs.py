@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Diff (or re-record) the exact outputs pinned in tests/pinned_outputs.txt.
+
+The file has two sections:
+
+  [corpus]  the listing of `fuzz --hash-batch 24`: seed, trace hash and
+            send count of each scenario of the 24-seed corpus. The ctest
+            PinnedOutputs.CorpusMatchesHashBatch diffs it against a fresh
+            run on every test pass.
+  [e2e]     every exact metric of an untraced
+            `hermes_e2e --workload W --seed 42`, one "workload metric
+            value" line each, for every workload in BENCHMARK.json.
+
+A change that is meant to keep behaviour must leave both sections as they
+are. A change that moves behaviour on purpose re-records the file once,
+in its own commit, and says why in CHANGES.md.
+
+Run from the root of the repository:
+
+  python3 tools/pinned_outputs.py e2e [--binary PATH] [--record]
+      Runs every workload once and diffs its exact metrics against the
+      [e2e] section (about 10 s). PATH defaults to the benchmark's own
+      Release build, .bench_build/e2ebench/hermes_e2e, which is built
+      first if it is missing. --record rewrites the section instead.
+
+  python3 tools/pinned_outputs.py corpus LISTING [--record]
+      Diffs a saved `fuzz --hash-batch 24` listing ("-" reads stdin)
+      against the [corpus] section. --record rewrites the section instead.
+
+Exits 1 when a diff is found, 2 on a usage or build error.
+"""
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PINNED = REPO / "tests" / "pinned_outputs.txt"
+E2E_SOURCE = REPO / "e2ebench"
+E2E_BUILD = REPO / ".bench_build" / "e2ebench"
+E2E_SEED = 42
+SECTIONS = {
+    "corpus": "fuzz --hash-batch 24",
+    "e2e": f"hermes_e2e --workload W --seed {E2E_SEED}, untraced",
+}
+
+
+def read_pinned():
+    """Returns the header comment lines and each section's body lines."""
+    header, sections, current = [], {}, None
+    for line in PINNED.read_text().splitlines():
+        if line.startswith("[") and "]" in line:
+            current = line[1:line.index("]")]
+            sections[current] = []
+        elif current is None:
+            header.append(line)
+        elif line.strip() and not line.startswith("#"):
+            sections[current].append(line.rstrip())
+    return header, sections
+
+
+def write_pinned(header, sections):
+    out = list(header)
+    for name, title in SECTIONS.items():
+        out.append(f"[{name}] {title}")
+        out.extend(sections.get(name, []))
+        out.append("")
+    PINNED.write_text("\n".join(out))
+
+
+def e2e_binary(path):
+    if path:
+        return Path(path)
+    binary = E2E_BUILD / "hermes_e2e"
+    if not binary.is_file():
+        if not (E2E_BUILD / "CMakeCache.txt").is_file():
+            subprocess.run(["cmake", "-S", str(E2E_SOURCE), "-B",
+                            str(E2E_BUILD), "-DCMAKE_BUILD_TYPE=Release"],
+                           check=True, stdout=sys.stderr)
+        subprocess.run(["cmake", "--build", str(E2E_BUILD), "--target",
+                        "hermes_e2e", "--parallel", "4"],
+                       check=True, stdout=sys.stderr)
+    return binary
+
+
+def e2e_lines(binary):
+    with open(REPO / "BENCHMARK.json") as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    lines = []
+    for w in workloads:
+        print(f"running {w}", file=sys.stderr, flush=True)
+        proc = subprocess.run(
+            [str(binary), "--workload", w, "--seed", str(E2E_SEED)],
+            capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        for name, m in report["metrics"].items():
+            if m["exact"]:
+                lines.append(f"{w} {name} {json.dumps(m['value'])}")
+    return lines
+
+
+def diff(section, pinned, fresh):
+    """Prints every differing line; returns True when they all match."""
+    if pinned == fresh:
+        print(f"[{section}] matches {PINNED.relative_to(REPO)} "
+              f"({len(fresh)} lines)")
+        return True
+    # A corpus line is keyed by its seed, an e2e line by workload and metric.
+    fields = 1 if section == "corpus" else 2
+
+    def keyed(lines):
+        return {" ".join(line.split()[:fields]): line for line in lines}
+    old, new = keyed(pinned), keyed(fresh)
+    for key in sorted(set(old) | set(new), key=lambda k: (k not in old, k)):
+        if old.get(key) != new.get(key):
+            print(f"- {old.get(key, '(absent)')}")
+            print(f"+ {new.get(key, '(absent)')}")
+    print(f"[{section}] differs from {PINNED.relative_to(REPO)}")
+    return False
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = ap.add_subparsers(dest="section", required=True)
+    e2e = sub.add_parser("e2e")
+    e2e.add_argument("--binary")
+    e2e.add_argument("--record", action="store_true")
+    corpus = sub.add_parser("corpus")
+    corpus.add_argument("listing")
+    corpus.add_argument("--record", action="store_true")
+    args = ap.parse_args()
+
+    header, sections = read_pinned()
+    try:
+        if args.section == "e2e":
+            fresh = e2e_lines(e2e_binary(args.binary))
+        else:
+            text = (sys.stdin.read() if args.listing == "-"
+                    else Path(args.listing).read_text())
+            fresh = [line.rstrip() for line in text.splitlines()
+                     if line.strip()]
+    except (OSError, subprocess.CalledProcessError, json.JSONDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if args.record:
+        sections[args.section] = fresh
+        write_pinned(header, sections)
+        print(f"recorded [{args.section}] ({len(fresh)} lines)")
+        return 0
+    return 0 if diff(args.section, sections.get(args.section, []),
+                     fresh) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
