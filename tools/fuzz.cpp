@@ -4,6 +4,8 @@
 //       batch mode: run N generated scenarios (seeds S, S+1, ...); on an
 //       invariant failure, append the seed to the corpus, shrink the
 //       scenario, print the minimal reproducer, and exit 1 at the end.
+//       The sweep ends with a census: one line per failed checker with
+//       how many seeds failed it and the first few of those seeds.
 //   fuzz --replay SEED [--mutate NAME]
 //       re-run one seed twice, verify the trace hash is identical, and
 //       report invariant failures.
@@ -38,10 +40,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "fuzz/runner.hpp"
 #include "fuzz/scenario.hpp"
@@ -115,6 +120,8 @@ int run_batch(std::uint64_t runs, std::uint64_t seed_base,
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t executed = 0;
   std::uint64_t failed = 0;
+  // Checker name -> the seeds that failed it, ascending.
+  std::map<std::string, std::vector<std::uint64_t>> census;
   for (std::uint64_t i = 0; i < runs; ++i) {
     if (budget_ms > 0) {
       const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -133,6 +140,9 @@ int run_batch(std::uint64_t runs, std::uint64_t seed_base,
     ++executed;
     if (r.ok()) continue;
     ++failed;
+    std::set<std::string> checkers;
+    for (const Failure& f : r.failures) checkers.insert(f.checker);
+    for (const std::string& c : checkers) census[c].push_back(seed);
     std::printf("seed %llu FAILED: %s\n",
                 static_cast<unsigned long long>(seed), describe(s).c_str());
     print_failures(r);
@@ -152,6 +162,15 @@ int run_batch(std::uint64_t runs, std::uint64_t seed_base,
   std::printf("%llu/%llu runs ok\n",
               static_cast<unsigned long long>(executed - failed),
               static_cast<unsigned long long>(executed));
+  constexpr std::size_t kCensusSeeds = 5;
+  for (const auto& [checker, seeds] : census) {
+    std::printf("census %s: %zu seeds failed, first", checker.c_str(),
+                seeds.size());
+    for (std::size_t i = 0; i < seeds.size() && i < kCensusSeeds; ++i) {
+      std::printf(" %llu", static_cast<unsigned long long>(seeds[i]));
+    }
+    std::printf("\n");
+  }
   return failed == 0 ? 0 : 1;
 }
 
