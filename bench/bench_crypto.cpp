@@ -15,7 +15,9 @@
 //   - threshold RSA: partial sign, single + batched proof verification,
 //     combine with warm vs cold Lagrange/Montgomery caches, RSA-FDH
 //     sign/verify. Key size via --rsa-bits (default 512 so the trusted
-//     dealer's safe-prime search stays fast; run_benches.sh passes larger).
+//     dealer's safe-prime search stays fast; run_benches.sh passes 1024,
+//     the size the real-crypto workload uses). The JSON context records
+//     it as "rsa_bits".
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -290,6 +292,7 @@ int main(int argc, char** argv) {
   }
   int filtered_argc = static_cast<int>(filtered.size());
   benchmark::Initialize(&filtered_argc, filtered.data());
+  benchmark::AddCustomContext("rsa_bits", std::to_string(g_rsa_bits));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

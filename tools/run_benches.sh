@@ -14,7 +14,7 @@
 # curves (mul/sqr vs operand size), Montgomery modexp vs the frozen pre-PR
 # reference kernel — the headline modexp_2048_speedup_vs_legacy ratio is
 # computed from the same run — plus threshold-RSA sign/verify/combine
-# throughput.
+# throughput at 1024-bit keys.
 #
 # Usage: tools/run_benches.sh [--quick] [--only overlay|sim|workload|crypto]
 #                             [--nodes N] [--workers W]
@@ -227,7 +227,10 @@ run_crypto() {
   if [[ $QUICK -eq 1 ]]; then
     filter='BM_ModExp(Legacy)?/2048|BM_MulNew/32|BM_SqrNew/32|BM_Threshold|BM_RsaFdh'
   fi
+  # Threshold and RSA-FDH rows at 1024 bits, the key size of the
+  # real-crypto e2e workload; bench_crypto records it in the JSON context.
   "$bin" \
+    --rsa-bits 1024 \
     --benchmark_filter="$filter" \
     --benchmark_repetitions="$REPS" \
     --benchmark_report_aggregates_only="$AGG" \
