@@ -13,11 +13,13 @@
 //       print the serialized scenario for a seed.
 //   fuzz --replay-file PATH [--mutate NAME]
 //       run a serialized scenario (corpus entry or shrinker output).
-//   fuzz --hash-batch N [--seed-base S]
+//   fuzz --hash-batch N [--seed-base S] [--extended]
 //       print "seed trace-hash sends" for N generated scenarios; diffing
 //       two such listings across an engine change proves (or refutes)
 //       trace equivalence of the rewrite. Uses the legacy (non-extended)
-//       generator so the listing stays comparable across corpus growth.
+//       generator so the listing stays comparable across corpus growth;
+//       --extended uses the default generator instead, whose scenarios
+//       also reach churn, view changes, digests and join admission.
 //   fuzz --paper-scale N
 //       scale the first benign HERMES scenario to N nodes and run it once
 //       (nightly large-N smoke on the event engine; fails on any
@@ -64,7 +66,7 @@ int usage() {
                "       fuzz --replay SEED [--mutate NAME]\n"
                "       fuzz --print SEED\n"
                "       fuzz --replay-file PATH [--mutate NAME]\n"
-               "       fuzz --hash-batch N [--seed-base S]\n"
+               "       fuzz --hash-batch N [--seed-base S] [--extended]\n"
                "       fuzz --paper-scale NODES\n"
                "       fuzz --recovery\n"
                "       fuzz --churn\n"
@@ -177,15 +179,15 @@ int run_batch(std::uint64_t runs, std::uint64_t seed_base,
 // Prints one "seed trace-hash sends" line per generated scenario. Two
 // listings taken before and after an engine change must be byte-identical
 // for the change to count as trace-preserving.
-int hash_batch(std::uint64_t runs, std::uint64_t seed_base,
+int hash_batch(std::uint64_t runs, std::uint64_t seed_base, bool extended,
                std::size_t workers) {
   RunOptions opts;
   opts.workers = workers;
   for (std::uint64_t i = 0; i < runs; ++i) {
     const std::uint64_t seed = seed_base + i;
-    // Legacy sampling: the listing is a long-lived trace-equivalence
-    // baseline, so new fault modes must not perturb it.
-    const RunResult r = run_scenario(generate_scenario(seed, false), opts);
+    // Legacy sampling by default: the listing is a long-lived
+    // trace-equivalence baseline, so new fault modes must not perturb it.
+    const RunResult r = run_scenario(generate_scenario(seed, extended), opts);
     std::printf("%llu %s %zu\n", static_cast<unsigned long long>(seed),
                 r.trace_hash.c_str(), r.sends);
   }
@@ -369,6 +371,7 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> hash_batch_runs;
   std::optional<std::uint64_t> paper_scale_nodes;
   std::string replay_file;
+  bool extended = false;
   bool recovery = false;
   bool churn = false;
   Mutation mutation = Mutation::kNone;
@@ -420,6 +423,8 @@ int main(int argc, char** argv) {
       if (value == nullptr) return usage();
       replay_file = value;
       ++i;
+    } else if (arg == "--extended") {
+      extended = true;
     } else if (arg == "--recovery") {
       recovery = true;
     } else if (arg == "--churn") {
@@ -444,7 +449,7 @@ int main(int argc, char** argv) {
   }
 
   if (hash_batch_runs) {
-    return hash_batch(*hash_batch_runs, seed_base, workers);
+    return hash_batch(*hash_batch_runs, seed_base, extended, workers);
   }
   if (recovery) {
     return recovery_smoke(workers);

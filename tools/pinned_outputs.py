@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Diff (or re-record) the exact outputs pinned in tests/pinned_outputs.txt.
 
-The file has two sections:
+The file has three sections:
 
-  [corpus]  the listing of `fuzz --hash-batch 24`: seed, trace hash and
-            send count of each scenario of the 24-seed corpus. The ctest
-            PinnedOutputs.CorpusMatchesHashBatch diffs it against a fresh
-            run on every test pass.
-  [e2e]     every exact metric of an untraced
+  [corpus]    the listing of `fuzz --hash-batch 24`: seed, trace hash and
+              send count of each scenario of the 24-seed corpus. The ctest
+              PinnedOutputs.CorpusMatchesHashBatch diffs it against a fresh
+              run on every test pass.
+  [extended]  the listing of `fuzz --hash-batch 48 --extended`: the same
+              for seeds 1-48 of the default generator, whose scenarios
+              also send the churn, view-change, digest and join messages.
+              The ctest PinnedOutputs.ExtendedCorpusMatchesHashBatch diffs
+              it.
+  [e2e]       every exact metric of an untraced
             `hermes_e2e --workload W --seed 42`, one "workload metric
-            value" line each, for every workload in BENCHMARK.json.
+              value" line each, for every workload in BENCHMARK.json.
 
 A change that is meant to keep behaviour must leave both sections as they
 are. A change that moves behaviour on purpose re-records the file once,
@@ -27,6 +32,10 @@ Run from the root of the repository:
       Diffs a saved `fuzz --hash-batch 24` listing ("-" reads stdin)
       against the [corpus] section. --record rewrites the section instead.
 
+  python3 tools/pinned_outputs.py extended LISTING [--record]
+      The same for a saved `fuzz --hash-batch 48 --extended` listing and
+      the [extended] section.
+
 Exits 1 when a diff is found, 2 on a usage or build error.
 """
 import argparse
@@ -42,6 +51,7 @@ E2E_BUILD = REPO / ".bench_build" / "e2ebench"
 E2E_SEED = 42
 SECTIONS = {
     "corpus": "fuzz --hash-batch 24",
+    "extended": "fuzz --hash-batch 48 --extended",
     "e2e": f"hermes_e2e --workload W --seed {E2E_SEED}, untraced",
 }
 
@@ -106,8 +116,9 @@ def diff(section, pinned, fresh):
         print(f"[{section}] matches {PINNED.relative_to(REPO)} "
               f"({len(fresh)} lines)")
         return True
-    # A corpus line is keyed by its seed, an e2e line by workload and metric.
-    fields = 1 if section == "corpus" else 2
+    # A listing line is keyed by its seed, an e2e line by workload and
+    # metric.
+    fields = 2 if section == "e2e" else 1
 
     def keyed(lines):
         return {" ".join(line.split()[:fields]): line for line in lines}
@@ -126,9 +137,10 @@ def main():
     e2e = sub.add_parser("e2e")
     e2e.add_argument("--binary")
     e2e.add_argument("--record", action="store_true")
-    corpus = sub.add_parser("corpus")
-    corpus.add_argument("listing")
-    corpus.add_argument("--record", action="store_true")
+    for name in ("corpus", "extended"):
+        listing = sub.add_parser(name)
+        listing.add_argument("listing")
+        listing.add_argument("--record", action="store_true")
     args = ap.parse_args()
 
     header, sections = read_pinned()
