@@ -13,7 +13,6 @@ namespace hermes::fuzz {
 
 using hermes_proto::BatchChunkBody;
 using hermes_proto::DataBody;
-using hermes_proto::FallbackBody;
 using hermes_proto::HermesNode;
 using protocols::Behavior;
 
@@ -91,6 +90,10 @@ void InvariantSuite::on_send(sim::SimTime at, const sim::Message& msg) {
   if (!scenario_.hermes()) return;
   if (msg.src >= ctx_.behaviors.size() || !honest(msg.src)) return;
   switch (msg.type) {
+    case HermesNode::kMsgFallback:
+      // A pulled body is the holder's stored DataBody.
+      ++honest_fallback_pushes_;
+      [[fallthrough]];
     case HermesNode::kMsgData: {
       const auto* d = msg.try_as<DataBody>();
       if (d == nullptr) return;
@@ -115,21 +118,6 @@ void InvariantSuite::on_send(sim::SimTime at, const sim::Message& msg) {
       rec.certificate = c->certificate;
       rec.msg_type = msg.type;
       rec.epoch = c->epoch;
-      rec.when = at;
-      certified_sends_.push_back(std::move(rec));
-      break;
-    }
-    case HermesNode::kMsgFallback: {
-      ++honest_fallback_pushes_;
-      const auto* fb = msg.try_as<FallbackBody>();
-      if (fb == nullptr) return;
-      CertifiedSend rec;
-      rec.src = msg.src;
-      rec.item_key = std::to_string(fb->tx.id);
-      rec.overlay_index = fb->overlay_index;
-      rec.certificate = fb->certificate;
-      rec.msg_type = msg.type;
-      rec.epoch = fb->epoch;
       rec.when = at;
       certified_sends_.push_back(std::move(rec));
       break;

@@ -38,8 +38,8 @@ HermesConfig hermes_config(const Scenario& s) {
     // Pinned pipeline pacing: a short hysteresis so storm waves trigger
     // background rebuilds inside fuzz horizons, and an anneal window brief
     // enough that retries still land before the drain ends.
-    cfg.reanneal_hysteresis = 2;
-    cfg.pipeline_anneal_ms = 250.0;
+    cfg.pipeline.hysteresis = 2;
+    cfg.pipeline.anneal_ms = 250.0;
   }
   cfg.builder.f = s.f;
   cfg.builder.k = s.k;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hermes/epoch_pipeline.hpp"
 #include "net/graph.hpp"
 #include "overlay/builder.hpp"
 
@@ -21,9 +22,8 @@ struct HermesConfig {
   std::vector<net::NodeId> committee;
 
   // Gossip fallback (Section VII-A): delay T before background gossip
-  // repairs holes, and its per-node push fanout.
+  // repairs holes.
   double fallback_delay_ms = 400.0;
-  std::size_t fallback_fanout = 2;
   bool enable_fallback = true;
 
   // Threshold-crypto backend. The default HMAC simulation scheme keeps
@@ -35,10 +35,9 @@ struct HermesConfig {
 
   // Acknowledgment of delivery (Section IV step 3, optional): receivers
   // acknowledge back through the overlay they received on — each node
-  // aggregates its subtree's count for ack_aggregate_ms, then reports to
+  // aggregates its subtree's count for a short window, then reports to
   // its lowest-latency predecessor; entry points report to the origin.
   bool enable_acks = false;
-  double ack_aggregate_ms = 50.0;
 
   // When set, front-running adversaries additionally blast their
   // transaction directly to random nodes without a certificate — the naive
@@ -71,14 +70,9 @@ struct HermesConfig {
   bool direct_entry_injection = true;
 
   // TRS round-trip retry (Section IV step 1). The origin re-sends its
-  // request to silent committee members with exponential backoff starting
-  // at trs_retry_base_ms and multiplying by trs_retry_backoff each attempt
-  // (capped at trs_retry_max_ms), giving up — and dropping the pending
-  // entry — after trs_retry_max_attempts. The defaults reproduce the
-  // historical fixed 400 ms x 12 schedule exactly.
-  double trs_retry_base_ms = 400.0;
-  double trs_retry_backoff = 1.0;
-  double trs_retry_max_ms = 3200.0;
+  // request to the committee every 400 ms until the certificate forms,
+  // giving up — and dropping the pending entry — after
+  // trs_retry_max_attempts.
   std::size_t trs_retry_max_attempts = 12;
 
   // --- Self-healing (detect -> repair -> recover, Sections VI-C/VII) ---
@@ -92,30 +86,15 @@ struct HermesConfig {
   // view-change votes).
   double health_tick_ms = 200.0;
 
-  // A predecessor that stayed silent across this many consecutive health
-  // ticks while the node kept receiving the same origins' traffic on other
-  // overlays earns a DepartureReport. f+1 distinct reporters mark the node
-  // departed everywhere (f+1 cannot all be faulty).
-  std::size_t silence_strikes = 3;
-
-  // A delivery gap older than this triggers a targeted gap pull from
-  // overlay-neighbor peers (reuses the fallback request path).
-  double gap_pull_after_ms = 600.0;
-
   // View change: committee members vote to advance the epoch when the
-  // cumulative degradation score (departed + excluded nodes weighted by
-  // failed local repairs) reaches view_change_threshold; the vote clears
-  // only after degradation falls below view_change_clear (hysteresis), and
-  // two automatic epoch advances are separated by at least
-  // view_change_cooldown_ms (anti-flapping).
+  // cumulative degradation score (departed + excluded nodes, failed local
+  // repairs weighted double) reaches view_change_threshold; the vote
+  // clears only after degradation falls below view_change_clear
+  // (hysteresis), and two automatic epoch advances are separated by at
+  // least view_change_cooldown_ms (anti-flapping).
   double view_change_threshold = 3.0;
   double view_change_clear = 1.0;
   double view_change_cooldown_ms = 5000.0;
-
-  // Weight of a failed local repair in the degradation score (a failed
-  // repair means the overlay is structurally degraded beyond local fixes,
-  // so it weighs more than a cleanly absorbed departure).
-  double failed_repair_weight = 2.0;
 
   // --- Join admission & epoch pipeline (permissionless churn) ---
   // Master switches. Off by default: every knob below is inert and the
@@ -133,32 +112,21 @@ struct HermesConfig {
   // enable_epoch_pipeline: membership changes (admitted joins, departures)
   // feed a bounded delta queue; small deltas are absorbed incrementally
   // (local repair + incremental join placement), and once the queue
-  // reaches reanneal_hysteresis a warm-started re-anneal of epoch e+1 runs
-  // in the background (modeled as pipeline_anneal_ms of sim time on the
+  // reaches pipeline.hysteresis a warm-started re-anneal of epoch e+1 runs
+  // in the background (modeled as pipeline.anneal_ms of sim time on the
   // builder thread pool) while epoch e keeps serving traffic. If further
   // churn lands mid-anneal the pipelined epoch is invalidated and retried
   // with exponential backoff. Requires enable_join_admission.
   bool enable_epoch_pipeline = false;
 
-  // Bounded membership-delta queue: deltas beyond the cap drop the oldest
-  // entry (counted; the dropped node is still covered by the next full
-  // re-anneal since membership state is absolute, not delta-encoded).
-  std::size_t membership_queue_cap = 64;
-
-  // Deltas absorbed incrementally before a background re-anneal triggers.
-  std::size_t reanneal_hysteresis = 4;
-
-  // Modeled wall-time of the background anneal (epoch e serves traffic for
-  // this long before e+1 is installed).
-  double pipeline_anneal_ms = 250.0;
-
-  // Invalidation retry: each retry waits pipeline_anneal_ms *
-  // pipeline_retry_backoff^retries, capped at pipeline_retry_max_ms; after
-  // pipeline_retry_max_attempts the pipeline installs anyway, folding
-  // whatever churn accumulated (the next delta starts a fresh cycle).
-  double pipeline_retry_backoff = 2.0;
-  double pipeline_retry_max_ms = 2000.0;
-  std::size_t pipeline_retry_max_attempts = 3;
+  // Pacing of the background pipeline. The delta queue drops its oldest
+  // entry past queue_cap (the next full re-anneal still covers it:
+  // membership state is absolute); hysteresis deltas are absorbed
+  // incrementally before a re-anneal starts; the anneal takes anneal_ms of
+  // sim time; an invalidated anneal retries after anneal_ms *
+  // retry_backoff^retries, capped at retry_max_ms, and installs anyway
+  // after max_retries.
+  EpochPipeline::Params pipeline;
 
   // Overlay construction knobs (offline phase).
   overlay::BuilderParams builder;

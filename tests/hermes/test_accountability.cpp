@@ -92,6 +92,27 @@ HermesConfig report_config() {
   return config;
 }
 
+// A report by `reporter` accusing `offender` of a bad certificate on tx 7
+// at t = 1 ms, signed with the reporter's derived key.
+std::shared_ptr<ViolationReportBody> signed_report(const HermesShared& shared,
+                                                   net::NodeId reporter,
+                                                   net::NodeId offender) {
+  auto body = std::make_shared<ViolationReportBody>();
+  body->violation = Violation{1.0, ViolationKind::kBadCertificate, offender, 7};
+  body->reporter = reporter;
+  const crypto::SimSigner signer =
+      crypto::SimSigner::derive(shared.report_master_key, reporter);
+  // Recreate the exact signed material.
+  Bytes material = to_bytes("hermes.report.v1");
+  material.push_back(static_cast<std::uint8_t>(ViolationKind::kBadCertificate));
+  put_u32_be(material, offender);
+  put_u64_be(material, 7);
+  put_u32_be(material, reporter);
+  put_u64_be(material, 1000);
+  body->signature = signer.sign(material);
+  return body;
+}
+
 TEST(ViolationReports, BlastingAttackerIsExcludedNetworkWide) {
   HermesConfig config = report_config();
   config.adversary_blind_blast = true;  // the naive attacker variant
@@ -143,23 +164,9 @@ TEST(ViolationReports, SingleAccuserIsNotEnough) {
   HermesProtocol protocol(report_config());
   World w(20, protocol);
   w.start();
-  const auto shared = protocol.shared();
-  auto make_report = [&](net::NodeId reporter, net::NodeId offender) {
-    auto body = std::make_shared<ViolationReportBody>();
-    body->violation = Violation{1.0, ViolationKind::kBadCertificate, offender, 7};
-    body->reporter = reporter;
-    const crypto::SimSigner signer =
-        crypto::SimSigner::derive(shared->report_master_key, reporter);
-    // Recreate the exact signed material.
-    Bytes material = to_bytes("hermes.report.v1");
-    material.push_back(
-        static_cast<std::uint8_t>(ViolationKind::kBadCertificate));
-    put_u32_be(material, offender);
-    put_u64_be(material, 7);
-    put_u32_be(material, reporter);
-    put_u64_be(material, 1000);
-    body->signature = signer.sign(material);
-    return body;
+  const auto make_report = [&protocol](net::NodeId reporter,
+                                       net::NodeId offender) {
+    return signed_report(*protocol.shared(), reporter, offender);
   };
   auto* receiver = dynamic_cast<HermesNode*>(&w.ctx->node(3));
   sim::Message msg;
@@ -179,6 +186,41 @@ TEST(ViolationReports, SingleAccuserIsNotEnough) {
   msg.body = make_report(6, 9);
   receiver->on_message(msg);
   EXPECT_TRUE(receiver->excluded(9));
+}
+
+TEST(ViolationReports, OutOfRangeIdsAreIgnored) {
+  // A validly signed report can still name a node id past the network, as
+  // offender or as reporter. It is evidence about no node: it must neither
+  // exclude anyone nor reach the self-healing repairs, whose trees are
+  // indexed by node id.
+  for (const bool healing : {false, true}) {
+    SCOPED_TRACE(healing ? "healing on" : "healing off");
+    HermesConfig config = report_config();
+    config.enable_self_healing = healing;
+    HermesProtocol protocol(config);
+    World w(20, protocol);
+    w.start();
+    auto* receiver = dynamic_cast<HermesNode*>(&w.ctx->node(3));
+    constexpr net::NodeId kGhost = 100000;
+    sim::Message msg;
+    msg.dst = 3;
+    msg.type = HermesNode::kMsgViolationReport;
+    msg.wire_bytes = 80;
+    for (const net::NodeId reporter : {5u, 6u}) {
+      msg.src = reporter;
+      msg.body = signed_report(*protocol.shared(), reporter, kGhost);
+      receiver->on_message(msg);
+    }
+    EXPECT_FALSE(receiver->excluded(kGhost));
+    EXPECT_TRUE(receiver->removed_nodes().empty());
+    // Two nonexistent reporters do not make f+1 accusers of a real node.
+    for (const net::NodeId reporter : {kGhost, kGhost + 1}) {
+      msg.src = 5;
+      msg.body = signed_report(*protocol.shared(), reporter, 9);
+      receiver->on_message(msg);
+    }
+    EXPECT_FALSE(receiver->excluded(9));
+  }
 }
 
 TEST(ViolationReports, DisabledMeansLocalOnly) {

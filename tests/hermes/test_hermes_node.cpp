@@ -38,6 +38,36 @@ TEST(HermesNode, DeliversToAllHonestNodes) {
   EXPECT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0);
 }
 
+// Whether `m` is a tree send: kMsgData past its injection route.
+bool tree_send(const sim::Message& m) {
+  const auto* d = m.try_as<DataBody>();
+  return m.type == HermesNode::kMsgData && d != nullptr && d->route.empty();
+}
+
+TEST(HermesNode, EveryHopForwardsTheOriginsBody) {
+  // One immutable body per transaction: the origin builds it, and every
+  // node forwards the body it received instead of rebuilding the tuple.
+  HermesProtocol protocol(fast_config());
+  World w(40, protocol);
+  w.start();
+  const net::NodeId origin = 7;
+  std::shared_ptr<const sim::MessageBody> injected;
+  std::size_t sends = 0;
+  std::size_t foreign = 0;
+  w.ctx->network.set_send_tap([&](const sim::Message& m, sim::SimTime) {
+    if (!tree_send(m)) return;
+    if (!injected && m.src == origin) injected = m.body;
+    ++sends;
+    if (m.body != injected) ++foreign;
+  });
+  const auto tx = w.send_from(origin);
+  w.run_ms(5000);
+  ASSERT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0);
+  ASSERT_NE(injected, nullptr);
+  EXPECT_GT(sends, 40u);
+  EXPECT_EQ(foreign, 0u);
+}
+
 TEST(HermesNode, MultipleTransactionsUseDifferentOverlays) {
   HermesProtocol protocol(fast_config(1, 4));
   World w(40, protocol);
