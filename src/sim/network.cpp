@@ -88,7 +88,7 @@ Network::Network(Engine& engine, const net::Topology& topology,
       crashed_(topology.graph.node_count(), false),
       uplink_free_at_(topology.graph.node_count(), 0.0) {
   pair_seed_ = rng_.next_u64();
-  if (params_.shard_by_region && !engine_.sharded()) {
+  if (!engine_.sharded()) {
     engine_.configure_shards(net::kRegionCount, derive_lookahead());
     engine_.set_workers(params_.workers);
   }

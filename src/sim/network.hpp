@@ -7,12 +7,11 @@
 // behaves like a stable path and the value is independent of which engine
 // shard evaluates it first.
 //
-// Sharding: unless NetworkParams::shard_by_region is off, construction
-// splits the engine into one lane per geographic region (the shard of a
-// node is its region) with the conservative lookahead derived from the
-// latency model: cross-region latency is never below
-// min(min inter-region edge label, inter_mean - 8 * inter_stddev), and the
-// engine asserts that bound on every cross-shard delivery. All mutable
+// Sharding: construction splits the engine into one lane per geographic
+// region (the shard of a node is its region) with the conservative
+// lookahead derived from the latency model: cross-region latency is never
+// below min(min inter-region edge label, inter_mean - 8 * inter_stddev),
+// and the engine asserts that bound on every cross-shard delivery. All mutable
 // per-send state (rng streams, aggregate counters, pair caches) is kept
 // per shard; per-node counters are written only by the node's own lane
 // (sends by the source lane, receipts by the destination lane at delivery).
@@ -49,11 +48,6 @@ struct NetworkParams {
   // (the legacy no-threads path, bit-identical to any other count);
   // 0 = hardware concurrency.
   std::size_t workers = 1;
-  // Partition the engine into one lane per region (see file comment).
-  // Off = classic single-lane engine; traces are then NOT comparable with
-  // sharded runs (same-time cross-region ties break differently), so every
-  // configuration that hashes traces keeps this on.
-  bool shard_by_region = true;
 };
 
 struct BandwidthCounters {
