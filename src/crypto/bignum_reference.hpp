@@ -2,7 +2,8 @@
 // multiplication, binary long division, and bit-at-a-time Montgomery (CIOS)
 // exponentiation — verbatim ports of the implementation bignum.cpp replaced.
 //
-// Two consumers, both of which need the old code to stay alive:
+// Two consumers, both of which need the old code to stay alive and link it
+// through its own hermes_crypto_ref target (the library proper does not):
 //   - the differential property suite pins the rewritten 64-bit kernels
 //     against these bit for bit across randomized operand shapes;
 //   - bench_crypto measures the new kernels against this baseline in the
