@@ -8,7 +8,6 @@
 #include "fuzz/world.hpp"
 #include "hermes/hermes_node.hpp"
 #include "protocols/gossip.hpp"
-#include "sim/trace.hpp"
 #include "support/bytes.hpp"
 #include "workload/driver.hpp"
 
@@ -123,13 +122,10 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
         });
   }
 
-  sim::TraceCollector collector;
   crypto::Sha256 hasher;
   std::size_t sends = 0;
-  const bool dump = opts.collect_trace_dump;
   w.ctx->network.set_send_tap(
-      [&suite, &collector, &hasher, &sends, dump](const sim::Message& msg,
-                                                  sim::SimTime now) {
+      [&suite, &hasher, &sends](const sim::Message& msg, sim::SimTime now) {
         Bytes record;
         record.reserve(32);
         std::uint64_t time_bits = 0;
@@ -142,8 +138,6 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
         put_u64_be(record, msg.wire_bytes);
         hasher.update(record);
         ++sends;
-        if (dump) collector.record(now, msg.src, msg.dst, msg.type,
-                                   msg.wire_bytes);
         suite.on_send(now, msg);
       });
   w.ctx->tracker.set_observer(
@@ -282,7 +276,6 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
   RunResult result;
   result.failures = suite.finish();
   result.trace_hash = hex_encode(crypto::digest_to_bytes(hasher.finish()));
-  if (dump) result.trace_dump = collector.canonical_dump();
   result.sends = sends;
   result.sim_end_ms = horizon;
   if (hermes != nullptr) {

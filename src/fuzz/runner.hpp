@@ -15,8 +15,6 @@ struct RunOptions {
   // Observation-stream corruption applied before the verdict (mutation
   // testing of the oracle itself).
   Mutation mutation = Mutation::kNone;
-  // Also produce TraceCollector::canonical_dump() for byte-level diffing.
-  bool collect_trace_dump = false;
   // Worker threads driving the region-sharded engine. The trace hash is
   // identical for every value — that is the determinism contract the
   // cross-worker suite enforces. 0 = hardware concurrency.
@@ -28,7 +26,6 @@ struct RunResult {
   // Hex SHA-256 over the canonical send stream (time bits, src, dst, type,
   // wire bytes of every send, in engine order).
   std::string trace_hash;
-  std::string trace_dump;  // only when collect_trace_dump
   std::size_t sends = 0;
   double sim_end_ms = 0.0;
   // Epoch-pipeline introspection (all zero unless the scenario enabled the

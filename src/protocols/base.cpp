@@ -11,14 +11,9 @@ ExperimentContext::ExperimentContext(net::Topology topo,
                                      std::uint64_t seed)
     : topology(std::move(topo)),
       network(engine, topology, net_params, Rng(seed).fork(1)),
-      tracker(topology.graph.node_count()),
+      tracker(engine, nodes),
       rng(Rng(seed).fork(2)),
-      behaviors(topology.graph.node_count(), Behavior::kHonest) {
-  // The network constructor (above, by member order) already configured the
-  // engine's shards; the tracker only needs the binding to defer mutations
-  // that arrive from draining lanes.
-  tracker.bind_engine(&engine);
-}
+      behaviors(topology.graph.node_count(), Behavior::kHonest) {}
 
 std::vector<net::NodeId> ExperimentContext::honest_nodes() const {
   std::vector<net::NodeId> out;

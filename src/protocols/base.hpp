@@ -14,7 +14,7 @@
 #include "mempool/block.hpp"
 #include "mempool/mempool.hpp"
 #include "net/topology.hpp"
-#include "sim/delivery.hpp"
+#include "protocols/delivery.hpp"
 #include "sim/network.hpp"
 #include "support/rng.hpp"
 
@@ -43,10 +43,10 @@ struct ExperimentContext {
   sim::Engine engine;
   net::Topology topology;
   sim::Network network;
-  sim::DeliveryTracker tracker;
+  std::vector<std::unique_ptr<ProtocolNode>> nodes;
+  DeliveryTracker tracker;
   Rng rng;
 
-  std::vector<std::unique_ptr<ProtocolNode>> nodes;
   std::vector<Behavior> behaviors;
 
   // Front-running bookkeeping: victim tx id -> adversarial transaction,
@@ -141,8 +141,9 @@ class ProtocolNode : public sim::Node {
   std::uint64_t allocate_seq() { return ++last_seq_; }
 
  protected:
-  // Inserts into the mempool, notifies the tracker, and fires the
-  // front-running hook. Returns true when the transaction was new.
+  // Inserts into the mempool (the record of first delivery), notifies the
+  // tracker's observer, and fires the front-running hook. Returns true when
+  // the transaction was new.
   bool deliver_tx(const Transaction& tx);
 
   ExperimentContext& ctx_;

@@ -95,10 +95,10 @@ class Network {
 
   // Observation tap: invoked for every send() after accounting (even for
   // messages that are then dropped), before delivery is scheduled. Used by
-  // sim::TraceCollector; nullptr disables. While a shard is draining, the
-  // invocation is deferred to the window barrier (Engine::defer), so the
-  // tap always observes sends in the deterministic (when, seq) order and
-  // may touch global state freely.
+  // the fuzz runner's trace hash; nullptr disables. While a shard is
+  // draining, the invocation is deferred to the window barrier
+  // (Engine::defer), so the tap always observes sends in the deterministic
+  // (when, seq) order and may touch global state freely.
   using SendTap = std::function<void(const Message&, SimTime now)>;
   void set_send_tap(SendTap tap);
 

@@ -26,30 +26,23 @@ Scenario base_scenario() {
 }
 
 TEST(Determinism, SameScenarioYieldsIdenticalTrace) {
-  RunOptions opts;
-  opts.collect_trace_dump = true;
-  const RunResult a = run_scenario(base_scenario(), opts);
-  const RunResult b = run_scenario(base_scenario(), opts);
+  const RunResult a = run_scenario(base_scenario());
+  const RunResult b = run_scenario(base_scenario());
   EXPECT_TRUE(a.ok()) << a.failures[0].detail;
   EXPECT_GT(a.sends, 0u);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
-  ASSERT_FALSE(a.trace_dump.empty());
-  EXPECT_EQ(a.trace_dump, b.trace_dump);
   EXPECT_EQ(a.sends, b.sends);
 }
 
 TEST(Determinism, WorkerCountDoesNotChangeTrace) {
-  RunOptions opts;
-  opts.collect_trace_dump = true;
   Scenario one = base_scenario();
   one.annealing_workers = 1;
   Scenario four = base_scenario();
   four.annealing_workers = 4;
-  const RunResult a = run_scenario(one, opts);
-  const RunResult b = run_scenario(four, opts);
+  const RunResult a = run_scenario(one);
+  const RunResult b = run_scenario(four);
   EXPECT_EQ(a.trace_hash, b.trace_hash)
       << "annealing worker count leaked into the simulation trace";
-  EXPECT_EQ(a.trace_dump, b.trace_dump);
 }
 
 TEST(Determinism, GeneratedSeedsReplayIdentically) {
@@ -92,15 +85,12 @@ TEST(Determinism, ExtendedFaultModesReplayIdentically) {
 TEST(Determinism, IdentityKnobsAreTraceNeutral) {
   // A 1.0 processing multiplier and a flap window that never overlaps the
   // run must leave the trace bit-identical to a run without the knobs.
-  RunOptions opts;
-  opts.collect_trace_dump = true;
   Scenario knobs = base_scenario();
   knobs.stragglers.push_back(Straggler{3, 1.0});
   knobs.link_flaps.push_back(LinkFlap{1, 5, -10.0, -5.0});
-  const RunResult a = run_scenario(base_scenario(), opts);
-  const RunResult b = run_scenario(knobs, opts);
+  const RunResult a = run_scenario(base_scenario());
+  const RunResult b = run_scenario(knobs);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
-  EXPECT_EQ(a.trace_dump, b.trace_dump);
 }
 
 }  // namespace

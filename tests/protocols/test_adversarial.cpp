@@ -7,6 +7,7 @@
 #include "protocols/l0.hpp"
 #include "protocols/mercury.hpp"
 #include "protocols/narwhal.hpp"
+#include "support/stats.hpp"
 
 namespace hermes::protocols {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness.hpp"
+#include "support/stats.hpp"
 
 namespace hermes::protocols {
 namespace {

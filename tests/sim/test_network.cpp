@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/delivery.hpp"
-
 namespace hermes::sim {
 namespace {
 
@@ -233,28 +231,6 @@ TEST(Network, DropProbabilityStatistical) {
   const double delivered =
       static_cast<double>(nodes[1]->received.size()) / total;
   EXPECT_NEAR(delivered, 0.7, 0.04);
-}
-
-TEST(DeliveryTracker, CoverageAndLatencies) {
-  DeliveryTracker tracker(4);
-  tracker.on_created(1, 10.0);
-  tracker.on_delivered(1, 1, 15.0);
-  tracker.on_delivered(1, 2, 20.0);
-  tracker.on_delivered(1, 1, 17.0);  // duplicate ignored
-  EXPECT_TRUE(tracker.delivered(1, 1));
-  EXPECT_FALSE(tracker.delivered(1, 3));
-  EXPECT_DOUBLE_EQ(tracker.delivery_time(1, 1), 15.0);
-  const auto lats = tracker.latencies(1);
-  EXPECT_EQ(lats.size(), 2u);
-  EXPECT_DOUBLE_EQ(tracker.coverage(1, 4), 0.5);
-  EXPECT_DOUBLE_EQ(tracker.mean_coverage(4), 0.5);
-}
-
-TEST(DeliveryTracker, UnknownItemIgnored) {
-  DeliveryTracker tracker(4);
-  tracker.on_delivered(99, 1, 5.0);
-  EXPECT_FALSE(tracker.delivered(99, 1));
-  EXPECT_DOUBLE_EQ(tracker.delivery_time(99, 1), -1.0);
 }
 
 }  // namespace
