@@ -50,16 +50,9 @@ struct HermesConfig {
   // Accountability reports (Section VI-C): a node that detects a protocol
   // violation gossips a signed report; nodes exclude an offender globally
   // once f+1 distinct reporters accuse it (f+1 accusations cannot all come
-  // from the faulty minority).
-  bool enable_violation_reports = true;
+  // from the faulty minority). Signed reports, departure notices and join
+  // witnesses each go to report_fanout random physical neighbors.
   std::size_t report_fanout = 3;
-
-  // Erasure-coded batch dissemination (Section VIII-D, extension): a batch
-  // of transactions is split into `batch_data_chunks + f` Reed-Solomon
-  // shards; shard c travels over overlay (seed + c) mod k, so each overlay
-  // carries only 1/batch_data_chunks of the batch and any batch_data_chunks
-  // surviving shards reconstruct it. Used via submit_batch().
-  std::size_t batch_data_chunks = 3;
 
   // Entry-point injection. The paper sends m "through f+1 disjoint paths,
   // unless of course the sender is connected directly to the overlay's

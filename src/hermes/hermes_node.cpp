@@ -177,7 +177,7 @@ void HermesNode::disseminate_batch(const std::vector<Transaction>& txs,
     ctx_.tracker.restamp_created(tx.id, now());
   }
   const std::size_t k = shared_->config.k;
-  const std::size_t data_shards = shared_->config.batch_data_chunks;
+  const std::size_t data_shards = kBatchDataChunks;
   const std::size_t parity_shards = shared_->config.f;
   const crypto::ErasureCode code(data_shards, parity_shards);
   const Bytes payload = mempool::serialize_batch(txs);
@@ -245,6 +245,12 @@ void HermesNode::absorb_chunk(const BatchChunkBody& chunk) {
   if (!payload) return;
   const auto txs = mempool::deserialize_batch(*payload);
   if (!txs) return;
+  if (mempool::batch_hash(*txs) != chunk.trs.tx_hash) {
+    // Some shard is not the certified batch's; which one is unknown, so
+    // start over and let later copies rebuild it.
+    assembly.shards.clear();
+    return;
+  }
   assembly.decoded = true;
   assembly.shards.clear();
   ++batches_decoded_;
@@ -526,12 +532,25 @@ void HermesNode::on_data(const sim::Message& msg) {
     send_to(next, kMsgData, data_wire(d), std::move(body));
     return;
   }
-  if (!admissible(msg.src, *shared, d.trs, d.certificate, d.overlay_index,
+  if (!bound_to_trs(msg.src, d) ||
+      !admissible(msg.src, *shared, d.trs, d.certificate, d.overlay_index,
                   d.overlay_index, d.tx.id)) {
     return;
   }
   accept_and_forward(*shared,
                      std::static_pointer_cast<const DataBody>(msg.body));
+}
+
+bool HermesNode::bound_to_trs(net::NodeId src, const DataBody& d) {
+  // Once forwarded, accept_and_forward ignores the body, so only the
+  // first receipts pay for the hash.
+  if (forwarded_.count(d.tx.id) > 0) return true;
+  if (d.trs.origin == d.tx.sender && d.trs.seq == d.tx.sender_seq &&
+      d.trs.tx_hash == d.tx.hash()) {
+    return true;
+  }
+  record_violation(ViolationKind::kBadCertificate, src, d.tx.id);
+  return false;
 }
 
 bool HermesNode::admissible(net::NodeId src, const HermesShared& shared,
@@ -697,6 +716,7 @@ void HermesNode::on_fallback(const sim::Message& msg) {
   if (!d.route.empty()) return;
   const HermesShared* shared = shared_for_epoch(d.epoch);
   if (shared == nullptr) return;  // stale generation
+  if (!bound_to_trs(msg.src, d)) return;
   if (!certificate_valid(*shared, d.trs.signed_message(), d.certificate)) {
     record_violation(ViolationKind::kBadCertificate, msg.src, d.tx.id);
     return;
@@ -1225,7 +1245,6 @@ Bytes HermesNode::report_material(const Violation& v, net::NodeId reporter) {
 void HermesNode::record_violation(ViolationKind kind, net::NodeId offender,
                                   std::uint64_t tx_id) {
   audit_.record(now(), kind, offender, tx_id);
-  if (!shared_->config.enable_violation_reports) return;
   auto report = std::make_shared<ViolationReportBody>();
   report->violation = Violation{now(), kind, offender, tx_id};
   report->reporter = id();
@@ -1239,7 +1258,6 @@ void HermesNode::record_violation(ViolationKind kind, net::NodeId offender,
 }
 
 void HermesNode::on_violation_report(const sim::Message& msg) {
-  if (!shared_->config.enable_violation_reports) return;
   const auto& report = msg.as<ViolationReportBody>();
   // Reports only ever travel between correct nodes if valid: check the
   // ids and the reporter's signature, dedup, then count the accusation.

@@ -212,10 +212,10 @@ class HermesNode final : public ProtocolNode {
 
   void submit(const Transaction& tx) override;
   // Section VIII-D extension: disseminate a batch of transactions as
-  // config.batch_data_chunks + f erasure-coded shards, shard c riding
-  // overlay (seed + c) mod k. Any batch_data_chunks shards reconstruct the
-  // batch, so up to f shard streams may fail entirely while each overlay
-  // carries only a fraction of the batch's bytes. Consumes one sequence
+  // kBatchDataChunks + f erasure-coded shards, shard c riding overlay
+  // (seed + c) mod k. Any kBatchDataChunks shards reconstruct the batch,
+  // so up to f shard streams may fail entirely while each overlay carries
+  // only 1/kBatchDataChunks of the batch's bytes. Consumes one sequence
   // number of this sender.
   void submit_batch(std::vector<Transaction> txs);
   // The adversary has no faster lane: the committee pins the sequence and
@@ -289,6 +289,8 @@ class HermesNode final : public ProtocolNode {
 
   // Physical neighbors sampled per fallback offer digest and per gap pull.
   static constexpr std::size_t kFallbackFanout = 2;
+  // Data shards of an erasure-coded batch (submit_batch).
+  static constexpr std::size_t kBatchDataChunks = 3;
 
  private:
   // --- sender side
@@ -344,6 +346,12 @@ class HermesNode final : public ProtocolNode {
                   const TrsId& trs, const Bytes& certificate,
                   std::size_t seed_overlay, std::size_t overlay_index,
                   std::uint64_t tx_id);
+  // Section VI-B binds every data message to its TRS: a body must carry
+  // the transaction the certificate covers, or a relay could ride a
+  // victim's certificate with its own transaction. Checked while the body
+  // can still be delivered or forwarded here; a mismatch records
+  // kBadCertificate against `src` and returns false.
+  bool bound_to_trs(net::NodeId src, const DataBody& d);
   void accept_and_forward(const HermesShared& shared,
                           const std::shared_ptr<const DataBody>& body);
   // Keeps `body` for fallback pulls and ack routing, and queues its offer

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../protocols/harness.hpp"
+#include "crypto/erasure.hpp"
 #include "hermes/fault_density.hpp"
 #include "hermes/hermes_node.hpp"
 
@@ -11,6 +12,7 @@ namespace {
 
 using protocols::Behavior;
 using protocols::inject_tx;
+using protocols::Transaction;
 using protocols::testing::World;
 
 // --- Fault density -----------------------------------------------------------
@@ -223,28 +225,158 @@ TEST(ViolationReports, OutOfRangeIdsAreIgnored) {
   }
 }
 
-TEST(ViolationReports, DisabledMeansLocalOnly) {
-  HermesConfig config = report_config();
-  config.enable_violation_reports = false;
-  config.adversary_blind_blast = true;
-  HermesProtocol protocol(config);
-  World w(30, protocol);
-  w.ctx->assign_behaviors(0.2, Behavior::kFrontRunner);
-  w.ctx->attack_enabled = true;
-  w.start();
-  const net::NodeId sender = w.ctx->random_honest(w.ctx->rng);
-  const auto victim = inject_tx(*w.ctx, sender);
-  w.run_ms(8000);
-  if (w.ctx->adversarial_of.count(victim.id) == 0) GTEST_SKIP();
-  const net::NodeId attacker = w.ctx->adversarial_of[victim.id].sender;
-  // Only the direct blast receivers can have excluded the attacker.
-  std::size_t excluding = 0;
-  for (net::NodeId v = 0; v < 30; ++v) {
-    if (static_cast<const HermesNode&>(w.ctx->node(v)).excluded(attacker)) {
-      ++excluding;
-    }
+// --- TRS binding (Section VI-B) ----------------------------------------------
+
+// The certificate the committee would issue for `trs`: 2f+1 partials
+// combined under the world's threshold scheme.
+Bytes certify(const HermesShared& shared, const TrsId& trs) {
+  const Bytes message = trs.signed_message();
+  std::vector<crypto::PartialSignature> partials;
+  for (std::size_t i = 1; i <= shared.config.trs_threshold(); ++i) {
+    partials.push_back(shared.scheme->partial_sign(i, message));
   }
-  EXPECT_LE(excluding, 8u);  // at most the blast width
+  return shared.scheme->combine(message, partials).value();
+}
+
+Transaction tx_of(net::NodeId sender, std::uint64_t seq) {
+  Transaction tx;
+  tx.sender = sender;
+  tx.sender_seq = seq;
+  tx.id = Transaction::make_id(sender, seq);
+  return tx;
+}
+
+sim::Message message(net::NodeId src, net::NodeId dst, std::uint32_t type,
+                     std::shared_ptr<const sim::MessageBody> body) {
+  sim::Message msg;
+  msg.src = src;
+  msg.dst = dst;
+  msg.type = type;
+  msg.wire_bytes = 400;
+  msg.body = std::move(body);
+  return msg;
+}
+
+TEST(TrsBinding, RelayCannotRideAVictimsCertificate) {
+  HermesProtocol protocol(report_config());
+  World w(40, protocol);
+  w.start();
+  const HermesShared& shared = *protocol.shared();
+  const Transaction victim = tx_of(7, 1);
+  const TrsId trs{victim.sender, victim.sender_seq, victim.hash()};
+  const Bytes certificate = certify(shared, trs);
+  const std::uint32_t overlay_index = static_cast<std::uint32_t>(
+      select_overlay(certificate, shared.config.k));
+  const overlay::Overlay& ov = shared.overlays[overlay_index];
+  // A relay on the victim's overlay puts its own transaction into the body
+  // it forwards, keeping the victim's TRS, certificate, overlay and epoch.
+  net::NodeId relay = 0;
+  while (relay == victim.sender || ov.successors(relay).empty()) ++relay;
+  const net::NodeId receiver_id = ov.successors(relay).front();
+  const auto body = [&](const Transaction& tx) {
+    auto d = std::make_shared<DataBody>();
+    d->tx = tx;
+    d->trs = trs;
+    d->certificate = certificate;
+    d->overlay_index = overlay_index;
+    d->epoch = shared.epoch;
+    return d;
+  };
+  const Transaction swapped = tx_of(relay, 1);
+  auto& receiver = dynamic_cast<HermesNode&>(w.ctx->node(receiver_id));
+  receiver.on_message(message(relay, receiver_id, HermesNode::kMsgData,
+                              body(swapped)));
+  EXPECT_FALSE(receiver.pool().seen(swapped.id));
+  ASSERT_EQ(receiver.audit().count_of(ViolationKind::kBadCertificate), 1u);
+  EXPECT_EQ(receiver.audit().violations().back().offender, relay);
+
+  // The fallback lane checks the same binding, from any holder.
+  auto& puller = dynamic_cast<HermesNode&>(w.ctx->node(victim.sender + 1));
+  puller.on_message(message(relay, puller.id(), HermesNode::kMsgFallback,
+                            body(swapped)));
+  EXPECT_FALSE(puller.pool().seen(swapped.id));
+  EXPECT_EQ(puller.audit().count_of(ViolationKind::kBadCertificate), 1u);
+
+  // The body the certificate covers still goes through, from another
+  // predecessor (the relay is now excluded here).
+  EXPECT_TRUE(receiver.excluded(relay));
+  const auto& preds = ov.predecessors(receiver_id);
+  const net::NodeId honest =
+      preds.front() != relay ? preds.front() : preds.back();
+  ASSERT_NE(honest, relay);
+  receiver.on_message(message(honest, receiver_id, HermesNode::kMsgData,
+                              body(victim)));
+  EXPECT_TRUE(receiver.pool().seen(victim.id));
+  EXPECT_EQ(receiver.audit().violations().size(), 1u);
+}
+
+// The shards an origin would send for `txs` under `trs`.
+std::vector<std::shared_ptr<const BatchChunkBody>> shards_of(
+    const HermesShared& shared, const std::vector<Transaction>& txs,
+    const TrsId& trs, const Bytes& certificate) {
+  const std::size_t data = HermesNode::kBatchDataChunks;
+  const crypto::ErasureCode code(data, shared.config.f);
+  std::vector<std::shared_ptr<const BatchChunkBody>> out;
+  for (crypto::Shard& shard : code.encode(mempool::serialize_batch(txs))) {
+    auto chunk = std::make_shared<BatchChunkBody>();
+    chunk->trs = trs;
+    chunk->certificate = certificate;
+    chunk->base_overlay = static_cast<std::uint32_t>(
+        select_overlay(certificate, shared.config.k));
+    chunk->data_shards = static_cast<std::uint32_t>(data);
+    chunk->total_shards = static_cast<std::uint32_t>(code.total_shards());
+    chunk->shard_wire_bytes = 200;
+    chunk->epoch = shared.epoch;
+    chunk->shard = std::move(shard);
+    out.push_back(std::move(chunk));
+  }
+  return out;
+}
+
+// Hands every shard to `receiver` from a legitimate sender on the shard's
+// overlay: a predecessor, or any node where the receiver is an entry.
+void hand_over(const HermesShared& shared, HermesNode& receiver,
+               const std::vector<std::shared_ptr<const BatchChunkBody>>& set) {
+  for (const auto& chunk : set) {
+    const overlay::Overlay& ov =
+        shared.overlays[(chunk->base_overlay + chunk->shard.index) %
+                        shared.config.k];
+    const net::NodeId src = ov.is_entry(receiver.id())
+                                ? (receiver.id() + 1) % ov.node_count()
+                                : ov.predecessors(receiver.id()).front();
+    receiver.on_message(
+        message(src, receiver.id(), HermesNode::kMsgBatchChunk, chunk));
+  }
+}
+
+TEST(TrsBinding, ForgedShardSetDeliversNoMember) {
+  HermesProtocol protocol(report_config());
+  World w(40, protocol);
+  w.start();
+  const HermesShared& shared = *protocol.shared();
+  std::vector<Transaction> victim;
+  std::vector<Transaction> forged;
+  for (std::uint64_t seq = 0x800001; seq <= 0x800004; ++seq) {
+    victim.push_back(tx_of(7, seq));
+    forged.push_back(tx_of(29, seq));
+  }
+  const TrsId trs{7, 1, mempool::batch_hash(victim)};
+  const Bytes certificate = certify(shared, trs);
+  auto& receiver = dynamic_cast<HermesNode&>(w.ctx->node(11));
+
+  // A full shard set of another batch under the victim's certificate.
+  hand_over(shared, receiver, shards_of(shared, forged, trs, certificate));
+  for (const Transaction& tx : forged) {
+    EXPECT_FALSE(receiver.pool().seen(tx.id)) << tx.id;
+  }
+  EXPECT_EQ(receiver.batches_decoded(), 0u);
+
+  // The certified batch still decodes from the shards that follow.
+  hand_over(shared, receiver, shards_of(shared, victim, trs, certificate));
+  for (const Transaction& tx : victim) {
+    EXPECT_TRUE(receiver.pool().seen(tx.id)) << tx.id;
+  }
+  EXPECT_EQ(receiver.batches_decoded(), 1u);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@ HermesConfig batch_config(std::size_t f = 1, std::size_t k = 5) {
   HermesConfig config;
   config.f = f;
   config.k = k;
-  config.batch_data_chunks = 3;
   config.builder.annealing.initial_temperature = 5.0;
   config.builder.annealing.min_temperature = 1.0;
   config.builder.annealing.cooling_rate = 0.8;
