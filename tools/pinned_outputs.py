@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Diff (or re-record) the exact outputs pinned in tests/pinned_outputs.txt.
 
-The file has three sections:
+The file has four sections:
 
   [corpus]    the listing of `fuzz --hash-batch 24`: seed, trace hash and
               send count of each scenario of the 24-seed corpus. The ctest
@@ -12,12 +12,18 @@ The file has three sections:
               also send the churn, view-change, digest and join messages.
               The ctest PinnedOutputs.ExtendedCorpusMatchesHashBatch diffs
               it.
+  [directed]  the trace line of each directed scenario: `fuzz
+              --recovery`, `fuzz --churn` (one line per worker count) and
+              `fuzz --paper-scale 2000`, each prefixed with its scenario
+              and stripped of its wall-clock field. These are the only
+              pinned runs of the crash-repair, join-storm and N = 2000
+              paths. CI diffs it.
   [e2e]       every exact metric of an untraced
             `hermes_e2e --workload W --seed 42`, one "workload metric
               value" line each, for every workload in BENCHMARK.json.
 
-A change that is meant to keep behaviour must leave both sections as they
-are. A change that moves behaviour on purpose re-records the file once,
+A change that is meant to keep behaviour must leave every section as it
+is. A change that moves behaviour on purpose re-records the file once,
 in its own commit, and says why in CHANGES.md.
 
 Run from the root of the repository:
@@ -36,10 +42,16 @@ Run from the root of the repository:
       The same for a saved `fuzz --hash-batch 48 --extended` listing and
       the [extended] section.
 
+  python3 tools/pinned_outputs.py directed LISTING [--record]
+      The same for the saved output of `fuzz --recovery`, `fuzz --churn`
+      and `fuzz --paper-scale 2000`, run one after the other into one
+      listing, and the [directed] section.
+
 Exits 1 when a diff is found, 2 on a usage or build error.
 """
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +64,7 @@ E2E_SEED = 42
 SECTIONS = {
     "corpus": "fuzz --hash-batch 24",
     "extended": "fuzz --hash-batch 48 --extended",
+    "directed": "fuzz --recovery; fuzz --churn; fuzz --paper-scale 2000",
     "e2e": f"hermes_e2e --workload W --seed {E2E_SEED}, untraced",
 }
 
@@ -77,6 +90,23 @@ def write_pinned(header, sections):
         out.extend(sections.get(name, []))
         out.append("")
     PINNED.write_text("\n".join(out))
+
+
+def directed_lines(text):
+    """The trace lines of a directed listing, each prefixed with the
+    scenario whose header ("recovery smoke: ...", "churn smoke: ...",
+    "paper-scale: ...") precedes it, without the wall-clock field."""
+    lines, scenario = [], None
+    for line in text.splitlines():
+        words = line.split()
+        if not words:
+            continue
+        if words[0].rstrip(":") in ("recovery", "churn", "paper-scale"):
+            scenario = words[0].rstrip(":")
+        elif "trace " in line and scenario is not None:
+            lines.append(f"{scenario} " +
+                         re.sub(r", \d+ wall-ms", "", line.rstrip()))
+    return lines
 
 
 def e2e_binary(path):
@@ -117,8 +147,8 @@ def diff(section, pinned, fresh):
               f"({len(fresh)} lines)")
         return True
     # A listing line is keyed by its seed, an e2e line by workload and
-    # metric.
-    fields = 2 if section == "e2e" else 1
+    # metric, a directed line by scenario and worker count.
+    fields = 1 if section in ("corpus", "extended") else 2
 
     def keyed(lines):
         return {" ".join(line.split()[:fields]): line for line in lines}
@@ -137,7 +167,7 @@ def main():
     e2e = sub.add_parser("e2e")
     e2e.add_argument("--binary")
     e2e.add_argument("--record", action="store_true")
-    for name in ("corpus", "extended"):
+    for name in ("corpus", "extended", "directed"):
         listing = sub.add_parser(name)
         listing.add_argument("listing")
         listing.add_argument("--record", action="store_true")
@@ -150,8 +180,9 @@ def main():
         else:
             text = (sys.stdin.read() if args.listing == "-"
                     else Path(args.listing).read_text())
-            fresh = [line.rstrip() for line in text.splitlines()
-                     if line.strip()]
+            fresh = (directed_lines(text) if args.section == "directed"
+                     else [line.rstrip() for line in text.splitlines()
+                           if line.strip()])
     except (OSError, subprocess.CalledProcessError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
