@@ -96,7 +96,7 @@ bool invert(Matrix m, Matrix* out) {
 ErasureCode::ErasureCode(std::size_t data_shards, std::size_t parity_shards)
     : data_(data_shards), parity_(parity_shards) {
   HERMES_REQUIRE(data_ >= 1);
-  HERMES_REQUIRE(data_ + parity_ <= 255);
+  HERMES_REQUIRE(data_ + parity_ <= kMaxShards);
 }
 
 std::vector<Shard> ErasureCode::encode(BytesView payload) const {

@@ -37,7 +37,11 @@ struct Shard {
 
 class ErasureCode {
  public:
-  // data_shards >= 1, parity_shards >= 0, total <= 255.
+  // Most shards one code takes: shard i is the code's value at the
+  // GF(256) point i, so indices must stay distinct bytes.
+  static constexpr std::size_t kMaxShards = 255;
+
+  // data_shards >= 1, parity_shards >= 0, total <= kMaxShards.
   ErasureCode(std::size_t data_shards, std::size_t parity_shards);
 
   std::size_t data_shards() const { return data_; }

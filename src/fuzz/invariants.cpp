@@ -133,15 +133,6 @@ void InvariantSuite::on_send(sim::SimTime at, const sim::Message& msg) {
   }
 }
 
-void InvariantSuite::on_delivery(std::uint64_t item, net::NodeId node,
-                                 sim::SimTime when, bool duplicate) {
-  if (node >= ctx_.behaviors.size() || !honest(node)) return;
-  honest_delivered_.insert(item);
-  const DeliveryObs obs{item, node, when};
-  if (!first_honest_delivery_) first_honest_delivery_ = obs;
-  if (duplicate) honest_duplicates_.push_back(obs);
-}
-
 void InvariantSuite::note_injected(std::uint64_t tx_id, bool batch_member) {
   injected_[tx_id] = batch_member;
 }
@@ -178,11 +169,7 @@ void InvariantSuite::apply_mutation(Mutation m) {
     case Mutation::kNone:
       break;
     case Mutation::kDuplicateDelivery: {
-      if (first_honest_delivery_) {
-        honest_duplicates_.push_back(*first_honest_delivery_);
-      } else {
-        honest_duplicates_.push_back(DeliveryObs{1, first_honest(0), 0.0});
-      }
+      synthetic_duplicate_ = true;
       break;
     }
     case Mutation::kSequenceFabrication: {
@@ -264,11 +251,21 @@ void InvariantSuite::apply_mutation(Mutation m) {
 
 void InvariantSuite::check_duplicates(std::vector<Failure>& out) const {
   const std::size_t before = out.size();
-  for (const DeliveryObs& obs : honest_duplicates_) {
-    std::ostringstream detail;
-    detail << "honest node " << obs.node << " delivered tx " << obs.item
-           << " twice (second delivery at t=" << obs.when << "ms)";
-    add_failure(out, before, "no-duplicate-delivery", detail.str());
+  if (synthetic_duplicate_) {
+    add_failure(out, before, "no-duplicate-delivery",
+                "an honest arrival log lists one tx twice (mutation)");
+  }
+  // A delivery appends to the arrival log, so the log holds one entry per
+  // delivery; an evicted or committed id offered again must not re-enter.
+  for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
+    if (!honest(v)) continue;
+    std::unordered_set<std::uint64_t> seen;
+    for (std::uint64_t id : ctx_.node(v).pool().arrival_order()) {
+      if (seen.insert(id).second) continue;
+      std::ostringstream detail;
+      detail << "honest node " << v << " delivered tx " << id << " twice";
+      add_failure(out, before, "no-duplicate-delivery", detail.str());
+    }
   }
 }
 
@@ -781,19 +778,12 @@ void InvariantSuite::check_mempool_pressure(std::vector<Failure>& out) const {
         add_failure(out, before, "mempool-pressure", detail.str());
       }
     }
-    // Arrival log integrity: one entry per id ever (an evicted or committed
-    // id re-offered must not re-enter the log), and the sustained-load
-    // stream of each origin arrives at that origin in sequence order — the
-    // driver submits it in seq order, so an inversion means cross-tx
-    // interleaving inside the submission path.
-    std::unordered_set<std::uint64_t> seen_ids;
+    // The sustained-load stream of each origin arrives at that origin in
+    // sequence order — the driver submits it in seq order, so an inversion
+    // means cross-tx interleaving inside the submission path. (A repeated
+    // id is no-duplicate-delivery's.)
     std::uint64_t last_own_load_seq = 0;
     for (std::uint64_t id : pool.arrival_order()) {
-      if (!seen_ids.insert(id).second) {
-        std::ostringstream detail;
-        detail << "node " << v << " arrival log lists tx " << id << " twice";
-        add_failure(out, before, "mempool-pressure", detail.str());
-      }
       if (static_cast<net::NodeId>(id >> 32) == v &&
           load_injected_.count(id) > 0) {
         const std::uint64_t seq = id & 0xffffffffULL;
@@ -811,6 +801,11 @@ void InvariantSuite::check_mempool_pressure(std::vector<Failure>& out) const {
 }
 
 std::vector<Failure> InvariantSuite::finish() {
+  for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
+    if (!honest(v)) continue;
+    const auto& delivered = ctx_.node(v).pool().arrival_order();
+    honest_delivered_.insert(delivered.begin(), delivered.end());
+  }
   std::vector<Failure> out;
   check_duplicates(out);
   check_sequences(out);

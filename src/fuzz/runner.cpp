@@ -140,9 +140,6 @@ RunResult run_scenario(const Scenario& s, const RunOptions& opts) {
         ++sends;
         suite.on_send(now, msg);
       });
-  w.ctx->tracker.set_observer(
-      [&suite](std::uint64_t item, net::NodeId node, sim::SimTime when,
-               bool duplicate) { suite.on_delivery(item, node, when, duplicate); });
 
   // --- schedule: injections
   std::uint64_t member_seq = 0x800000;  // batch members' id namespace

@@ -233,9 +233,6 @@ class HermesNode final : public ProtocolNode {
 
   const AuditLog& audit() const { return audit_; }
   std::size_t trs_requests_sent() const { return trs_requests_; }
-  // TRS rounds abandoned after trs_retry_max_attempts (the pending entry
-  // is dropped; a fresh submission is required to retry).
-  std::size_t trs_given_up() const { return trs_given_up_; }
   // (id, neighbor) fallback offers sent: a digest of n ids to m sampled
   // neighbors counts n * m.
   std::size_t fallback_pushes() const { return fallback_pushes_; }
@@ -327,23 +324,23 @@ class HermesNode final : public ProtocolNode {
   void flush_ack(std::uint64_t tx_id, std::size_t overlay_index);
   void disseminate_batch(const std::vector<Transaction>& txs, const TrsId& trs,
                          const Bytes& certificate, std::size_t base_overlay);
-  void forward_chunk(const std::shared_ptr<const BatchChunkBody>& chunk);
-  void absorb_chunk(const BatchChunkBody& chunk);
+  struct BatchAssembly;
+  // Sends shard `chunk` of `assembly` to this node's successors on its
+  // overlay, once per shard index.
+  void forward_chunk(BatchAssembly& assembly,
+                     const std::shared_ptr<const BatchChunkBody>& chunk);
+  void absorb_chunk(BatchAssembly& assembly, const BatchChunkBody& chunk);
   void on_fallback(const sim::Message& msg);
   void on_fallback_offer(const sim::Message& msg);
   void on_fallback_request(const sim::Message& msg);
-  // Certificate check with a per-node verdict memo: dissemination delivers
-  // the same (message, certificate) pair along every overlay, chunk and
-  // relay path, and the RSA-FDH verification is pure — each distinct pair
-  // is verified once per node, then served from the memo.
-  bool certificate_valid(const HermesShared& shared, const Bytes& message,
-                         const Bytes& certificate);
   // The tree check shared by transactions and batch shards: the
   // certificate, then the overlay its seed selects, then `src` as a
   // predecessor on `overlay_index` (with the self-healing leniency).
+  // `verified`: the copy's TRS and certificate equal ones this node holds
+  // (see verified_copy), so the certificate is not checked again.
   // Records the violation and returns false on the first failure.
   bool admissible(net::NodeId src, const HermesShared& shared,
-                  const TrsId& trs, const Bytes& certificate,
+                  const TrsId& trs, const Bytes& certificate, bool verified,
                   std::size_t seed_overlay, std::size_t overlay_index,
                   std::uint64_t tx_id);
   // Section VI-B binds every data message to its TRS: a body must carry
@@ -354,9 +351,23 @@ class HermesNode final : public ProtocolNode {
   bool bound_to_trs(net::NodeId src, const DataBody& d);
   void accept_and_forward(const HermesShared& shared,
                           const std::shared_ptr<const DataBody>& body);
-  // Keeps `body` for fallback pulls and ack routing, and queues its offer
-  // rounds the first time.
-  void remember(const std::shared_ptr<const DataBody>& body);
+  // One record per transaction this node holds: the body it received (or,
+  // at the origin, built), kept for fallback pulls, ack routing and the
+  // certificate rule, and whether this node has forwarded it.
+  struct Held {
+    std::shared_ptr<const DataBody> body;
+    bool forwarded = false;
+  };
+  // The record of `body`'s transaction, created (queuing its offer rounds)
+  // the first time.
+  Held& remember(const std::shared_ptr<const DataBody>& body);
+  // The record of `tx_id`; nullptr when this node holds no body of it.
+  const Held* find_held(std::uint64_t tx_id) const;
+  // Whether `d` carries the TRS and certificate of the body this node
+  // holds for its transaction. That body's certificate was verified on
+  // arrival or built here from the combined signature, so an equal copy
+  // needs no second verification; any other copy is verified.
+  bool verified_copy(const DataBody& d) const;
   // Resolves the overlay generation a message claims; nullptr when stale.
   const HermesShared* shared_for_epoch(std::uint64_t epoch) const;
   // Queues the offer rounds of a freshly forwarded tx id.
@@ -374,12 +385,10 @@ class HermesNode final : public ProtocolNode {
   void scan_for_silence(sim::SimTime now_ms);
   void send_seq_digest();
   void on_seq_digest(const sim::Message& msg);
-  // Raises max_seen_seq_ to a peer's per-origin horizon (digest or
+  // Raises the monitor's per-origin horizon to a peer's (digest or
   // catch-up); out-of-range origins are dropped as malformed.
   void merge_horizon(
       const std::vector<std::pair<net::NodeId, std::uint64_t>>& max_seen);
-  // Per-origin sequence bookkeeping shared by data/batch/fallback paths.
-  void note_sequence_delivered(net::NodeId origin, std::uint64_t seq);
   void mark_removed(net::NodeId node);
   void rebuild_repairs();
   void report_departure(net::NodeId suspect);
@@ -423,6 +432,11 @@ class HermesNode final : public ProtocolNode {
       backers.insert(signer);
       return backers.size();
     }
+    // Whether `signer` is counted against `subject`.
+    bool has(net::NodeId subject, net::NodeId signer) const {
+      const auto it = signers_by_subject.find(subject);
+      return it != signers_by_subject.end() && it->second.count(signer) > 0;
+    }
   };
   // This node's signature over `material`.
   Bytes sign(const Bytes& material) const;
@@ -454,7 +468,6 @@ class HermesNode final : public ProtocolNode {
   // Batches awaiting their TRS, keyed like pending_.
   std::unordered_map<std::string, std::vector<Transaction>> pending_batches_;
   std::size_t trs_requests_ = 0;
-  std::size_t trs_given_up_ = 0;
 
   // Committee-side state.
   std::unique_ptr<TrsCommitteeMember> committee_state_;
@@ -464,21 +477,7 @@ class HermesNode final : public ProtocolNode {
   // Dissemination state.
   std::unordered_map<std::size_t, std::vector<std::vector<net::NodeId>>>
       route_cache_;
-  // Per-origin highest contiguous sequence delivered (gap detection; kept
-  // only while self-healing is on).
-  std::unordered_map<net::NodeId, std::uint64_t> delivered_seq_;
-  // The body of every transaction this node holds, kept for serving
-  // fallback pulls and routing acks: tx id -> the body received (or, at
-  // the origin, built).
-  std::unordered_map<std::uint64_t, std::shared_ptr<const DataBody>> bodies_;
-  // Memoized certificate verdicts, keyed by epoch + signed message +
-  // certificate bytes (ordered map: lookup-only, no iteration). Bounded:
-  // cleared wholesale when it reaches kCertVerdictCap — a pure cache, so
-  // clearing only costs re-verification.
-  static constexpr std::size_t kCertVerdictCap = 8192;
-  std::map<Bytes, bool> cert_verdicts_;
-  // Transactions this node has already forwarded into the overlay.
-  std::unordered_set<std::uint64_t> forwarded_;
+  std::unordered_map<std::uint64_t, Held> held_;  // by tx id
   // Fallback offer rounds still to send. Due ticks only grow, so the queue
   // stays sorted by pushing at the back.
   struct FallbackDue {
@@ -494,9 +493,14 @@ class HermesNode final : public ProtocolNode {
   std::size_t fallback_pushes_ = 0;
   RunningStats trs_wait_ms_;
 
-  // Batch reassembly: trs key -> collected shards (+ decode bookkeeping).
+  // Batch reassembly: trs key -> collected shards (+ decode bookkeeping),
+  // created by the batch's first admitted shard.
   struct BatchAssembly {
+    // That shard's certificate (or, at the origin, the one it built):
+    // later shards carrying it skip verification, as bodies do.
+    Bytes certificate;
     std::vector<crypto::Shard> shards;
+    std::vector<std::size_t> forwarded;  // shard indices sent on
     std::uint32_t data_shards = 0;
     bool decoded = false;
   };
@@ -512,12 +516,11 @@ class HermesNode final : public ProtocolNode {
   EvidenceTally accusations_;
   std::unordered_set<net::NodeId> global_excluded_;
   std::unordered_map<std::string, BatchAssembly> batches_;
-  // (trs key, shard index) pairs already forwarded.
-  std::unordered_set<std::string> chunk_forwarded_;
   std::size_t batches_decoded_ = 0;
 
   // --- self-healing state (all empty/inert when enable_self_healing is
   // off; nothing below touches the message trace then).
+  // Also the only record of each origin's sequence progress.
   HealthMonitor monitor_;
   // Canonical removal set: departed (f+1 departure reports) plus globally
   // excluded peers. std::set so repairs apply in ascending node-id order —
@@ -527,12 +530,6 @@ class HermesNode final : public ProtocolNode {
   // Repaired trees of the *current* generation, rebuilt from the pristine
   // overlays whenever removed_ changes (pure function of both).
   std::unordered_map<std::size_t, overlay::Overlay> repaired_;
-  // Highest sequence this node has evidence of, per origin (gap ceiling).
-  // Ordered: the health tick and the seq-digest gossip iterate it, and
-  // both feed the wire, so origin order must not depend on hash order.
-  std::map<net::NodeId, std::uint64_t> max_seen_seq_;
-  // Out-of-order delivered sequences ahead of the contiguous frontier.
-  std::unordered_map<net::NodeId, std::set<std::uint64_t>> ahead_seq_;
   // overlay index -> predecessor -> last time it fed us on that overlay.
   // The inner map is iterated by the silent-predecessor scan; ordered so
   // suspect selection never inherits stdlib hash order.
@@ -541,7 +538,6 @@ class HermesNode final : public ProtocolNode {
   // Consecutive silent health ticks per suspect predecessor. Ordered for
   // a reproducible strike/report sequence.
   std::map<net::NodeId, std::size_t> silence_count_;
-  std::unordered_set<net::NodeId> departure_reported_;  // by this node
   EvidenceTally departures_;  // signed departure reports per suspect
   std::size_t departure_reports_sent_ = 0;
   // Throttle: last gap-pull time per origin.
@@ -560,7 +556,6 @@ class HermesNode final : public ProtocolNode {
   // epoch generation is installed — the new trees supersede join state.
   std::set<net::NodeId> rejoined_;
   EvidenceTally join_witnesses_;  // signed admission witnesses per joiner
-  std::unordered_set<net::NodeId> join_witnessed_;  // by this node
 };
 
 // Builds the overlays (offline phase of Figure 1), certifies them with the

@@ -61,7 +61,6 @@ mempool::Block ProtocolNode::propose_block(std::uint64_t height,
 
 bool ProtocolNode::deliver_tx(const Transaction& tx) {
   if (!pool_.insert(tx, now())) return false;
-  ctx_.tracker.on_delivered(tx.id, id(), now());
   if (tx.sender != id()) maybe_front_run(tx);
   return true;
 }

@@ -6,10 +6,10 @@
 
 namespace hermes::protocols {
 
-// Creation times and the observer are shared across lanes, so every
-// mutator goes through Engine::defer: from a draining lane it is replayed
-// at the window barrier in deterministic (when, seq, idx) order, from
-// anywhere else it runs at once.
+// Creation times are shared across lanes, so every mutator goes through
+// Engine::defer: from a draining lane it is replayed at the window barrier
+// in deterministic (when, seq, idx) order, from anywhere else it runs at
+// once.
 void DeliveryTracker::on_created(std::uint64_t item, sim::SimTime when) {
   engine_.defer([this, item, when] { created_.try_emplace(item, when); });
 }
@@ -18,14 +18,6 @@ void DeliveryTracker::restamp_created(std::uint64_t item, sim::SimTime when) {
   engine_.defer([this, item, when] {
     const auto it = created_.find(item);
     if (it != created_.end() && when > it->second) it->second = when;
-  });
-}
-
-void DeliveryTracker::on_delivered(std::uint64_t item, net::NodeId node,
-                                   sim::SimTime when) {
-  if (!observer_) return;
-  engine_.defer([this, item, node, when] {
-    observer_(item, node, when, /*duplicate=*/false);
   });
 }
 
@@ -56,30 +48,6 @@ std::vector<double> DeliveryTracker::latencies(std::uint64_t item) const {
     if (at >= 0.0) out.push_back(std::max(at, it->second) - it->second);
   }
   return out;
-}
-
-double DeliveryTracker::coverage(std::uint64_t item,
-                                 std::size_t universe) const {
-  if (universe == 0 || created_.count(item) == 0) return 0.0;
-  std::size_t reached = 0;
-  for (net::NodeId v = 0; v < nodes_.size(); ++v) {
-    if (arrival(item, v) >= 0.0) ++reached;
-  }
-  return static_cast<double>(reached) / static_cast<double>(universe);
-}
-
-double DeliveryTracker::mean_coverage(std::size_t universe) const {
-  if (created_.empty()) return 0.0;
-  // Ascending-key accumulation: float addition is order-sensitive, so the
-  // mean must not depend on hash iteration order.
-  std::vector<std::uint64_t> items;
-  items.reserve(created_.size());
-  // hermeslint: allow(unordered-iter) key snapshot is sorted before use
-  for (const auto& [item, when] : created_) items.push_back(item);
-  std::sort(items.begin(), items.end());
-  double total = 0.0;
-  for (std::uint64_t item : items) total += coverage(item, universe);
-  return total / static_cast<double>(created_.size());
 }
 
 }  // namespace hermes::protocols

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -26,22 +25,12 @@ class ProtocolNode;
 // control events), which is where every report in the repo reads.
 class DeliveryTracker {
  public:
-  // Fires once per first delivery (item, node), including items never
-  // registered via on_created; `duplicate` is always false, because
-  // deliver_tx reports only fresh mempool inserts. External oracles (the
-  // scenario fuzzer's invariant checkers) subscribe here to see the raw
-  // delivery stream.
-  using Observer = std::function<void(std::uint64_t item, net::NodeId node,
-                                      sim::SimTime when, bool duplicate)>;
-
   DeliveryTracker(sim::Engine& engine,
                   const std::vector<std::unique_ptr<ProtocolNode>>& nodes)
       : engine_(engine), nodes_(nodes) {}
   // Deferred calls hold `this` until the next window barrier.
   DeliveryTracker(const DeliveryTracker&) = delete;
   DeliveryTracker& operator=(const DeliveryTracker&) = delete;
-
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
 
   // Records that `item` (a transaction/message id) originated at `when`.
   void on_created(std::uint64_t item, sim::SimTime when);
@@ -50,8 +39,6 @@ class DeliveryTracker {
   // forwards m only after the TRS round; latency figures measure the
   // propagation of m, matching the paper).
   void restamp_created(std::uint64_t item, sim::SimTime when);
-  // Feeds the observer, if one is set; without one it does nothing.
-  void on_delivered(std::uint64_t item, net::NodeId node, sim::SimTime when);
 
   bool delivered(std::uint64_t item, net::NodeId node) const;
   // First delivery time or a negative value when never delivered.
@@ -61,10 +48,6 @@ class DeliveryTracker {
   // it, in node order.
   std::vector<double> latencies(std::uint64_t item) const;
 
-  // Fraction of `universe` nodes that received the item.
-  double coverage(std::uint64_t item, std::size_t universe) const;
-  double mean_coverage(std::size_t universe) const;
-
  private:
   // Mempool arrival time of `item` at `node`, negative when never seen.
   sim::SimTime arrival(std::uint64_t item, net::NodeId node) const;
@@ -72,7 +55,6 @@ class DeliveryTracker {
   sim::Engine& engine_;
   const std::vector<std::unique_ptr<ProtocolNode>>& nodes_;
   std::unordered_map<std::uint64_t, sim::SimTime> created_;
-  Observer observer_;
 };
 
 }  // namespace hermes::protocols

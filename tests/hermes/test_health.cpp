@@ -1,6 +1,7 @@
-// HealthMonitor unit tests (self-healing "detect" stage): gap timers,
-// staleness queries, shortfall accounting, the degradation-score formula
-// and the epoch-reset semantics the view-change hysteresis relies on.
+// HealthMonitor unit tests (self-healing "detect" stage): per-origin
+// sequence progress, gap timers, staleness queries, shortfall accounting,
+// the degradation-score formula and the epoch-reset semantics the
+// view-change hysteresis relies on.
 #include "hermes/health.hpp"
 
 #include <gtest/gtest.h>
@@ -8,18 +9,32 @@
 namespace hermes::hermes_proto {
 namespace {
 
+// Delivers sequences first..last of `origin`, in order.
+void deliver_range(HealthMonitor& m, net::NodeId origin, std::uint64_t first,
+                   std::uint64_t last) {
+  for (std::uint64_t seq = first; seq <= last; ++seq) {
+    m.note_delivered(origin, seq);
+  }
+}
+
+using Horizon = std::vector<std::pair<net::NodeId, std::uint64_t>>;
+
 TEST(HealthMonitor, NoGapWhileContiguousTracksMaxSeen) {
   HealthMonitor m;
-  m.observe_progress(3, 5, 5, 100.0);
+  deliver_range(m, 3, 1, 5);
+  m.tick(100.0);
   EXPECT_FALSE(m.gap_stale(3, 100000.0));
   EXPECT_EQ(m.stale_gap_count(100000.0), 0u);
   EXPECT_TRUE(m.stale_gaps(100000.0).empty());
+  EXPECT_EQ(m.horizon(), (Horizon{{3, 5}}));
 }
 
 TEST(HealthMonitor, GapOpensAgesAndCloses) {
   HealthMonitor m(600.0);
-  // max_seen pulls ahead at t=100: the timer starts there.
-  m.observe_progress(3, 2, 5, 100.0);
+  // The highest seen pulls ahead; the tick at t=100 starts the timer.
+  deliver_range(m, 3, 1, 2);
+  m.note_seen(3, 5);
+  m.tick(100.0);
   EXPECT_FALSE(m.gap_stale(3, 699.0));  // 599 ms old: not yet stale
   EXPECT_TRUE(m.gap_stale(3, 700.0));   // exactly 600 ms: stale
   const auto gaps = m.stale_gaps(700.0);
@@ -27,21 +42,26 @@ TEST(HealthMonitor, GapOpensAgesAndCloses) {
   EXPECT_EQ(gaps[0].origin, 3u);
   EXPECT_EQ(gaps[0].next_seq, 3u);  // first missing sequence
   EXPECT_EQ(gaps[0].max_seen, 5u);
-  // The hole fills: the gap closes and staleness resets.
-  m.observe_progress(3, 5, 5, 800.0);
+  // The hole fills: the next tick closes the gap and staleness resets.
+  deliver_range(m, 3, 3, 5);
+  m.tick(800.0);
   EXPECT_FALSE(m.gap_stale(3, 100000.0));
-  // A new hole restarts the timer from its own open time.
-  m.observe_progress(3, 5, 7, 900.0);
+  // A new hole restarts the timer from the tick that saw it.
+  m.note_seen(3, 7);
+  m.tick(900.0);
   EXPECT_FALSE(m.gap_stale(3, 1400.0));
   EXPECT_TRUE(m.gap_stale(3, 1500.0));
 }
 
 TEST(HealthMonitor, PersistentGapKeepsOriginalOpenTime) {
   HealthMonitor m(600.0);
-  m.observe_progress(9, 0, 2, 50.0);
-  // Repeated observations of the same open gap must not reset the timer.
-  m.observe_progress(9, 0, 3, 300.0);
-  m.observe_progress(9, 1, 3, 600.0);
+  m.note_seen(9, 2);
+  m.tick(50.0);
+  // Later ticks over the same open gap must not reset the timer.
+  m.note_seen(9, 3);
+  m.tick(300.0);
+  m.note_delivered(9, 1);
+  m.tick(600.0);
   EXPECT_TRUE(m.gap_stale(9, 650.0));  // 600 ms after the t=50 open
   // next_seq follows the latest contiguous frontier, not the open-time one.
   const auto gaps = m.stale_gaps(650.0);
@@ -51,15 +71,51 @@ TEST(HealthMonitor, PersistentGapKeepsOriginalOpenTime) {
 
 TEST(HealthMonitor, StaleGapCountSpansOrigins) {
   HealthMonitor m(600.0);
-  m.observe_progress(1, 0, 4, 0.0);
-  m.observe_progress(2, 3, 9, 0.0);
-  m.observe_progress(5, 7, 7, 0.0);  // no gap
-  m.observe_progress(8, 0, 1, 500.0);
+  m.note_seen(1, 4);
+  deliver_range(m, 2, 1, 3);
+  m.note_seen(2, 9);
+  deliver_range(m, 5, 1, 7);  // no gap
+  m.tick(0.0);
+  m.note_seen(8, 1);
+  m.tick(500.0);
   EXPECT_EQ(m.stale_gap_count(600.0), 2u);   // origins 1 and 2
   EXPECT_EQ(m.stale_gap_count(1100.0), 3u);  // origin 8 joins
   EXPECT_EQ(m.stale_gaps(1100.0).size(), 3u);
   EXPECT_FALSE(m.gap_stale(5, 1100.0));
   EXPECT_FALSE(m.gap_stale(42, 1100.0));  // unknown origin
+  // The horizon lists every known origin once, ascending.
+  EXPECT_EQ(m.horizon(), (Horizon{{1, 4}, {2, 9}, {5, 7}, {8, 1}}));
+}
+
+TEST(HealthMonitor, FrontierDrainsTheAheadSetAndClosesTheGap) {
+  HealthMonitor m(600.0);
+  // Out of order: 2, 4 and 3 wait ahead of the missing 1.
+  for (const std::uint64_t seq : {2u, 4u, 3u}) m.note_delivered(6, seq);
+  m.note_seen(6, 6);
+  m.tick(0.0);
+  auto gaps = m.stale_gaps(600.0);
+  ASSERT_EQ(gaps.size(), 1u);
+  EXPECT_EQ(gaps[0].next_seq, 1u);
+  EXPECT_EQ(gaps[0].max_seen, 6u);
+  // 1 arrives: the frontier drains 2, 3 and 4; only 5 and 6 stay missing.
+  m.note_delivered(6, 1);
+  m.note_delivered(6, 3);  // a repeat below the frontier changes nothing
+  gaps = m.stale_gaps(600.0);
+  ASSERT_EQ(gaps.size(), 1u);
+  EXPECT_EQ(gaps[0].next_seq, 5u);
+  EXPECT_EQ(gaps[0].max_seen, 6u);
+  // 6 waits ahead of 5, then 5 drains it; the next tick closes the gap.
+  m.note_delivered(6, 6);
+  m.note_delivered(6, 5);
+  EXPECT_TRUE(m.gap_stale(6, 600.0));  // timers move only at ticks
+  m.tick(700.0);
+  EXPECT_FALSE(m.gap_stale(6, 100000.0));
+  EXPECT_TRUE(m.stale_gaps(100000.0).empty());
+  // The frontier is at 6: the next in-order delivery opens no gap.
+  m.note_delivered(6, 7);
+  m.tick(800.0);
+  EXPECT_EQ(m.stale_gap_count(100000.0), 0u);
+  EXPECT_EQ(m.horizon(), (Horizon{{6, 7}}));
 }
 
 TEST(HealthMonitor, ShortfallAccountsPerOverlay) {
@@ -80,7 +136,8 @@ TEST(HealthMonitor, DegradationScoreFormula) {
   m.note_removed();                 // 2 removals -> +2
   m.set_failed_repairs(3);          // weight 2 -> +6
   m.note_trs_give_up();             // soft signal -> +0.5
-  m.observe_progress(4, 0, 2, 0.0); // stale by t=600 -> +0.5
+  m.note_seen(4, 2);                // stale by t=600 -> +0.5
+  m.tick(0.0);
   EXPECT_DOUBLE_EQ(m.degradation_score(2.0, 600.0), 2.0 + 6.0 + 0.5 + 0.5);
   // The failed-repair weight is the caller's knob, not monitor state.
   EXPECT_DOUBLE_EQ(m.degradation_score(0.5, 600.0), 2.0 + 1.5 + 0.5 + 0.5);
@@ -95,7 +152,8 @@ TEST(HealthMonitor, EpochAdvanceResetsEpisodeButKeepsCumulativeCounters) {
   m.note_gap_pull();
   m.note_trs_give_up();
   m.note_overlay_shortfall(1);
-  m.observe_progress(7, 0, 3, 0.0);
+  m.note_seen(7, 3);
+  m.tick(0.0);
   ASSERT_GT(m.degradation_score(2.0, 1000.0), 0.0);
 
   m.on_epoch_advanced();
@@ -108,6 +166,12 @@ TEST(HealthMonitor, EpochAdvanceResetsEpisodeButKeepsCumulativeCounters) {
   EXPECT_EQ(m.gap_pulls(), 1u);
   EXPECT_EQ(m.trs_give_ups(), 1u);
   EXPECT_EQ(m.total_overlay_shortfall(), 1u);
+  // Sequence progress survives too: the next tick reopens the gap, aged
+  // from that tick.
+  EXPECT_EQ(m.horizon(), (Horizon{{7, 3}}));
+  m.tick(1000.0);
+  EXPECT_FALSE(m.gap_stale(7, 1599.0));
+  EXPECT_TRUE(m.gap_stale(7, 1600.0));
 }
 
 }  // namespace
