@@ -22,6 +22,16 @@ using namespace hermes;
 
 // --- raw engine microbenches ------------------------------------------------
 
+// The microbenches time one region lane, the queue every protocol run
+// drains: the engine has a single lane, events are scheduled under a
+// ShardScope, and the lookahead exceeds every delay drawn below, so a
+// drain is one window.
+constexpr double kLaneLookaheadMs = 2000.0;
+
+void configure_one_lane(sim::Engine& e) {
+  e.configure_shards(1, kLaneLookaheadMs);
+}
+
 // Schedule n events at pre-generated pseudo-random offsets, then drain the
 // queue. Dominated by event allocation plus priority-queue churn.
 void BM_EngineScheduleDrain(benchmark::State& state) {
@@ -32,8 +42,12 @@ void BM_EngineScheduleDrain(benchmark::State& state) {
   std::uint64_t sink = 0;
   for (auto _ : state) {
     sim::Engine e;
-    for (std::size_t i = 0; i < n; ++i) {
-      e.schedule(delays[i], [&sink] { ++sink; });
+    configure_one_lane(e);
+    {
+      sim::Engine::ShardScope scope(e, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        e.schedule(delays[i], [&sink] { ++sink; });
+      }
     }
     e.run();
   }
@@ -59,10 +73,14 @@ void BM_EngineScheduleDrainDeliverySized(benchmark::State& state) {
   std::uint64_t sink = 0;
   for (auto _ : state) {
     sim::Engine e;
-    for (std::size_t i = 0; i < n; ++i) {
-      Payload p;
-      p.body = shared_body;
-      e.schedule(delays[i], [&sink, p] { sink += p.a; });
+    configure_one_lane(e);
+    {
+      sim::Engine::ShardScope scope(e, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        Payload p;
+        p.body = shared_body;
+        e.schedule(delays[i], [&sink, p] { sink += p.a; });
+      }
     }
     e.run();
   }
@@ -74,13 +92,19 @@ BENCHMARK(BM_EngineScheduleDrainDeliverySized)->Arg(1024)->Arg(65536);
 
 // Steady-state timer pattern: `timers` self-rescheduling events keep a
 // small queue busy for a long run, the shape protocol timers (gossip
-// rounds, fallback offers, VCS ticks) produce.
+// rounds, fallback offers, VCS ticks) produce. A region lane checks an
+// event cap only at window barriers, so the run stops at a deadline that
+// yields about 2^18 events (a timer fires every ~3.9 ms on average) and
+// counts the events run_until returns.
 void BM_EngineSteadyStateTimers(benchmark::State& state) {
   const std::size_t timers = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kEvents = 1 << 18;
+  const double deadline_ms = static_cast<double>(1 << 20) /
+                             static_cast<double>(timers);
   std::uint64_t sink = 0;
+  std::int64_t events = 0;
   for (auto _ : state) {
     sim::Engine e;
+    configure_one_lane(e);
     struct Timer {
       sim::Engine* engine;
       double period;
@@ -91,16 +115,18 @@ void BM_EngineSteadyStateTimers(benchmark::State& state) {
       }
     };
     Rng rng(99);
-    for (std::size_t i = 0; i < timers; ++i) {
-      e.schedule(rng.uniform_real(0.0, 5.0),
-                 Timer{&e, rng.uniform_real(1.0, 10.0), &sink});
+    {
+      sim::Engine::ShardScope scope(e, 0);
+      for (std::size_t i = 0; i < timers; ++i) {
+        e.schedule(rng.uniform_real(0.0, 5.0),
+                   Timer{&e, rng.uniform_real(1.0, 10.0), &sink});
+      }
     }
-    e.run(kEvents);
+    events += static_cast<std::int64_t>(e.run_until(deadline_ms));
     e.clear();
   }
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kEvents));
+  state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_EngineSteadyStateTimers)->Arg(64)->Arg(4096);
 
