@@ -61,10 +61,9 @@ struct ExperimentContext {
   std::size_t mempool_capacity = 0;
 
   std::size_t node_count() const { return topology.graph.node_count(); }
-  // Engine shard (region lane) of a node; 0 on an unsharded engine. Entry
-  // points that call into a node from outside the simulation (populate,
-  // inject_tx) open a ShardScope on this so node timers land in the node's
-  // own lane.
+  // Engine shard (region lane) of a node. Entry points that call into a
+  // node from outside the simulation (populate, inject_tx) open a
+  // ShardScope on this so node timers land in the node's own lane.
   std::uint32_t shard_of(net::NodeId v) const { return network.shard_of(v); }
   bool is_honest(net::NodeId v) const {
     return behaviors[v] == Behavior::kHonest;
@@ -141,9 +140,8 @@ class ProtocolNode : public sim::Node {
   std::uint64_t allocate_seq() { return ++last_seq_; }
 
  protected:
-  // Inserts into the mempool (the record of first delivery), notifies the
-  // tracker's observer, and fires the front-running hook. Returns true when
-  // the transaction was new.
+  // Inserts into the mempool (the record of first delivery) and fires the
+  // front-running hook. Returns true when the transaction was new.
   bool deliver_tx(const Transaction& tx);
 
   ExperimentContext& ctx_;
@@ -151,8 +149,8 @@ class ProtocolNode : public sim::Node {
 
  private:
   void maybe_front_run(const Transaction& victim);
-  // The deferred body of maybe_front_run: runs at a quiescent point (window
-  // barrier on a sharded engine, inline otherwise) because the attack
+  // The deferred body of maybe_front_run: runs at a quiescent point (the
+  // window barrier from a draining lane, inline otherwise) because the attack
   // mutates cross-shard state (adversarial_of, the attacker's own mempool
   // and uplink, possibly in another region).
   void launch_front_run(const Transaction& victim);

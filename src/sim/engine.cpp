@@ -13,38 +13,21 @@ namespace {
 
 constexpr SimTime kInfTime = std::numeric_limits<SimTime>::infinity();
 
-// Below this many overflow events a spread degenerates to one heapified
-// run: bucketing overhead would exceed the heap operations it saves.
-constexpr std::size_t kDirectSortThreshold = 64;
-// Spread geometry: aim for roughly this many events per rung, bounded so a
-// pathological burst cannot allocate an absurd rung array.
-constexpr std::size_t kTargetPerRung = 16;
-constexpr std::size_t kMaxRungs = 4096;
+// The std heap algorithms keep the greatest element at the front, so
+// ordering by "later" keeps the min-(when, seq) event there.
+constexpr auto later = [](const auto& a, const auto& b) {
+  if (a.when != b.when) return a.when > b.when;
+  return a.seq > b.seq;
+};
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Lane: the per-shard event ladder (see header comment for the design).
+// Lane: one event heap over a slab pool (see header comment for the design).
 // ---------------------------------------------------------------------------
 
-std::size_t Engine::Lane::rung_index(SimTime when) const {
-  // The same formula routes spread-time distribution and later insertions.
-  // It is monotone in `when` (subtraction, positive division, floor and
-  // clamp all are), and a fixed `when` always maps to a fixed rung; both
-  // properties together make consumption order exactly the (when, seq)
-  // total order, immune to floating-point edge rounding.
-  if (when <= spread_start_) return 0;
-  const double rel = (when - spread_start_) / rung_width_;
-  if (rel >= static_cast<double>(rungs_in_use_ - 1)) return rungs_in_use_ - 1;
-  return static_cast<std::size_t>(rel);
-}
-
-void Engine::Lane::heap_push(const EventRef& ref) {
-  bottom_.push_back(ref);
-  std::push_heap(bottom_.begin(), bottom_.end(),
-                 [](const EventRef& a, const EventRef& b) {
-                   return ref_less(b, a);  // min-(when, seq) at the front
-                 });
+SimTime Engine::Lane::next_when() const {
+  return heap_.empty() ? kInfTime : heap_.front().when;
 }
 
 void Engine::Lane::enqueue(SimTime when, std::uint64_t seq, EventFn fn) {
@@ -57,132 +40,25 @@ void Engine::Lane::enqueue(SimTime when, std::uint64_t seq, EventFn fn) {
     slot = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(std::move(fn));
   }
-  const EventRef ref{when, seq, slot};
-  ++size;
-
-  if (size == 1) {
-    // Empty-queue fast path: every tier is empty; the single event is the
-    // heap, and its own (when, seq) is the heap's upper edge.
-    bottom_.push_back(ref);
-    bottom_limit_ = ref;
-    return;
-  }
-  if (rungs_active_) {
-    if (when >= spread_end_) {
-      top_.push_back(ref);
-      return;
-    }
-    const std::size_t idx = rung_index(when);
-    if (idx < cur_rung_) {
-      // Orders within (or before) the rung currently draining as bottom_.
-      heap_push(ref);
-    } else {
-      rungs_[idx].push_back(ref);
-    }
-    return;
-  }
-  // No spread active. bottom_limit_ was the heap's maximal element when it
-  // was filled and never changes between refills, so everything parked in
-  // top_ orders after every event the heap can still receive.
-  if (ref_less(ref, bottom_limit_)) {
-    heap_push(ref);
-  } else {
-    top_.push_back(ref);
-  }
-}
-
-void Engine::Lane::spread_top() {
-  const std::size_t n = top_.size();
-  SimTime tmin = top_[0].when;
-  SimTime tmax = top_[0].when;
-  for (const EventRef& e : top_) {
-    if (e.when < tmin) tmin = e.when;
-    if (e.when > tmax) tmax = e.when;
-  }
-  const std::size_t nrungs =
-      std::clamp<std::size_t>(n / kTargetPerRung, 2, kMaxRungs);
-  const double width = (tmax - tmin) / static_cast<double>(nrungs);
-  if (n <= kDirectSortThreshold || !(width > 0.0)) {
-    // Small batch, or all timestamps (nearly) identical: one heapified
-    // run, with the batch maximum as the new insertion edge.
-    bottom_.swap(top_);
-    top_.clear();
-    bottom_limit_ =
-        *std::max_element(bottom_.begin(), bottom_.end(), &ref_less);
-    std::make_heap(bottom_.begin(), bottom_.end(),
-                   [](const EventRef& a, const EventRef& b) {
-                     return ref_less(b, a);
-                   });
-    return;
-  }
-  spread_start_ = tmin;
-  spread_end_ = tmax;
-  rung_width_ = width;
-  rungs_in_use_ = nrungs;
-  if (rungs_.size() < nrungs) rungs_.resize(nrungs);
-  rungs_active_ = true;
-  cur_rung_ = 0;
-  for (const EventRef& e : top_) rungs_[rung_index(e.when)].push_back(e);
-  top_.clear();
-  // New events with when >= spread_end_ overflow to top_; tmax itself was
-  // routed to the last rung, and any later arrival at exactly tmax carries
-  // a larger seq, so parking it in top_ preserves FIFO.
-}
-
-void Engine::Lane::refill_bottom() {
-  for (;;) {
-    if (rungs_active_) {
-      while (cur_rung_ < rungs_in_use_) {
-        std::vector<EventRef>& rung = rungs_[cur_rung_++];
-        if (rung.empty()) continue;
-        bottom_.swap(rung);  // rung keeps the old bottom's capacity
-        std::make_heap(bottom_.begin(), bottom_.end(),
-                       [](const EventRef& a, const EventRef& b) {
-                         return ref_less(b, a);
-                       });
-        return;
-      }
-      rungs_active_ = false;
-    }
-    if (top_.empty()) return;  // queue fully drained
-    spread_top();
-    if (!bottom_.empty()) return;  // direct-heapify path filled bottom_
-  }
+  heap_.push_back(EventRef{when, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 Engine::EventRef Engine::Lane::extract_min(EventFn& fn_out) {
-  std::pop_heap(bottom_.begin(), bottom_.end(),
-                [](const EventRef& a, const EventRef& b) {
-                  return ref_less(b, a);
-                });
-  const EventRef ref = bottom_.back();
-  bottom_.pop_back();
-  --size;
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  const EventRef ref = heap_.back();
+  heap_.pop_back();
   fn_out = std::move(pool_[ref.slot]);
   free_.push_back(ref.slot);
-  // Restore the invariant before the callback runs so nested schedule()
-  // calls see a consistent queue.
-  if (bottom_.empty()) refill_bottom();
   return ref;
 }
 
 void Engine::Lane::clear_events() {
-  const auto release = [this](const EventRef& e) {
+  for (const EventRef& e : heap_) {
     pool_[e.slot].reset();
     free_.push_back(e.slot);
-  };
-  for (const EventRef& e : bottom_) release(e);
-  bottom_.clear();
-  if (rungs_active_) {
-    for (std::size_t r = cur_rung_; r < rungs_in_use_; ++r) {
-      for (const EventRef& e : rungs_[r]) release(e);
-      rungs_[r].clear();
-    }
   }
-  rungs_active_ = false;
-  for (const EventRef& e : top_) release(e);
-  top_.clear();
-  size = 0;
+  heap_.clear();
   for (auto& box : outbox) box.clear();
   deferred.clear();
 }
@@ -191,7 +67,7 @@ void Engine::Lane::clear_events() {
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine() { lanes_.resize(1); }
+Engine::Engine() { lanes_.resize(1); }  // the control lane
 Engine::~Engine() = default;
 
 Engine::ExecContext& Engine::tls() {
@@ -201,13 +77,12 @@ Engine::ExecContext& Engine::tls() {
 
 SimTime Engine::now() const {
   const ExecContext& c = tls();
-  if (sharded_ && c.engine == this && c.draining) return lanes_[c.shard].now;
-  return now_;
+  return c.engine == this && c.draining ? lanes_[c.shard].now : now_;
 }
 
 bool Engine::in_shard_drain() const {
   const ExecContext& c = tls();
-  return sharded_ && c.engine == this && c.draining;
+  return c.engine == this && c.draining;
 }
 
 std::uint32_t Engine::context_shard() const {
@@ -216,25 +91,22 @@ std::uint32_t Engine::context_shard() const {
 }
 
 void Engine::configure_shards(std::size_t shards, double lookahead_ms) {
-  HERMES_REQUIRE(!sharded_);
+  HERMES_REQUIRE(shard_count() == 0);
   HERMES_REQUIRE(shards >= 1 && lookahead_ms > 0.0);
-  HERMES_REQUIRE(pending() == 0 && lanes_[0].next_local_ == 0);
-  sharded_ = true;
+  HERMES_REQUIRE(pending() == 0 && control().next_local_ == 0);
   lookahead_ = lookahead_ms;
-  lanes_.resize(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
+  lanes_.resize(shards + 1);
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
     lanes_[i].seq_tag = static_cast<std::uint64_t>(i) << kSeqShardShift;
-    lanes_[i].outbox.resize(shards + 1);  // + control slot
+    lanes_[i].outbox.resize(lanes_.size());  // per destination lane
   }
-  control_tag_ = static_cast<std::uint64_t>(shards) << kSeqShardShift;
 }
 
 void Engine::set_workers(std::size_t workers) {
-  if (!sharded_) return;
   if (workers == 0) {
     workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_ = std::min(workers, region_lane_count());
+  workers_ = std::max<std::size_t>(1, std::min(workers, shard_count()));
   pool_ = workers_ > 1 ? std::make_unique<ThreadPool>(workers_ - 1) : nullptr;
 }
 
@@ -244,12 +116,6 @@ void Engine::schedule(SimTime delay, EventFn fn) {
 }
 
 void Engine::schedule_at(SimTime when, EventFn fn) {
-  if (!sharded_) {
-    HERMES_REQUIRE(when >= now_);
-    Lane& ln = lanes_[0];
-    ln.enqueue(when, ln.next_seq(), std::move(fn));
-    return;
-  }
   const ExecContext& c = tls();
   if (c.engine == this && c.shard != kNoShard) {
     Lane& ln = lanes_[c.shard];
@@ -267,15 +133,12 @@ void Engine::schedule_at(SimTime when, EventFn fn) {
     return;
   }
   HERMES_REQUIRE(when >= now_);
-  push_control(when, control_tag_ | control_next_++, std::move(fn));
+  Lane& ctl = control();
+  ctl.enqueue(when, ctl.next_seq(), std::move(fn));
 }
 
 void Engine::schedule_cross(std::uint32_t shard, SimTime when, EventFn fn) {
-  HERMES_REQUIRE(shard < region_lane_count());
-  if (!sharded_) {
-    schedule_at(when, std::move(fn));
-    return;
-  }
+  HERMES_REQUIRE(shard < shard_count());
   const ExecContext& c = tls();
   if (c.engine == this && c.draining) {
     Lane& src = lanes_[c.shard];
@@ -290,12 +153,11 @@ void Engine::schedule_cross(std::uint32_t shard, SimTime when, EventFn fn) {
     return;
   }
   // Quiescent context: direct insert. The seq comes from the context shard
-  // when one is active (ShardScope), the control counter otherwise.
+  // when one is active (ShardScope), the control lane otherwise.
+  Lane& src = (c.engine == this && c.shard != kNoShard) ? lanes_[c.shard]
+                                                        : control();
   Lane& dst = lanes_[shard];
-  const std::uint64_t seq = (c.engine == this && c.shard != kNoShard)
-                                ? lanes_[c.shard].next_seq()
-                                : (control_tag_ | control_next_++);
-  dst.enqueue(std::max(when, dst.now), seq, std::move(fn));
+  dst.enqueue(std::max(when, dst.now), src.next_seq(), std::move(fn));
 }
 
 void Engine::schedule_global(SimTime delay, EventFn fn) {
@@ -304,26 +166,23 @@ void Engine::schedule_global(SimTime delay, EventFn fn) {
 }
 
 void Engine::schedule_global_at(SimTime when, EventFn fn) {
-  if (!sharded_) {
-    schedule_at(when, std::move(fn));
-    return;
-  }
   const ExecContext& c = tls();
   if (c.engine == this && c.draining) {
     // The earliest quiescent point is the current window bound; deferring
     // to it is deterministic (the bound is a function of event content).
     Lane& ln = lanes_[c.shard];
     const SimTime w = std::max(when, window_bound_);
-    ln.outbox[region_lane_count()].push_back({w, ln.next_seq(), std::move(fn)});
+    ln.outbox[shard_count()].push_back({w, ln.next_seq(), std::move(fn)});
     return;
   }
   HERMES_REQUIRE(when >= now_);
-  push_control(when, control_tag_ | control_next_++, std::move(fn));
+  Lane& ctl = control();
+  ctl.enqueue(when, ctl.next_seq(), std::move(fn));
 }
 
 void Engine::defer(EventFn fn) {
   const ExecContext& c = tls();
-  if (sharded_ && c.engine == this && c.draining) {
+  if (c.engine == this && c.draining) {
     Lane& ln = lanes_[c.shard];
     ln.deferred.push_back({ln.now, ln.cur_seq, ln.fx_idx++, std::move(fn)});
     return;
@@ -344,74 +203,23 @@ Engine::ShardScope::~ShardScope() {
   tls() = ExecContext{prev_engine_, prev_shard_, prev_draining_};
 }
 
-void Engine::push_control(SimTime when, std::uint64_t seq, EventFn fn) {
-  control_.push_back(ControlEvent{when, seq, std::move(fn)});
-  std::push_heap(control_.begin(), control_.end(),
-                 [](const ControlEvent& a, const ControlEvent& b) {
-                   if (a.when != b.when) return a.when > b.when;
-                   return a.seq > b.seq;  // min-(when, seq) at the front
-                 });
-}
-
-void Engine::pop_control(ControlEvent& out) {
-  std::pop_heap(control_.begin(), control_.end(),
-                [](const ControlEvent& a, const ControlEvent& b) {
-                  if (a.when != b.when) return a.when > b.when;
-                  return a.seq > b.seq;
-                });
-  out = std::move(control_.back());
-  control_.pop_back();
-}
-
-SimTime Engine::control_peek() const {
-  return control_.empty() ? kInfTime : control_.front().when;
-}
-
 std::size_t Engine::run(std::size_t max_events) {
-  if (sharded_) return run_windows(kInfTime, max_events);
-  Lane& ln = lanes_[0];
-  std::size_t executed = 0;
-  EventFn fn;
-  while (ln.size > 0 && executed < max_events) {
-    const EventRef ref = ln.extract_min(fn);
-    now_ = ref.when;
-    ln.now = ref.when;
-    fn();
-    fn.reset();
-    ++executed;
-  }
-  return executed;
+  return run_windows(kInfTime, max_events);
 }
 
 std::size_t Engine::run_until(SimTime deadline) {
-  if (sharded_) return run_windows(deadline, SIZE_MAX);
-  Lane& ln = lanes_[0];
-  std::size_t executed = 0;
-  EventFn fn;
-  while (ln.size > 0 && ln.peek_when() <= deadline) {
-    const EventRef ref = ln.extract_min(fn);
-    now_ = ref.when;
-    ln.now = ref.when;
-    fn();
-    fn.reset();
-    ++executed;
-  }
-  if (now_ < deadline) now_ = deadline;
-  ln.now = now_;
-  return executed;
+  return run_windows(deadline, SIZE_MAX);
 }
 
 std::size_t Engine::run_windows(SimTime deadline, std::size_t max_events) {
   std::size_t executed = 0;
+  Lane& ctl = control();
   while (executed < max_events) {
     SimTime t0 = kInfTime;
-    for (const Lane& ln : lanes_) {
-      if (ln.size > 0 && ln.peek_when() < t0) t0 = ln.peek_when();
-    }
-    const SimTime g = control_peek();
-    const SimTime start = std::min(t0, g);
-    if (start == kInfTime || start > deadline) break;
-    const SimTime bound = std::min({t0 + lookahead_, g, deadline});
+    for (const Lane& ln : lanes_) t0 = std::min(t0, ln.next_when());
+    if (t0 == kInfTime || t0 > deadline) break;
+    const SimTime bound =
+        std::min({t0 + lookahead_, ctl.next_when(), deadline});
     window_bound_ = bound;
 
     // Parallel drain + mailbox merge, to a fixpoint: a merged cross event
@@ -428,12 +236,10 @@ std::size_t Engine::run_windows(SimTime deadline, std::size_t max_events) {
     }
     now_ = bound;
 
-    if (control_peek() <= bound) {
-      ControlEvent ev;
-      pop_control(ev);
-      now_ = ev.when;
-      ev.fn();
-      ev.fn.reset();
+    if (ctl.next_when() <= bound) {
+      EventFn fn;
+      now_ = ctl.extract_min(fn).when;
+      fn();
       ++executed;
       now_ = bound;
     }
@@ -445,12 +251,12 @@ std::size_t Engine::run_windows(SimTime deadline, std::size_t max_events) {
 void Engine::drain_lanes(SimTime bound) {
   const auto drain_one = [this, bound](std::size_t i) {
     Lane& ln = lanes_[i];
-    if (ln.size == 0 || ln.peek_when() > bound) return;
+    if (ln.next_when() > bound) return;
     ExecContext& c = tls();
     const ExecContext prev = c;
     c = ExecContext{this, static_cast<std::uint32_t>(i), true};
     EventFn fn;
-    while (ln.size > 0 && ln.peek_when() <= bound) {
+    while (ln.next_when() <= bound) {
       const EventRef ref = ln.extract_min(fn);
       ln.now = ref.when;
       ln.cur_seq = ref.seq;
@@ -462,32 +268,28 @@ void Engine::drain_lanes(SimTime bound) {
     c = prev;
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for(region_lane_count(), drain_one);
+    pool_->parallel_for(shard_count(), drain_one);
   } else {
-    for (std::size_t i = 0; i < region_lane_count(); ++i) drain_one(i);
+    for (std::size_t i = 0; i < shard_count(); ++i) drain_one(i);
   }
 }
 
 bool Engine::flush_outboxes(SimTime bound) {
   bool redrain = false;
-  const std::size_t R = region_lane_count();
+  const std::size_t R = shard_count();
   for (std::size_t src = 0; src < R; ++src) {
-    Lane& s = lanes_[src];
-    if (s.outbox.empty()) continue;
-    for (std::size_t dst = 0; dst < R; ++dst) {
-      std::vector<CrossEvent>& box = s.outbox[dst];
-      if (box.empty()) continue;
+    // Destination R is the control lane: its events wait for step 5 of
+    // the window loop and never call for another drain.
+    for (std::size_t dst = 0; dst <= R; ++dst) {
+      std::vector<CrossEvent>& box = lanes_[src].outbox[dst];
       Lane& d = lanes_[dst];
       for (CrossEvent& ev : box) {
         HERMES_DCHECK(ev.when >= d.now);
-        if (ev.when <= bound) redrain = true;
+        if (dst < R && ev.when <= bound) redrain = true;
         d.enqueue(ev.when, ev.seq, std::move(ev.fn));
       }
       box.clear();
     }
-    std::vector<CrossEvent>& gbox = s.outbox[R];
-    for (CrossEvent& ev : gbox) push_control(ev.when, ev.seq, std::move(ev.fn));
-    gbox.clear();
   }
   return redrain;
 }
@@ -519,8 +321,8 @@ void Engine::flush_deferred() {
 }
 
 std::size_t Engine::pending() const {
-  std::size_t total = control_.size();
-  for (const Lane& ln : lanes_) total += ln.size;
+  std::size_t total = 0;
+  for (const Lane& ln : lanes_) total += ln.size();
   return total;
 }
 
@@ -532,14 +334,12 @@ std::size_t Engine::pool_capacity() const {
 
 void Engine::clear() {
   for (Lane& ln : lanes_) ln.clear_events();
-  control_.clear();
 }
 
 void Engine::reset() {
   clear();
   now_ = 0.0;
   window_bound_ = 0.0;
-  control_next_ = 0;
   for (Lane& ln : lanes_) {
     ln.next_local_ = 0;
     ln.now = 0.0;

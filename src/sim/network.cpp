@@ -88,18 +88,14 @@ Network::Network(Engine& engine, const net::Topology& topology,
       crashed_(topology.graph.node_count(), false),
       uplink_free_at_(topology.graph.node_count(), 0.0) {
   pair_seed_ = rng_.next_u64();
-  if (!engine_.sharded()) {
-    engine_.configure_shards(net::kRegionCount, derive_lookahead());
-    engine_.set_workers(params_.workers);
-  }
+  engine_.configure_shards(net::kRegionCount, derive_lookahead());
+  engine_.set_workers(params_.workers);
   const std::size_t n = topology_.graph.node_count();
   shard_of_.resize(n);
   for (net::NodeId v = 0; v < n; ++v) {
-    shard_of_[v] = engine_.sharded()
-                       ? static_cast<std::uint32_t>(topology_.regions[v])
-                       : 0;
+    shard_of_[v] = static_cast<std::uint32_t>(topology_.regions[v]);
   }
-  const std::size_t slices = engine_.sharded() ? engine_.shard_count() + 1 : 1;
+  const std::size_t slices = engine_.shard_count() + 1;
   shards_.reserve(slices);
   for (std::size_t i = 0; i < slices; ++i) {
     shards_.emplace_back(rng_.next_u64(), n);
@@ -126,7 +122,6 @@ double Network::derive_lookahead() const {
 }
 
 Network::ShardState& Network::state() {
-  if (!engine_.sharded()) return shards_[0];
   const std::uint32_t c = engine_.context_shard();
   return c == Engine::kNoShard ? shards_.back() : shards_[c];
 }

@@ -45,7 +45,7 @@ struct NetworkParams {
   // all-to-all) pay for their breadth as n grows. 0 disables the model.
   double link_bandwidth_mbps = 200.0;
   // Engine worker threads for the region-sharded driver. 1 = sequential
-  // (the legacy no-threads path, bit-identical to any other count);
+  // on the calling thread (bit-identical to any other count);
   // 0 = hardware concurrency.
   std::size_t workers = 1;
 };
@@ -66,7 +66,7 @@ class Network {
   const net::Topology& topology() const { return topology_; }
   std::size_t node_count() const { return topology_.graph.node_count(); }
 
-  // The engine shard (= region lane) a node lives on; 0 when unsharded.
+  // The engine shard (= region lane) a node lives on.
   std::uint32_t shard_of(net::NodeId id) const { return shard_of_[id]; }
 
   // Nodes register themselves at construction (see sim::Node).

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "support/rng.hpp"
 
@@ -246,13 +247,35 @@ TEST(Engine, LargeCapturesExecuteAndDestroy) {
   EXPECT_EQ(counter.use_count(), 1);
 }
 
-// Randomized stress: the ladder queue must execute an adversarial mix of
+// The order tests below run on both kinds of lane: an engine with no
+// region lanes runs everything on its control lane, and an engine with one
+// region lane, entered through ShardScope, drains the queue every protocol
+// run uses. GetParam() is true for the region lane.
+class EngineOrder : public ::testing::TestWithParam<bool> {
+ protected:
+  // Configures `e` for this setup and, on the region lane, routes the
+  // caller's schedules into it until `scope` is destroyed.
+  void enter(Engine& e, std::optional<Engine::ShardScope>& scope) const {
+    if (!GetParam()) return;
+    e.configure_shards(1, 10.0);
+    scope.emplace(e, 0);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Lanes, EngineOrder, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "RegionLane" : "ControlLane";
+                         });
+
+// Randomized stress: the lane's heap must execute an adversarial mix of
 // up-front, nested, duplicate-timestamp, and far-future schedules in
 // exactly the (when, seq) total order. The reference order is recomputed
 // with a stable sort over the recorded (when, insertion index) pairs.
-TEST(Engine, RandomizedOrderMatchesStableSortReference) {
+TEST_P(EngineOrder, RandomizedOrderMatchesStableSortReference) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     Engine e;
+    std::optional<Engine::ShardScope> scope;
+    enter(e, scope);
     Rng rng(seed);
     struct Rec {
       double when;
@@ -261,8 +284,8 @@ TEST(Engine, RandomizedOrderMatchesStableSortReference) {
     std::vector<Rec> scheduled;
     std::vector<std::uint64_t> executed;
     std::uint64_t next_idx = 0;
-    // Pull delays from a few disjoint magnitude bands so spreads, rung
-    // routing, and the far-future overflow all get exercised.
+    // Pull delays from a few disjoint magnitude bands: zero delays,
+    // same-time collisions, the near horizon and the far future.
     auto random_delay = [&rng]() -> double {
       switch (rng.uniform_u64(4)) {
         case 0: return 0.0;
@@ -302,11 +325,12 @@ TEST(Engine, RandomizedOrderMatchesStableSortReference) {
 }
 
 // Interleaving run_until windows with fresh schedules (the fuzzer's
-// injection pattern) across spread boundaries keeps the same totals and
-// order as one straight run.
-TEST(Engine, WindowedRunMatchesStraightRunUnderLoad) {
-  auto drive = [](bool windowed) {
+// injection pattern) keeps the same totals and order as one straight run.
+TEST_P(EngineOrder, WindowedRunMatchesStraightRunUnderLoad) {
+  auto drive = [this](bool windowed) {
     Engine e;
+    std::optional<Engine::ShardScope> scope;
+    enter(e, scope);
     Rng rng(99);
     std::vector<std::uint64_t> executed;
     std::uint64_t idx = 0;

@@ -1,7 +1,7 @@
 // Region-sharded engine semantics: shard-stable sequence numbers, the
 // conservative window loop, cross-shard mailboxes, deferred global
-// effects, and the determinism-across-workers contract. The unsharded
-// (classic) path is covered by test_engine.cpp.
+// effects, and the determinism-across-workers contract. An engine with no
+// region lanes (control lane only) is covered by test_engine.cpp.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -198,8 +198,8 @@ TEST(EngineShardedDeathTest, CrossShardBelowLookaheadTrips) {
   EXPECT_DEATH(violate(), "lookahead");
 }
 
-// defer() outside any drain runs the effect immediately — unsharded code
-// and control events see unchanged semantics.
+// defer() outside any drain runs the effect immediately — set-up code and
+// control events see unchanged semantics.
 TEST(EngineSharded, DeferOutsideDrainRunsImmediately) {
   Engine e;
   e.configure_shards(2, 5.0);
