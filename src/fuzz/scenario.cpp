@@ -605,7 +605,28 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
     }
     if (!ok) return std::nullopt;
   }
-  return ok ? std::optional<Scenario>(std::move(s)) : std::nullopt;
+  // Well-formed lines can still describe a scenario the runner cannot
+  // build (no topology below two nodes or under its connectivity, no
+  // committee at f = 0, no overlay set at k = 0) or would run differently
+  // than written (it skips node ids past the last node).
+  if (s.nodes < 2 || s.k == 0 || s.f == 0 || s.min_degree < s.connectivity) {
+    return std::nullopt;
+  }
+  std::vector<net::NodeId> ids = s.committee;
+  for (const ByzAssignment& b : s.byzantine) ids.push_back(b.node);
+  for (const Injection& inj : s.injections) ids.push_back(inj.sender);
+  for (const ChurnEvent& ev : s.churn) {
+    ids.insert(ids.end(), ev.nodes.begin(), ev.nodes.end());
+  }
+  for (const LinkFlap& flap : s.link_flaps) {
+    ids.push_back(flap.a);
+    ids.push_back(flap.b);
+  }
+  for (const Straggler& st : s.stragglers) ids.push_back(st.node);
+  for (const net::NodeId v : ids) {
+    if (v >= s.nodes) return std::nullopt;
+  }
+  return s;
 }
 
 }  // namespace hermes::fuzz

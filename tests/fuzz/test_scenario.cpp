@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 namespace hermes::fuzz {
@@ -49,6 +50,27 @@ TEST(Scenario, ParseRejectsMalformedInput) {
       parse_scenario("hermes-fuzz-scenario v1\nunknown_key=3\n").has_value());
   EXPECT_FALSE(parse_scenario("hermes-fuzz-scenario v1\nbyz=5:weird\n")
                    .has_value());
+
+  // Well-formed lines the runner cannot build, or would silently skip: each
+  // one aborted (or skipped a node) when replayed before the parser checked
+  // them. The header plus nodes=10 alone is a valid scenario.
+  const std::string head = "hermes-fuzz-scenario v1\nnodes=10\n";
+  ASSERT_TRUE(parse_scenario(head).has_value());
+  for (const char* body : {
+           "nodes=1\n",                               // no topology
+           "k=0\n",                                   // no overlay set
+           "f=0\n",                                   // no committee
+           "min_degree=1\nconnectivity=2\n",          // below connectivity
+           "committee=0,1,2,10\n",                    // ids are 0..9
+           "byz=10:dropper\n",
+           "inject at=5 sender=10 batch=0\n",
+           "churn at=5 action=crash nodes=3|10 epoch=0 epoch_seed=1\n",
+           "flap a=10 b=2 start=1 end=2\n",
+           "flap a=2 b=10 start=1 end=2\n",
+           "straggler node=10 mult=2\n",
+       }) {
+    EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
+  }
 }
 
 TEST(Scenario, SampledScenariosSatisfySystemModel) {
