@@ -17,7 +17,7 @@ The file has four sections:
               `fuzz --paper-scale 2000`, each prefixed with its scenario
               and stripped of its wall-clock field. These are the only
               pinned runs of the crash-repair, join-storm and N = 2000
-              paths. CI diffs it.
+              paths. The ctest pinned_directed runs them and diffs it.
   [e2e]       every exact metric of an untraced
             `hermes_e2e --workload W --seed 42`, one "workload metric
               value" line each, for every workload in BENCHMARK.json.
@@ -42,12 +42,15 @@ Run from the root of the repository:
       The same for a saved `fuzz --hash-batch 48 --extended` listing and
       the [extended] section.
 
-  python3 tools/pinned_outputs.py directed LISTING [--record]
+  python3 tools/pinned_outputs.py directed (LISTING | --fuzz PATH) [--record]
       The same for the saved output of `fuzz --recovery`, `fuzz --churn`
       and `fuzz --paper-scale 2000`, run one after the other into one
-      listing, and the [directed] section.
+      listing, and the [directed] section. With --fuzz, PATH is the fuzz
+      binary (e.g. build/tools/fuzz): the three scenarios run here first,
+      and one that exits non-zero fails its own checks.
 
-Exits 1 when a diff is found, 2 on a usage or build error.
+Exits 1 when a diff is found, 2 on a usage or build error or when a
+directed scenario exits non-zero.
 """
 import argparse
 import json
@@ -109,6 +112,20 @@ def directed_lines(text):
     return lines
 
 
+def run_directed(fuzz):
+    """Runs the three directed scenarios and returns their joint output;
+    raises CalledProcessError, after printing its output, when one exits
+    non-zero."""
+    text = ""
+    for args in (["--recovery"], ["--churn"], ["--paper-scale", "2000"]):
+        proc = subprocess.run([fuzz, *args], capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(proc.stdout + proc.stderr, file=sys.stderr)
+            raise subprocess.CalledProcessError(proc.returncode, proc.args)
+        text += proc.stdout
+    return text
+
+
 def e2e_binary(path):
     if path:
         return Path(path)
@@ -167,10 +184,15 @@ def main():
     e2e = sub.add_parser("e2e")
     e2e.add_argument("--binary")
     e2e.add_argument("--record", action="store_true")
-    for name in ("corpus", "extended", "directed"):
+    for name in ("corpus", "extended"):
         listing = sub.add_parser(name)
         listing.add_argument("listing")
         listing.add_argument("--record", action="store_true")
+    directed = sub.add_parser("directed")
+    source = directed.add_mutually_exclusive_group(required=True)
+    source.add_argument("listing", nargs="?")
+    source.add_argument("--fuzz")
+    directed.add_argument("--record", action="store_true")
     args = ap.parse_args()
 
     header, sections = read_pinned()
@@ -178,8 +200,12 @@ def main():
         if args.section == "e2e":
             fresh = e2e_lines(e2e_binary(args.binary))
         else:
-            text = (sys.stdin.read() if args.listing == "-"
-                    else Path(args.listing).read_text())
+            if getattr(args, "fuzz", None):
+                text = run_directed(args.fuzz)
+            elif args.listing == "-":
+                text = sys.stdin.read()
+            else:
+                text = Path(args.listing).read_text()
             fresh = (directed_lines(text) if args.section == "directed"
                      else [line.rstrip() for line in text.splitlines()
                            if line.strip()])
