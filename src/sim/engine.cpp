@@ -322,7 +322,7 @@ void Engine::flush_deferred() {
 
 std::size_t Engine::pending() const {
   std::size_t total = 0;
-  for (const Lane& ln : lanes_) total += ln.size();
+  for (const Lane& ln : lanes_) total += ln.heap_.size();
   return total;
 }
 

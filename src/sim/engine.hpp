@@ -364,7 +364,6 @@ class Engine {
     std::vector<std::uint32_t> free_;
 
     std::uint64_t next_seq() { return seq_tag | next_local_++; }
-    std::size_t size() const { return heap_.size(); }
     // Time of the earliest pending event; infinity when the lane is empty.
     SimTime next_when() const;
     void enqueue(SimTime when, std::uint64_t seq, EventFn fn);
