@@ -156,12 +156,25 @@ run_sim() {
       --benchmark_repetitions=1
   fi
 
-  # Baseline: seed revision (std::function callbacks in a binary-heap
+  # Baselines: the seed revision (std::function callbacks in a binary-heap
   # priority_queue, RTTI dynamic_cast message dispatch, unordered_map
   # pair-latency cache), measured on the same machine with the same bench
-  # configs before the pooled-engine rewrite.
+  # configs before the pooled-engine rewrite; and the three-tier ladder
+  # queue each lane had before it became one heap, timed on one region
+  # lane by the same bench source on the 4-vCPU host (median of six
+  # rounds alternated with the heap build).
   cat > "$out" <<EOF
 {
+  "baseline_ladder_queue": {
+    "note": "per-lane three-tier ladder queue (small heap, bucket rungs, far-future overflow); BM_Engine* time one region lane",
+    "BM_EngineScheduleDrain/1024_Mevents_per_sec": 6.23,
+    "BM_EngineScheduleDrain/65536_Mevents_per_sec": 2.69,
+    "BM_EngineScheduleDrain/1048576_Mevents_per_sec": 0.92,
+    "BM_EngineScheduleDrainDeliverySized/1024_Mevents_per_sec": 6.48,
+    "BM_EngineScheduleDrainDeliverySized/65536_Mevents_per_sec": 2.61,
+    "BM_EngineSteadyStateTimers/64_Mevents_per_sec": 9.07,
+    "BM_EngineSteadyStateTimers/4096_Mevents_per_sec": 8.74
+  },
   "baseline_before_pooled_engine": {
     "note": "pre-rewrite seed: heap-allocated std::function events in std::priority_queue, dynamic_cast body dispatch",
     "BM_EngineScheduleDrain/1048576_Mevents_per_sec": 0.878,
