@@ -51,9 +51,9 @@ TEST(Scenario, ParseRejectsMalformedInput) {
   EXPECT_FALSE(parse_scenario("hermes-fuzz-scenario v1\nbyz=5:weird\n")
                    .has_value());
 
-  // Well-formed lines the runner cannot build, or would silently skip: each
-  // one aborted (or skipped a node) when replayed before the parser checked
-  // them. The header plus nodes=10 alone is a valid scenario.
+  // Well-formed lines describing a scenario the runner cannot build, or
+  // would run differently than written (it skips node ids past the last
+  // node). The header plus nodes=10 alone is a valid scenario.
   const std::string head = "hermes-fuzz-scenario v1\nnodes=10\n";
   ASSERT_TRUE(parse_scenario(head).has_value());
   for (const char* body : {
