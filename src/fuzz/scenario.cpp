@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -477,10 +479,16 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
     if (end == v.c_str() || *end != '\0') ok = false;
     return out;
   };
-  const auto to_double = [&ok](const std::string& v) -> double {
+  // Every real-valued field is finite and non-negative, as the engine
+  // aborts on a negative time or delay; probabilities pass max = 1, where
+  // the runner would clamp them.
+  const auto to_double =
+      [&ok](const std::string& v,
+            double max = std::numeric_limits<double>::max()) -> double {
     char* end = nullptr;
     const double out = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0') ok = false;
+    if (!(out >= 0.0 && out <= max)) ok = false;
     return out;
   };
 
@@ -550,6 +558,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
         else if (key == "mult") st.multiplier = to_double(value);
         else return std::nullopt;
       }
+      if (st.multiplier == 0.0) return std::nullopt;  // the runner skips it
       s.stragglers.push_back(st);
     } else {
       std::string key, value;
@@ -560,14 +569,14 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       else if (key == "k") s.k = to_u64(value);
       else if (key == "min_degree") s.min_degree = to_u64(value);
       else if (key == "connectivity") s.connectivity = to_u64(value);
-      else if (key == "locality_bias") s.locality_bias = to_double(value);
+      else if (key == "locality_bias") s.locality_bias = to_double(value, 1.0);
       else if (key == "protocol") {
         if (value == "hermes") s.protocol = ProtocolKind::kHermes;
         else if (value == "gossip") s.protocol = ProtocolKind::kGossip;
         else return std::nullopt;
       } else if (key == "blind_blast") s.blind_blast = to_u64(value) != 0;
       else if (key == "transit_faults") s.transit_faults = to_u64(value) != 0;
-      else if (key == "drop_probability") s.drop_probability = to_double(value);
+      else if (key == "drop_probability") s.drop_probability = to_double(value, 1.0);
       else if (key == "jitter_stddev_ms") s.jitter_stddev_ms = to_double(value);
       else if (key == "fallback_delay_ms") s.fallback_delay_ms = to_double(value);
       else if (key == "enable_fallback") s.enable_fallback = to_u64(value) != 0;
@@ -625,6 +634,24 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
   for (const Straggler& st : s.stragglers) ids.push_back(st.node);
   for (const net::NodeId v : ids) {
     if (v >= s.nodes) return std::nullopt;
+  }
+  // HERMES's committee is 3f+1 distinct members. Without a committee line
+  // pick_committee draws one with at most f Byzantine members, which takes
+  // 3f+1 nodes, 2f+1 of them honest (a node's last byz entry counts).
+  if (s.hermes()) {
+    if ((s.nodes - 1) / 3 < s.f) return std::nullopt;  // nodes < 3f+1
+    std::map<net::NodeId, Behavior> role;
+    for (const ByzAssignment& b : s.byzantine) role[b.node] = b.behavior;
+    std::size_t honest = s.nodes;
+    for (const auto& [v, b] : role) {
+      if (b != Behavior::kHonest) --honest;
+    }
+    const std::set<net::NodeId> members(s.committee.begin(), s.committee.end());
+    if (s.committee.empty() ? honest < 2 * s.f + 1
+                            : s.committee.size() != 3 * s.f + 1 ||
+                                  members.size() != s.committee.size()) {
+      return std::nullopt;
+    }
   }
   return s;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "net/connectivity.hpp"
-
 namespace hermes::net {
 
 std::string_view region_name(Region r) {
@@ -34,6 +32,23 @@ double LatencyModel::sample(Region a, Region b, Rng& rng) const {
   return std::max(lat, params_.floor_ms);
 }
 
+void add_ring_chords(Graph& g, std::span<const NodeId> order,
+                     std::size_t strides,
+                     const std::function<double(NodeId, NodeId)>& latency) {
+  const std::size_t n = order.size();
+  for (std::size_t stride = 1; stride <= strides; ++stride) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId a = order[i];
+      const NodeId b = order[(i + stride) % n];
+      if (a != b && !g.has_edge(a, b)) g.add_edge(a, b, latency(a, b));
+    }
+  }
+}
+
+std::size_t ring_strides(std::size_t t) {
+  return std::max<std::size_t>(1, (t + 1) / 2);
+}
+
 Topology make_topology(const TopologyParams& params, Rng& rng) {
   HERMES_REQUIRE(params.node_count >= 2);
   HERMES_REQUIRE(params.min_degree >= params.connectivity);
@@ -58,9 +73,8 @@ Topology make_topology(const TopologyParams& params, Rng& rng) {
   }
 
   const LatencyModel model(params.latency);
-  auto connect = [&](NodeId a, NodeId b) {
-    if (a == b || topo.graph.has_edge(a, b)) return;
-    topo.graph.add_edge(a, b, model.sample(topo.regions[a], topo.regions[b], rng));
+  const auto latency = [&](NodeId a, NodeId b) {
+    return model.sample(topo.regions[a], topo.regions[b], rng);
   };
 
   // Phase 1: locality-biased random wiring up to min_degree.
@@ -75,38 +89,18 @@ Topology make_topology(const TopologyParams& params, Rng& rng) {
       } else {
         peer = static_cast<NodeId>(rng.uniform_u64(params.node_count));
       }
-      connect(v, peer);
-    }
-  }
-
-  // Phase 2: ring over a random permutation guarantees base connectivity
-  // regardless of the random wiring above.
-  std::vector<NodeId> ring(params.node_count);
-  for (std::size_t i = 0; i < ring.size(); ++i) ring[i] = static_cast<NodeId>(i);
-  rng.shuffle(ring);
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    connect(ring[i], ring[(i + 1) % ring.size()]);
-  }
-
-  // Phase 3: repair to t-vertex-connectivity. Adding chords across the ring
-  // permutation raises connectivity quickly; we verify with the exact test
-  // for modest sizes and rely on min-degree + chords for very large ones.
-  std::size_t stride = 2;
-  const bool verify = params.node_count <= 512;
-  while (verify && !is_k_vertex_connected(topo.graph, params.connectivity) &&
-         stride < params.node_count) {
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      connect(ring[i], ring[(i + stride) % ring.size()]);
-    }
-    ++stride;
-  }
-  if (!verify) {
-    for (std::size_t s = 2; s < params.connectivity + 2; ++s) {
-      for (std::size_t i = 0; i < ring.size(); ++i) {
-        connect(ring[i], ring[(i + s) % ring.size()]);
+      if (peer != v && !topo.graph.has_edge(v, peer)) {
+        topo.graph.add_edge(v, peer, latency(v, peer));
       }
     }
   }
+
+  // Phase 2: a ring over a random permutation with chords up to
+  // ring_strides(t) is t-vertex-connected whatever the random wiring above.
+  std::vector<NodeId> ring(params.node_count);
+  for (std::size_t i = 0; i < ring.size(); ++i) ring[i] = static_cast<NodeId>(i);
+  rng.shuffle(ring);
+  add_ring_chords(topo.graph, ring, ring_strides(params.connectivity), latency);
   return topo;
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <tuple>
 
-#include "net/connectivity.hpp"
 #include "support/assert.hpp"
 #include "support/stats.hpp"
 
@@ -25,21 +25,26 @@ double sample_latency(const net::Topology& topo, net::NodeId a, net::NodeId b,
   return model.sample(topo.regions[a], topo.regions[b], rng);
 }
 
+enum class RingOrder { kById, kShuffled };
+
+// net::add_ring_chords over node ids 0..n-1, with overlay link latencies.
+void add_ring(net::Graph& g, const net::Topology& topo, RingOrder ring_order,
+              std::size_t strides, Rng& rng) {
+  std::vector<net::NodeId> order(g.node_count());
+  std::iota(order.begin(), order.end(), net::NodeId{0});
+  if (ring_order == RingOrder::kShuffled) rng.shuffle(order);
+  net::add_ring_chords(g, order, strides, [&](net::NodeId a, net::NodeId b) {
+    return sample_latency(topo, a, b, rng);
+  });
+}
+
 }  // namespace
 
 net::Graph make_chordal_ring(const net::Topology& topo, std::size_t f, Rng& rng) {
   const std::size_t n = topo.graph.node_count();
   HERMES_REQUIRE(n >= f + 2);
   net::Graph g = empty_like(topo);
-  const std::size_t max_stride = (f + 1 + 1) / 2 + 1;  // ceil((f+1)/2) + 1
-  for (std::size_t stride = 1; stride <= max_stride; ++stride) {
-    for (net::NodeId v = 0; v < n; ++v) {
-      const net::NodeId u = static_cast<net::NodeId>((v + stride) % n);
-      if (u != v && !g.has_edge(v, u)) {
-        g.add_edge(v, u, sample_latency(topo, v, u, rng));
-      }
-    }
-  }
+  add_ring(g, topo, RingOrder::kById, net::ring_strides(f + 1) + 1, rng);
   return g;
 }
 
@@ -51,27 +56,12 @@ net::Graph make_hypercube(const net::Topology& topo, std::size_t f, Rng& rng) {
   while ((std::size_t{1} << dims) < n) ++dims;
   for (net::NodeId v = 0; v < n; ++v) {
     for (std::size_t b = 0; b < dims; ++b) {
-      const std::size_t u = v ^ (std::size_t{1} << b);
-      if (u < n && u != v && !g.has_edge(v, static_cast<net::NodeId>(u))) {
-        g.add_edge(v, static_cast<net::NodeId>(u),
-                   sample_latency(topo, v, static_cast<net::NodeId>(u), rng));
-      }
+      const auto u = static_cast<net::NodeId>(v ^ (std::size_t{1} << b));
+      if (v < u && u < n) g.add_edge(v, u, sample_latency(topo, v, u, rng));
     }
   }
-  // Non-power-of-two tails can be thin; a ring guarantees a connected base
-  // and lifts minimum degree toward f+1.
-  for (net::NodeId v = 0; v < n; ++v) {
-    const net::NodeId u = static_cast<net::NodeId>((v + 1) % n);
-    if (!g.has_edge(v, u)) g.add_edge(v, u, sample_latency(topo, v, u, rng));
-  }
-  std::size_t stride = 2;
-  while (n <= 512 && !net::is_k_vertex_connected(g, f + 1) && stride < n) {
-    for (net::NodeId v = 0; v < n; ++v) {
-      const net::NodeId u = static_cast<net::NodeId>((v + stride) % n);
-      if (!g.has_edge(v, u)) g.add_edge(v, u, sample_latency(topo, v, u, rng));
-    }
-    ++stride;
-  }
+  // Non-power-of-two tails can be thin; the ring keeps it (f+1)-connected.
+  add_ring(g, topo, RingOrder::kById, net::ring_strides(f + 1), rng);
   return g;
 }
 
@@ -91,24 +81,8 @@ net::Graph make_random_connected(const net::Topology& topo, std::size_t f,
       }
     }
   }
-  // Shuffled ring for connectivity, then chords until (f+1)-connected.
-  std::vector<net::NodeId> ring(n);
-  for (std::size_t i = 0; i < n; ++i) ring[i] = static_cast<net::NodeId>(i);
-  rng.shuffle(ring);
-  auto add_ring = [&](std::size_t stride) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId a = ring[i];
-      const net::NodeId b = ring[(i + stride) % n];
-      if (a != b && !g.has_edge(a, b)) {
-        g.add_edge(a, b, sample_latency(topo, a, b, rng));
-      }
-    }
-  };
-  add_ring(1);
-  std::size_t stride = 2;
-  while (n <= 512 && !net::is_k_vertex_connected(g, f + 1) && stride < n) {
-    add_ring(stride++);
-  }
+  // A shuffled ring with chords makes it (f+1)-connected.
+  add_ring(g, topo, RingOrder::kShuffled, net::ring_strides(f + 1), rng);
   return g;
 }
 
@@ -139,12 +113,7 @@ net::Graph make_k_diamond(const net::Topology& topo, std::size_t f, Rng& rng) {
   // A short final band (< f+1 members) thins the cut; a ring of chords
   // restores the connectivity floor.
   if (n % band != 0) {
-    for (std::size_t stride = 1; stride <= (f + 2) / 2; ++stride) {
-      for (net::NodeId v = 0; v < n; ++v) {
-        const net::NodeId u = static_cast<net::NodeId>((v + stride) % n);
-        if (!g.has_edge(v, u)) g.add_edge(v, u, sample_latency(topo, v, u, rng));
-      }
-    }
+    add_ring(g, topo, RingOrder::kById, net::ring_strides(f + 1), rng);
   }
   return g;
 }
@@ -191,21 +160,8 @@ net::Graph make_pasted_trees(const net::Topology& topo, std::size_t f, Rng& rng)
     HERMES_REQUIRE(joined == n && "physical graph must be connected");
   }
 
-  // Chords until (f+1)-vertex-connected (tree unions can share cut nodes).
-  std::vector<net::NodeId> ring(n);
-  for (std::size_t i = 0; i < n; ++i) ring[i] = static_cast<net::NodeId>(i);
-  rng.shuffle(ring);
-  std::size_t stride = 1;
-  while (n <= 512 && !net::is_k_vertex_connected(g, f + 1) && stride < n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId a = ring[i];
-      const net::NodeId b = ring[(i + stride) % n];
-      if (a != b && !g.has_edge(a, b)) {
-        g.add_edge(a, b, sample_latency(topo, a, b, rng));
-      }
-    }
-    ++stride;
-  }
+  // Tree unions can share cut nodes; the ring makes them (f+1)-connected.
+  add_ring(g, topo, RingOrder::kShuffled, net::ring_strides(f + 1), rng);
   return g;
 }
 

@@ -3,6 +3,8 @@
 // dissemination latency and per-node message load of any overlay instance
 // under flood dissemination.
 //
+// Every family is (f+1)-vertex-connected by construction at any n, most
+// through net::add_ring_chords; net/connectivity.hpp is the tests' oracle.
 // These families are undirected; messages flood (every node forwards the
 // first copy it receives to all neighbors). Robust trees are directed and
 // flood along successor links; see overlay/robust_tree.hpp.
@@ -23,12 +25,12 @@ namespace hermes::overlay {
 net::Graph make_chordal_ring(const net::Topology& topo, std::size_t f, Rng& rng);
 
 // Incomplete hypercube: node i links to i ^ (1 << b) for every bit b where
-// the peer id is < n. For non-power-of-two n the stranded high nodes are
-// also ringed to keep f+1 connectivity.
+// the peer id is < n, plus the ring 0-1-...-n-1-0 with chord strides
+// 2..ceil((f+1)/2), which keeps non-power-of-two tails f+1 connected.
 net::Graph make_hypercube(const net::Topology& topo, std::size_t f, Rng& rng);
 
-// Random graph grown until it is (f+1)-vertex-connected: random matching
-// edges plus a shuffled ring and chords.
+// Random graph: random edges up to degree f+1, plus a ring over a shuffled
+// node order with chord strides 2..ceil((f+1)/2).
 net::Graph make_random_connected(const net::Topology& topo, std::size_t f,
                                  Rng& rng);
 
@@ -40,8 +42,8 @@ net::Graph make_k_diamond(const net::Topology& topo, std::size_t f, Rng& rng);
 
 // f+1 pasted spanning trees (Wen et al.'s k-vertex-connected spanning
 // subgraph idea): the union of f+1 random-rooted low-latency spanning
-// trees over the physical graph, topped up with chords until it is
-// (f+1)-vertex-connected.
+// trees over the physical graph, plus a ring over a shuffled node order
+// with chord strides 2..ceil((f+1)/2).
 net::Graph make_pasted_trees(const net::Topology& topo, std::size_t f, Rng& rng);
 
 // Flood metrics over an undirected overlay: source sends to all neighbors,

@@ -68,6 +68,37 @@ TEST(Scenario, ParseRejectsMalformedInput) {
            "flap a=10 b=2 start=1 end=2\n",
            "flap a=2 b=10 start=1 end=2\n",
            "straggler node=10 mult=2\n",
+           // Times before the start or never: the engine aborts on an
+           // event in the past or a negative delay.
+           "inject at=-5 sender=2 batch=0\n",
+           "partition start=-1 end=20 assign_seed=3\n",
+           "partition start=1 end=-20 assign_seed=3\n",
+           "partition start=1 end=nan assign_seed=3\n",
+           "churn at=-5 action=crash nodes=3 epoch=0 epoch_seed=1\n",
+           "churn at=inf action=crash nodes=3 epoch=0 epoch_seed=1\n",
+           "flap a=1 b=2 start=-1 end=2\n",
+           "flap a=1 b=2 start=1 end=inf\n",
+           "fallback_delay_ms=-1\n",
+           "drain_ms=-1\n",
+           "drain_ms=inf\n",
+           "load_rate_hz=-5\nload_duration_ms=100\n",
+           "load_rate_hz=5\nload_duration_ms=-100\n",
+           "load_rate_hz=5\nload_duration_ms=100\nload_start_ms=nan\n",
+           // No committee the runner can use: too few nodes to draw 3f+1,
+           // too few honest ones to draw 2f+1, or not 3f+1 distinct ids.
+           "f=6\nnodes=16\n",
+           "nodes=5\nbyz=0:dropper,1:dropper,2:frontrunner\n",
+           "committee=0,1,2,3,4\n",
+           "committee=0,1,2\n",
+           "committee=0,1,2,2\n",
+           // Values the runner would clamp or skip.
+           "drop_probability=1.5\n",
+           "drop_probability=-0.1\n",
+           "locality_bias=2\n",
+           "locality_bias=-0.5\n",
+           "jitter_stddev_ms=-3\n",
+           "straggler node=1 mult=0\n",
+           "straggler node=1 mult=-2\n",
        }) {
     EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
   }

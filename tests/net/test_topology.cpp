@@ -106,15 +106,33 @@ TEST(Topology, EdgeLatenciesPositive) {
   }
 }
 
-TEST(Topology, LargeUnverifiedPathStillConnected) {
-  TopologyParams params;
-  params.node_count = 600;  // above the exact-verification cutoff
-  params.connectivity = 2;
-  Rng rng(12);
-  const Topology topo = make_topology(params, rng);
-  EXPECT_TRUE(topo.graph.is_connected());
-  for (NodeId v = 0; v < 600; ++v) {
-    EXPECT_GE(topo.graph.degree(v), params.connectivity);
+TEST(Topology, RingChordsAloneAreTConnected) {
+  // The construction rule on its own, over an edgeless graph: a ring with
+  // chords up to ring_strides(t) is t-vertex-connected at every n > t.
+  Rng rng(13);
+  for (std::size_t t = 1; t <= 5; ++t) {
+    for (std::size_t n = t + 1; n <= 60; ++n) {
+      std::vector<NodeId> order(n);
+      for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<NodeId>(i);
+      rng.shuffle(order);
+      Graph g(n);
+      add_ring_chords(g, order, ring_strides(t),
+                      [](NodeId, NodeId) { return 1.0; });
+      EXPECT_TRUE(is_k_vertex_connected(g, t)) << "t=" << t << " n=" << n;
+    }
+  }
+}
+
+TEST(Topology, MeetsRequestedConnectivityAt520Nodes) {
+  // Connectivity comes from the construction alone, so it must hold at any
+  // N; 520 is larger than the other tests here build.
+  for (std::size_t t : {2, 3}) {
+    TopologyParams params;
+    params.node_count = 520;
+    params.connectivity = t;
+    Rng rng(12);
+    const Topology topo = make_topology(params, rng);
+    EXPECT_TRUE(is_k_vertex_connected(topo.graph, t)) << "t=" << t;
   }
 }
 

@@ -16,46 +16,42 @@ net::Topology test_topology(std::size_t n = 48) {
   return net::make_topology(params, rng);
 }
 
-class FamilyConnectivityTest : public ::testing::TestWithParam<std::size_t> {};
+// Each family at n = 48 and at n = 520: connectivity comes from the
+// construction alone, so it must hold at any size.
+class FamilyConnectivityTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void expect_connected(net::Graph (*build)(const net::Topology&, std::size_t,
+                                             Rng&),
+                        std::uint64_t seed) {
+    const std::size_t f = GetParam();
+    for (std::size_t n : {48, 520}) {
+      const net::Topology topo = test_topology(n);
+      Rng rng(seed);
+      const net::Graph g = build(topo, f, rng);
+      EXPECT_TRUE(net::is_k_vertex_connected(g, f + 1))
+          << "f=" << f << " n=" << n;
+    }
+  }
+};
 
 TEST_P(FamilyConnectivityTest, ChordalRingIsFPlusOneConnected) {
-  const std::size_t f = GetParam();
-  const net::Topology topo = test_topology();
-  Rng rng(1);
-  const net::Graph g = make_chordal_ring(topo, f, rng);
-  EXPECT_TRUE(net::is_k_vertex_connected(g, f + 1)) << "f=" << f;
+  expect_connected(make_chordal_ring, 1);
 }
 
 TEST_P(FamilyConnectivityTest, HypercubeIsFPlusOneConnected) {
-  const std::size_t f = GetParam();
-  const net::Topology topo = test_topology();
-  Rng rng(2);
-  const net::Graph g = make_hypercube(topo, f, rng);
-  EXPECT_TRUE(net::is_k_vertex_connected(g, f + 1)) << "f=" << f;
+  expect_connected(make_hypercube, 2);
 }
 
 TEST_P(FamilyConnectivityTest, RandomOverlayIsFPlusOneConnected) {
-  const std::size_t f = GetParam();
-  const net::Topology topo = test_topology();
-  Rng rng(3);
-  const net::Graph g = make_random_connected(topo, f, rng);
-  EXPECT_TRUE(net::is_k_vertex_connected(g, f + 1)) << "f=" << f;
+  expect_connected(make_random_connected, 3);
 }
 
 TEST_P(FamilyConnectivityTest, KDiamondIsFPlusOneConnected) {
-  const std::size_t f = GetParam();
-  const net::Topology topo = test_topology();
-  Rng rng(4);
-  const net::Graph g = make_k_diamond(topo, f, rng);
-  EXPECT_TRUE(net::is_k_vertex_connected(g, f + 1)) << "f=" << f;
+  expect_connected(make_k_diamond, 4);
 }
 
 TEST_P(FamilyConnectivityTest, PastedTreesAreFPlusOneConnected) {
-  const std::size_t f = GetParam();
-  const net::Topology topo = test_topology();
-  Rng rng(5);
-  const net::Graph g = make_pasted_trees(topo, f, rng);
-  EXPECT_TRUE(net::is_k_vertex_connected(g, f + 1)) << "f=" << f;
+  expect_connected(make_pasted_trees, 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultLevels, FamilyConnectivityTest,
