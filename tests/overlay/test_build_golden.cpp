@@ -72,12 +72,12 @@ TEST(OverlaySetGolden, N200F2) {
 
 TEST(OverlaySetGolden, N1000F1) {
   EXPECT_EQ(overlay_set_digest(1000, 1),
-            "aed7f4a06ffe6096dce0ad7f2a5ede0a7fca7fd9267ad4aac376fbca86b3f99e");
+            "05a4109d2d799904db30550bad406c34f6f3f0d6851f60b8e36eb70ed8f07416");
 }
 
 TEST(OverlaySetGolden, N1000F2) {
   EXPECT_EQ(overlay_set_digest(1000, 2),
-            "bcdef005ca3266bfe0f8fa28c9fdde6169c91bf99e50ba1cee8c3424c3b34276");
+            "7c4b44d3688573eaa8a3918260fbf43eeee9c4662eb5be2d588acee57dc9203b");
 }
 
 }  // namespace
