@@ -39,11 +39,9 @@ int main(int argc, char** argv) {
 
     // Robust tree (pre-pruning), flooded from its entry points.
     {
-      overlay::RobustTreeParams params;
-      params.f = f;
       overlay::RankTable ranks(opt.nodes, 0.0);
       const overlay::Overlay tree =
-          overlay::build_robust_tree(topo.graph, params, ranks);
+          overlay::build_robust_tree(topo.graph, f, ranks);
       const auto m = overlay::measure_overlay_flood(tree);
       rows[0].latency.add(m.avg_latency);
       rows[0].load.add(m.load_stddev);

@@ -25,11 +25,9 @@ void BM_RobustTreeBuild(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const net::Topology topo = bench::make_bench_topology(n, 42);
   for (auto _ : state) {
-    overlay::RobustTreeParams params;
-    params.f = 1;
     overlay::RankTable ranks(n, 0.0);
     benchmark::DoNotOptimize(
-        overlay::build_robust_tree(topo.graph, params, ranks));
+        overlay::build_robust_tree(topo.graph, 1, ranks));
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
@@ -53,11 +51,9 @@ BENCHMARK(BM_OverlaySetBuildK10)->Arg(100)->Arg(200)->Unit(benchmark::kMilliseco
 void BM_SimulatedAnnealingPass(benchmark::State& state) {
   const std::size_t n = 200;
   const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::RobustTreeParams tree_params;
-  tree_params.f = 1;
   overlay::RankTable ranks(n, 0.0);
   const overlay::Overlay tree =
-      overlay::build_robust_tree(topo.graph, tree_params, ranks);
+      overlay::build_robust_tree(topo.graph, 1, ranks);
   const overlay::AnnealingParams params =
       bench::bench_hermes_config().builder.annealing;
   for (auto _ : state) {
@@ -73,11 +69,9 @@ BENCHMARK(BM_SimulatedAnnealingPass)->Unit(benchmark::kMillisecond);
 void BM_SimulatedAnnealingWorkers(benchmark::State& state) {
   const std::size_t n = 200;
   const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::RobustTreeParams tree_params;
-  tree_params.f = 1;
   overlay::RankTable ranks(n, 0.0);
   const overlay::Overlay tree =
-      overlay::build_robust_tree(topo.graph, tree_params, ranks);
+      overlay::build_robust_tree(topo.graph, 1, ranks);
   overlay::AnnealingParams params =
       bench::bench_hermes_config().builder.annealing;
   params.batch_size = 8;
@@ -98,11 +92,9 @@ BENCHMARK(BM_SimulatedAnnealingWorkers)
 void BM_OverlayEncode(benchmark::State& state) {
   const std::size_t n = 200;
   const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::RobustTreeParams params;
-  params.f = 1;
   overlay::RankTable ranks(n, 0.0);
   const overlay::Overlay tree =
-      overlay::build_robust_tree(topo.graph, params, ranks);
+      overlay::build_robust_tree(topo.graph, 1, ranks);
   for (auto _ : state) {
     benchmark::DoNotOptimize(overlay::encode_overlay(tree));
   }

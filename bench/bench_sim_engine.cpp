@@ -443,7 +443,6 @@ void BM_ChurnedDissemination(benchmark::State& state) {
   for (auto _ : state) {
     hermes_proto::HermesConfig cfg = scale_hermes_config();
     cfg.enable_self_healing = true;
-    cfg.enable_join_admission = true;
     cfg.health_tick_ms = 500.0;
     if (pipelined) {
       cfg.enable_epoch_pipeline = true;

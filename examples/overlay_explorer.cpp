@@ -48,10 +48,8 @@ int main(int argc, char** argv) {
   }
 
   // Robust tree: raw, then annealed, with the objective broken out.
-  RobustTreeParams tree_params;
-  tree_params.f = f;
   RankTable ranks(n, 0.0);
-  const Overlay raw = build_robust_tree(topo.graph, tree_params, ranks);
+  const Overlay raw = build_robust_tree(topo.graph, f, ranks);
   const FloodMetrics raw_m = measure_overlay_flood(raw);
   std::printf("%-18s %7zu %9s %12.1f %10.2f   (directed, depth %zu)\n",
               "robust-tree raw", raw.edge_count(), "-", raw_m.avg_latency,

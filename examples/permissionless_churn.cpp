@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   config.builder.annealing.cooling_rate = 0.8;
   config.builder.annealing.moves_per_temperature = 4;
   config.enable_self_healing = true;
-  config.enable_join_admission = true;
   config.enable_epoch_pipeline = true;
   config.pipeline.hysteresis = 2;
   config.pipeline.anneal_ms = 250.0;

@@ -31,7 +31,6 @@ HermesConfig hermes_config(const Scenario& s) {
   cfg.adversary_blind_blast = s.blind_blast;
   cfg.direct_entry_injection = s.direct_injection;
   cfg.enable_self_healing = s.self_healing;
-  cfg.enable_join_admission = s.join_admission;
   cfg.enable_epoch_pipeline = s.epoch_pipeline;
   if (s.epoch_pipeline) {
     // Pinned pipeline pacing: a short hysteresis so storm waves trigger

@@ -22,6 +22,11 @@ bool Scenario::has_front_runner() const {
   });
 }
 
+bool Scenario::has_rejoin() const {
+  return std::any_of(churn.begin(), churn.end(),
+                     [](const ChurnEvent& ev) { return ev.rejoin; });
+}
+
 bool Scenario::benign() const {
   // Fee-priority eviction pressure is not the benign regime: an evicted
   // body legitimately never reaches full coverage.
@@ -214,7 +219,7 @@ Scenario generate_scenario(std::uint64_t seed, bool extended) {
     for (std::size_t idx : rng.sample_indices(s.nodes, n_strag)) {
       Straggler st;
       st.node = static_cast<net::NodeId>(idx);
-      // processing_delay_ms is tiny (0.05 ms default), so meaningful
+      // sim::kProcessingDelayMs is tiny (0.05 ms), so meaningful
       // straggling needs a large multiplier.
       st.multiplier = rng.uniform_real(20.0, 400.0);
       s.stragglers.push_back(st);
@@ -264,7 +269,6 @@ Scenario generate_scenario(std::uint64_t seed, bool extended) {
       }
     }
     if (candidates.size() >= s.f) {
-      s.join_admission = true;
       s.epoch_pipeline = rng.bernoulli(0.7);
       const std::size_t n_waves = 1 + rng.uniform_u64(3);  // 1..3 waves
       double wt = last_inject + 200.0 + rng.uniform_real(0.0, 400.0);
@@ -371,7 +375,7 @@ std::string describe(const Scenario& s) {
   if (!s.link_flaps.empty()) out << " flaps=" << s.link_flaps.size();
   if (!s.stragglers.empty()) out << " strag=" << s.stragglers.size();
   if (s.self_healing) out << " healing";
-  if (s.join_admission) out << " join";
+  if (s.has_rejoin()) out << " join";
   if (s.epoch_pipeline) out << " pipeline";
   if (s.has_load()) out << " load=" << s.load_rate_hz << "hz";
   if (s.mempool_capacity > 0) out << " cap=" << s.mempool_capacity;
@@ -401,9 +405,8 @@ std::string serialize(const Scenario& s) {
   out << "direct_injection=" << (s.direct_injection ? 1 : 0) << "\n";
   out << "annealing_workers=" << s.annealing_workers << "\n";
   out << "self_healing=" << (s.self_healing ? 1 : 0) << "\n";
-  // Churn-layer keys are emitted only when on, so historical corpus files
+  // The pipeline key is emitted only when on, so historical corpus files
   // round-trip byte-identically.
-  if (s.join_admission) out << "join_admission=1\n";
   if (s.epoch_pipeline) out << "epoch_pipeline=1\n";
   out << "drain_ms=" << fmt_double(s.drain_ms) << "\n";
   // Load keys are emitted only when the feature is on, so historical
@@ -584,7 +587,6 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       else if (key == "direct_injection") s.direct_injection = to_u64(value) != 0;
       else if (key == "annealing_workers") s.annealing_workers = to_u64(value);
       else if (key == "self_healing") s.self_healing = to_u64(value) != 0;
-      else if (key == "join_admission") s.join_admission = to_u64(value) != 0;
       else if (key == "epoch_pipeline") s.epoch_pipeline = to_u64(value) != 0;
       else if (key == "drain_ms") s.drain_ms = to_double(value);
       else if (key == "load_rate_hz") s.load_rate_hz = to_double(value);
@@ -615,10 +617,10 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
     if (!ok) return std::nullopt;
   }
   // Well-formed lines can still describe a scenario the runner cannot
-  // build (no topology below two nodes or under its connectivity, no
-  // committee at f = 0, no overlay set at k = 0) or would run differently
-  // than written (it skips node ids past the last node).
-  if (s.nodes < 2 || s.k == 0 || s.f == 0 || s.min_degree < s.connectivity) {
+  // build (no topology below two nodes, no committee at f = 0, no overlay
+  // set at k = 0) or would run differently than written (it skips node ids
+  // past the last node).
+  if (s.nodes < 2 || s.k == 0 || s.f == 0) {
     return std::nullopt;
   }
   std::vector<net::NodeId> ids = s.committee;

@@ -101,13 +101,12 @@ struct Scenario {
   bool direct_injection = true;  // false: relay over f+1 disjoint paths
   std::size_t annealing_workers = 1;
   // Self-healing loop (HermesConfig::enable_self_healing): health ticks,
-  // gap pulls, local repair, health-triggered view changes.
+  // gap pulls, local repair, health-triggered view changes, and join
+  // admission (signed requests + f+1 witnesses) for rejoin events.
   bool self_healing = false;
-  // Churn-resilience layer (requires self_healing): join admission
-  // (signed requests + f+1 witnesses) and the background epoch pipeline
-  // (incremental absorption + warm-started re-anneal of epoch e+1 while e
-  // serves traffic). Exercised by join/leave storm churn events.
-  bool join_admission = false;
+  // Background epoch pipeline (requires self_healing): incremental
+  // absorption + warm-started re-anneal of epoch e+1 while e serves
+  // traffic. Exercised by join/leave storm churn events.
   bool epoch_pipeline = false;
 
   // Schedule.
@@ -133,6 +132,8 @@ struct Scenario {
   bool hermes() const { return protocol == ProtocolKind::kHermes; }
   bool has_load() const { return load_rate_hz > 0.0; }
   bool has_front_runner() const;
+  // Some churn event puts its nodes through join admission.
+  bool has_rejoin() const;
   // No Byzantine nodes, no message faults, no churn, no partitions: the
   // regime where exact invariants (full coverage, zero fallback pulls)
   // must hold.

@@ -47,13 +47,6 @@ struct HermesConfig {
   // is the protocol itself.
   bool adversary_blind_blast = false;
 
-  // Accountability reports (Section VI-C): a node that detects a protocol
-  // violation gossips a signed report; nodes exclude an offender globally
-  // once f+1 distinct reporters accuse it (f+1 accusations cannot all come
-  // from the faulty minority). Signed reports, departure notices and join
-  // witnesses each go to report_fanout random physical neighbors.
-  std::size_t report_fanout = 3;
-
   // Entry-point injection. The paper sends m "through f+1 disjoint paths,
   // unless of course the sender is connected directly to the overlay's
   // entry points" (Section IV). In a P2P deployment any node can dial any
@@ -62,16 +55,16 @@ struct HermesConfig {
   // which tolerates Byzantine relays at a latency cost.
   bool direct_entry_injection = true;
 
-  // TRS round-trip retry (Section IV step 1). The origin re-sends its
-  // request to the committee every 400 ms until the certificate forms,
-  // giving up — and dropping the pending entry — after
-  // trs_retry_max_attempts.
-  std::size_t trs_retry_max_attempts = 12;
-
   // --- Self-healing (detect -> repair -> recover, Sections VI-C/VII) ---
   // Master switch. Off by default: every knob below is inert and the
   // protocol's message trace is bit-identical to the pre-self-healing
-  // implementation.
+  // implementation. It also admits joiners: a recovered node calls
+  // begin_join() to broadcast a signed JoinRequest; peers witness it (f+1
+  // distinct signed witnesses admit the joiner everywhere, composing with
+  // the signed departure reports) and send the joiner a state catch-up
+  // (current epoch + per-origin sequence digests) so it rejoins
+  // dissemination without violating the invariant suite. No node sends a
+  // join message unless begin_join() runs.
   bool enable_self_healing = false;
 
   // HealthMonitor cadence: each node samples its own health every
@@ -82,43 +75,25 @@ struct HermesConfig {
   // View change: committee members vote to advance the epoch when the
   // cumulative degradation score (departed + excluded nodes, failed local
   // repairs weighted double) reaches view_change_threshold; the vote
-  // clears only after degradation falls below view_change_clear
+  // clears only after degradation falls below HermesNode::kViewChangeClear
   // (hysteresis), and two automatic epoch advances are separated by at
   // least view_change_cooldown_ms (anti-flapping).
   double view_change_threshold = 3.0;
-  double view_change_clear = 1.0;
   double view_change_cooldown_ms = 5000.0;
 
-  // --- Join admission & epoch pipeline (permissionless churn) ---
-  // Master switches. Off by default: every knob below is inert and the
-  // protocol's message trace is bit-identical to the pre-churn
-  // implementation.
-  //
-  // enable_join_admission: a recovered node may call begin_join() to
-  // broadcast a signed JoinRequest; peers witness it (f+1 distinct signed
-  // witnesses admit the joiner everywhere, composing with PR 4's signed
-  // departure reports) and send the joiner a state catch-up (current
-  // epoch + per-origin sequence digests) so it rejoins dissemination
-  // without violating the invariant suite. Requires enable_self_healing.
-  bool enable_join_admission = false;
-
-  // enable_epoch_pipeline: membership changes (admitted joins, departures)
-  // feed a bounded delta queue; small deltas are absorbed incrementally
-  // (local repair + incremental join placement), and once the queue
-  // reaches pipeline.hysteresis a warm-started re-anneal of epoch e+1 runs
-  // in the background (modeled as pipeline.anneal_ms of sim time on the
-  // builder thread pool) while epoch e keeps serving traffic. If further
-  // churn lands mid-anneal the pipelined epoch is invalidated and retried
-  // with exponential backoff. Requires enable_join_admission.
+  // --- Epoch pipeline (permissionless churn) ---
+  // Master switch, off by default, with the same bit-identical promise.
+  // Membership changes (admitted joins, departures) feed a bounded delta
+  // queue; small deltas are absorbed incrementally (local repair +
+  // incremental join placement), and once the queue reaches
+  // pipeline.hysteresis a warm-started re-anneal of epoch e+1 runs in the
+  // background (modeled as pipeline.anneal_ms of sim time on the builder
+  // thread pool) while epoch e keeps serving traffic. If further churn
+  // lands mid-anneal the pipelined epoch is invalidated and retried with
+  // exponential backoff (EpochPipeline's constants). Requires
+  // enable_self_healing.
   bool enable_epoch_pipeline = false;
 
-  // Pacing of the background pipeline. The delta queue drops its oldest
-  // entry past queue_cap (the next full re-anneal still covers it:
-  // membership state is absolute); hysteresis deltas are absorbed
-  // incrementally before a re-anneal starts; the anneal takes anneal_ms of
-  // sim time; an invalidated anneal retries after anneal_ms *
-  // retry_backoff^retries, capped at retry_max_ms, and installs anyway
-  // after max_retries.
   EpochPipeline::Params pipeline;
 
   // Overlay construction knobs (offline phase).

@@ -5,7 +5,7 @@
 namespace hermes::hermes_proto {
 
 void EpochPipeline::on_membership_change(const MembershipDelta& delta) {
-  if (queue_.size() >= params_.queue_cap) {
+  if (queue_.size() >= kQueueCap) {
     queue_.pop_front();
     ++dropped_;
   }
@@ -28,7 +28,7 @@ void EpochPipeline::start_anneal() {
 }
 
 void EpochPipeline::on_anneal_done() {
-  if (queue_.size() != snapshot_size_ && retries_ < params_.max_retries) {
+  if (queue_.size() != snapshot_size_ && retries_ < kMaxRetries) {
     // Churn landed mid-anneal: the pipelined overlay set would be stale on
     // arrival. Restart against the current queue, backing off so a storm
     // cannot keep the pipeline spinning.
@@ -36,8 +36,8 @@ void EpochPipeline::on_anneal_done() {
     ++retries_;
     snapshot_size_ = queue_.size();
     double delay = params_.anneal_ms;
-    for (std::size_t i = 0; i < retries_; ++i) delay *= params_.retry_backoff;
-    delay = std::min(delay, params_.retry_max_ms);
+    for (std::size_t i = 0; i < retries_; ++i) delay *= kRetryBackoff;
+    delay = std::min(delay, kRetryMaxMs);
     schedule_(delay, [this] { on_anneal_done(); });
     return;
   }

@@ -41,14 +41,20 @@ struct MembershipDelta {
 
 class EpochPipeline {
  public:
+  // Pacing: `hysteresis` deltas are absorbed incrementally before a
+  // re-anneal starts, and the anneal takes `anneal_ms` of sim time.
   struct Params {
-    std::size_t queue_cap = 64;
     std::size_t hysteresis = 4;
     double anneal_ms = 250.0;
-    double retry_backoff = 2.0;
-    double retry_max_ms = 2000.0;
-    std::size_t max_retries = 3;
   };
+  // The delta queue drops its oldest entry past kQueueCap (the next full
+  // re-anneal still covers it: membership state is absolute). An
+  // invalidated anneal retries after anneal_ms * kRetryBackoff^retries,
+  // capped at kRetryMaxMs, and installs anyway after kMaxRetries.
+  static constexpr std::size_t kQueueCap = 64;
+  static constexpr double kRetryBackoff = 2.0;
+  static constexpr double kRetryMaxMs = 2000.0;
+  static constexpr std::size_t kMaxRetries = 3;
 
   // schedule(delay_ms, fn): run fn after delay_ms of sim time inside a
   // barrier-serialized global control event (Engine::schedule_global).

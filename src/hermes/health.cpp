@@ -64,7 +64,7 @@ std::vector<HealthMonitor::Gap> HealthMonitor::stale_gaps(
   std::vector<Gap> out;
   for (const auto& [origin, p] : origins_) {
     if (p.gap_since < 0.0) continue;
-    if (now - p.gap_since < stale_gap_after_ms_) continue;
+    if (now - p.gap_since < kGapPullAfterMs) continue;
     out.push_back(Gap{origin, p.contiguous + 1, p.max_seen});
   }
   return out;
@@ -73,13 +73,13 @@ std::vector<HealthMonitor::Gap> HealthMonitor::stale_gaps(
 bool HealthMonitor::gap_stale(net::NodeId origin, sim::SimTime now) const {
   const auto it = origins_.find(origin);
   if (it == origins_.end() || it->second.gap_since < 0.0) return false;
-  return now - it->second.gap_since >= stale_gap_after_ms_;
+  return now - it->second.gap_since >= kGapPullAfterMs;
 }
 
 std::size_t HealthMonitor::stale_gap_count(sim::SimTime now) const {
   std::size_t count = 0;
   for (const auto& [origin, p] : origins_) {
-    if (p.gap_since >= 0.0 && now - p.gap_since >= stale_gap_after_ms_) {
+    if (p.gap_since >= 0.0 && now - p.gap_since >= kGapPullAfterMs) {
       ++count;
     }
   }

@@ -27,11 +27,13 @@
 
 namespace hermes::hermes_proto {
 
+// A delivery gap open this long is stale: it counts toward the
+// degradation score and triggers a gap pull, at most once per origin per
+// period.
+inline constexpr double kGapPullAfterMs = 600.0;
+
 class HealthMonitor {
  public:
-  explicit HealthMonitor(double stale_gap_after_ms = 600.0)
-      : stale_gap_after_ms_(stale_gap_after_ms) {}
-
   // --- feeds -------------------------------------------------------------
 
   // Per-origin sequence progress, the node's only record of it. `seq` of
@@ -84,7 +86,7 @@ class HealthMonitor {
   // ascending origin order: the digest and catch-up horizon.
   std::vector<std::pair<net::NodeId, std::uint64_t>> horizon() const;
 
-  // Gaps that have stayed open for at least stale_gap_after_ms.
+  // Gaps that have stayed open for at least kGapPullAfterMs.
   std::vector<Gap> stale_gaps(sim::SimTime now) const;
   bool gap_stale(net::NodeId origin, sim::SimTime now) const;
   std::size_t stale_gap_count(sim::SimTime now) const;
@@ -112,7 +114,6 @@ class HealthMonitor {
     sim::SimTime gap_since = -1.0;  // < 0: no open gap
   };
 
-  double stale_gap_after_ms_;
   // Ordered maps: health ticks iterate these to emit messages, and the
   // iteration order must be reproducible run over run.
   std::map<net::NodeId, Progress> origins_;

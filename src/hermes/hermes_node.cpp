@@ -24,9 +24,6 @@ constexpr double kAckAggregateMs = 50.0;
 // A predecessor silent across this many consecutive health ticks, while a
 // sibling predecessor kept feeding this node, earns a departure report.
 constexpr std::size_t kSilenceStrikes = 3;
-// A delivery gap open this long triggers a gap pull, at most once per
-// origin per period.
-constexpr double kGapPullAfterMs = 600.0;
 // Weight of a failed local repair in the degradation score: the overlay is
 // degraded beyond local fixes, which weighs more than an absorbed
 // departure.
@@ -83,8 +80,7 @@ HermesNode::HermesNode(ExperimentContext& ctx, net::NodeId id,
     : ProtocolNode(ctx, id),
       shared_(std::move(shared)),
       rng_(ctx.rng.fork(0x8e77ULL * (id + 1))),
-      collector_(*shared_->scheme),
-      monitor_(kGapPullAfterMs) {
+      collector_(*shared_->scheme) {
   const std::size_t idx = shared_->committee_index(id);
   if (idx != 0) {
     committee_state_ =
@@ -128,7 +124,7 @@ void HermesNode::send_trs_request(const TrsId& trs, int attempt) {
       pending_batches_.count(trs.key()) == 0) {
     return;  // certificate already formed
   }
-  if (attempt >= static_cast<int>(shared_->config.trs_retry_max_attempts)) {
+  if (attempt >= kTrsRetryMaxAttempts) {
     // Give up for real: drop the pending entry (a leaked entry would let a
     // stray late partial complete a round the sender already wrote off,
     // and would pin the payload forever) and surface the failure.
@@ -842,8 +838,7 @@ void HermesNode::health_tick() {
     if (view_change_armed_ && score >= shared_->config.view_change_threshold) {
       view_change_armed_ = false;  // one vote per degradation episode
       cast_view_change_vote();
-    } else if (!view_change_armed_ &&
-               score < shared_->config.view_change_clear) {
+    } else if (!view_change_armed_ && score < kViewChangeClear) {
       view_change_armed_ = true;  // hysteresis: re-arm only once recovered
     }
   }
@@ -1081,7 +1076,7 @@ Bytes HermesNode::join_witness_material(net::NodeId joiner, net::NodeId witness,
 }
 
 void HermesNode::begin_join() {
-  if (!join_admission_enabled()) return;
+  if (!healing_enabled()) return;
   auto req = std::make_shared<JoinRequestBody>();
   req->joiner = id();
   req->epoch = shared_->epoch;
@@ -1094,7 +1089,7 @@ void HermesNode::begin_join() {
 }
 
 void HermesNode::on_join_request(const sim::Message& msg) {
-  if (!join_admission_enabled()) return;
+  if (!healing_enabled()) return;
   const auto& req = msg.as<JoinRequestBody>();
   if (req.joiner != msg.src || req.joiner == id()) return;
   if (req.epoch != shared_->epoch) return;  // stale view: re-request
@@ -1131,7 +1126,7 @@ void HermesNode::witness_join(net::NodeId joiner, std::uint64_t epoch) {
 }
 
 void HermesNode::on_join_witness(const sim::Message& msg) {
-  if (!join_admission_enabled()) return;
+  if (!healing_enabled()) return;
   const auto& witness = msg.as<JoinWitnessBody>();
   if (witness.joiner == witness.witness) return;
   if (witness.epoch != shared_->epoch) return;  // stale generation
@@ -1166,7 +1161,7 @@ void HermesNode::admit_join(net::NodeId joiner) {
 }
 
 void HermesNode::on_state_catchup(const sim::Message& msg) {
-  if (!join_admission_enabled()) return;
+  if (!healing_enabled()) return;
   merge_horizon(msg.as<StateCatchUpBody>().max_seen);
 }
 
@@ -1293,8 +1288,7 @@ void HermesNode::gossip(std::uint32_t type, std::size_t wire,
                         std::shared_ptr<const sim::MessageBody> body) {
   const auto& nbrs = ctx_.topology.graph.neighbors(id());
   if (nbrs.empty()) return;
-  const std::size_t fanout =
-      std::min(shared_->config.report_fanout, nbrs.size());
+  const std::size_t fanout = std::min(kReportFanout, nbrs.size());
   for (std::size_t i : rng_.sample_indices(nbrs.size(), fanout)) {
     send_to(nbrs[i].to, type, wire, body);
   }
@@ -1458,8 +1452,7 @@ std::unique_ptr<ProtocolNode> HermesProtocol::make_node(ExperimentContext& ctx,
         });
       };
     }
-    if (config_.enable_self_healing && config_.enable_join_admission &&
-        config_.enable_epoch_pipeline) {
+    if (config_.enable_self_healing && config_.enable_epoch_pipeline) {
       // Background epoch pipeline: membership changes reported by nodes
       // are deduplicated against the absolute membership state inside a
       // barrier-serialized control event (every honest node reports each

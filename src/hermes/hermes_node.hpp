@@ -228,7 +228,7 @@ class HermesNode final : public ProtocolNode {
   // Join admission (churn layer): broadcast a signed JoinRequest to the
   // physical neighborhood. Called by a node (re)entering the network —
   // in the simulator, right after its crash flag clears. No-op unless
-  // enable_join_admission is set.
+  // enable_self_healing is set.
   void begin_join();
 
   const AuditLog& audit() const { return audit_; }
@@ -286,6 +286,15 @@ class HermesNode final : public ProtocolNode {
 
   // Physical neighbors sampled per fallback offer digest and per gap pull.
   static constexpr std::size_t kFallbackFanout = 2;
+  // Physical neighbors sampled per gossiped signed report, departure
+  // notice, join witness and view-change vote (Section VI-C).
+  static constexpr std::size_t kReportFanout = 3;
+  // TRS request attempts, kTrsRetryMs apart, before the origin gives up
+  // and drops the pending entry (Section IV step 1).
+  static constexpr int kTrsRetryMaxAttempts = 12;
+  // A committee member that voted for a view change re-arms once its
+  // degradation score falls below this (hysteresis).
+  static constexpr double kViewChangeClear = 1.0;
   // Data shards of an erasure-coded batch (submit_batch).
   static constexpr std::size_t kBatchDataChunks = 3;
 
@@ -401,9 +410,6 @@ class HermesNode final : public ProtocolNode {
   static Bytes view_change_material(std::uint64_t epoch, net::NodeId voter);
 
   // --- join admission side
-  bool join_admission_enabled() const {
-    return healing_enabled() && shared_->config.enable_join_admission;
-  }
   void on_join_request(const sim::Message& msg);
   void on_join_witness(const sim::Message& msg);
   void on_state_catchup(const sim::Message& msg);
@@ -449,7 +455,7 @@ class HermesNode final : public ProtocolNode {
   bool accept_evidence(EvidenceTally& tally, net::NodeId subject,
                        net::NodeId signer, const Bytes& material,
                        const Bytes& signature);
-  // Sends `body` to report_fanout sampled physical neighbors.
+  // Sends `body` to kReportFanout sampled physical neighbors.
   void gossip(std::uint32_t type, std::size_t wire,
               std::shared_ptr<const sim::MessageBody> body);
 
@@ -546,9 +552,9 @@ class HermesNode final : public ProtocolNode {
   std::unordered_map<std::uint64_t, std::unordered_set<net::NodeId>>
       view_change_votes_;
   // Hysteresis latch: disarmed after voting, re-armed only once the
-  // degradation score falls below view_change_clear.
+  // degradation score falls below kViewChangeClear.
   bool view_change_armed_ = true;
-  // --- join-admission state (empty/inert unless enable_join_admission).
+  // --- join-admission state (empty/inert unless enable_self_healing).
   // Admitted joiners, ascending: rebuild_repairs() detaches and re-attaches
   // them (after the removal pass) in std::set order, so two honest nodes
   // with equal (removed_, rejoined_) sets hold byte-identical trees no

@@ -1,8 +1,10 @@
 #include "net/serialization.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -44,10 +46,11 @@ std::optional<Topology> deserialize_topology(hermes::BytesView bytes) {
   std::size_t off = 4;
   std::uint64_t n = 0;
   if (!hermes::get_varint(bytes, &off, &n) || n == 0) return std::nullopt;
+  // One region byte per node follows: check before sizing anything by n.
+  if (n > bytes.size() - off) return std::nullopt;
   Topology topo;
   topo.graph = Graph(static_cast<std::size_t>(n));
   topo.regions.resize(static_cast<std::size_t>(n));
-  if (off + n > bytes.size()) return std::nullopt;
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint8_t r = bytes[off++];
     if (r >= kRegionCount) return std::nullopt;
@@ -60,7 +63,7 @@ std::optional<Topology> deserialize_topology(hermes::BytesView bytes) {
     if (!hermes::get_varint(bytes, &off, &a)) return std::nullopt;
     if (!hermes::get_varint(bytes, &off, &b)) return std::nullopt;
     if (!hermes::get_varint(bytes, &off, &q)) return std::nullopt;
-    if (a >= n || b >= n || a == b) return std::nullopt;
+    if (a >= n || b >= n || a == b || q == 0) return std::nullopt;
     topo.graph.add_edge(static_cast<NodeId>(a), static_cast<NodeId>(b),
                         dequantize(q));
   }
@@ -93,7 +96,7 @@ std::optional<Topology> topology_from_csv(const std::string& csv_text) {
   };
   std::vector<PendingEdge> edges;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> region_overrides;
-  std::uint64_t max_id = 0;
+  std::vector<std::uint64_t> ids;  // every id any line names
   bool any = false;
 
   std::istringstream stream(csv_text);
@@ -116,7 +119,7 @@ std::optional<Topology> topology_from_csv(const std::string& csv_text) {
         const std::uint64_t region = std::stoull(region_str);
         if (region >= kRegionCount) return std::nullopt;
         region_overrides.emplace_back(id, region);
-        max_id = std::max(max_id, id);
+        ids.push_back(id);
       } catch (...) {
         return std::nullopt;
       }
@@ -127,8 +130,11 @@ std::optional<Topology> topology_from_csv(const std::string& csv_text) {
     if (!std::getline(fields, lat_str, ',')) return std::nullopt;
     try {
       PendingEdge e{std::stoull(first), std::stoull(b_str), std::stod(lat_str)};
-      if (e.a == e.b || e.latency <= 0.0) return std::nullopt;
-      max_id = std::max({max_id, e.a, e.b});
+      if (e.a == e.b || !std::isfinite(e.latency) || e.latency <= 0.0) {
+        return std::nullopt;
+      }
+      ids.push_back(e.a);
+      ids.push_back(e.b);
       edges.push_back(e);
       any = true;
     } catch (...) {
@@ -136,6 +142,15 @@ std::optional<Topology> topology_from_csv(const std::string& csv_text) {
     }
   }
   if (!any) return std::nullopt;
+  // The ids must be exactly 0..max, as topology_to_csv writes them: the
+  // node count is then bounded by the input, and no id outgrows NodeId.
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const std::uint64_t max_id = ids.back();
+  if (max_id != ids.size() - 1 ||
+      max_id >= std::numeric_limits<NodeId>::max()) {
+    return std::nullopt;
+  }
 
   Topology topo;
   topo.graph = Graph(static_cast<std::size_t>(max_id + 1));

@@ -16,7 +16,8 @@
 
 namespace hermes::net {
 
-// Compact binary encoding of a Topology (magic, regions, edges).
+// Compact binary encoding of a Topology (magic, regions, edges). The
+// decoder returns nullopt on malformed input, including a zero latency.
 hermes::Bytes serialize_topology(const Topology& topo);
 std::optional<Topology> deserialize_topology(hermes::BytesView bytes);
 
@@ -26,9 +27,10 @@ std::optional<Topology> load_topology(const std::string& path);
 
 // Parses CSV latency data: lines of "node_a,node_b,latency_ms" (0-based
 // ids, '#' comments and blank lines ignored). Node count is 1 + the
-// largest id seen. Every listed pair becomes an edge; regions are assigned
-// round-robin unless a "region,<id>,<region_index>" line overrides them.
-// Returns nullopt on malformed input.
+// largest id seen, and every id below it must appear in some line. Every
+// listed pair becomes an edge with a finite, positive latency; regions are
+// assigned round-robin unless a "region,<id>,<region_index>" line
+// overrides them. Returns nullopt on malformed input.
 std::optional<Topology> topology_from_csv(const std::string& csv_text);
 
 // Renders a topology to the CSV dialect above (edges + region lines).

@@ -20,16 +20,11 @@ std::string_view region_name(Region r) {
   return "unknown";
 }
 
-LatencyModel::LatencyModel(LatencyModelParams params) : params_(params) {}
-
-double LatencyModel::sample(Region a, Region b, Rng& rng) const {
-  double lat;
-  if (a == b) {
-    lat = rng.inverse_gamma(params_.intra_alpha, params_.intra_beta);
-  } else {
-    lat = rng.normal(params_.inter_mean, std::sqrt(params_.inter_variance));
-  }
-  return std::max(lat, params_.floor_ms);
+double sample_latency(Region a, Region b, Rng& rng) {
+  const double lat = a == b
+                         ? rng.inverse_gamma(kIntraAlpha, kIntraBeta)
+                         : rng.normal(kInterMeanMs, std::sqrt(kInterVariance));
+  return std::max(lat, kLatencyFloorMs);
 }
 
 void add_ring_chords(Graph& g, std::span<const NodeId> order,
@@ -51,7 +46,6 @@ std::size_t ring_strides(std::size_t t) {
 
 Topology make_topology(const TopologyParams& params, Rng& rng) {
   HERMES_REQUIRE(params.node_count >= 2);
-  HERMES_REQUIRE(params.min_degree >= params.connectivity);
 
   Topology topo;
   topo.graph = Graph(params.node_count);
@@ -72,9 +66,8 @@ Topology make_topology(const TopologyParams& params, Rng& rng) {
     by_region[static_cast<std::size_t>(topo.regions[v])].push_back(v);
   }
 
-  const LatencyModel model(params.latency);
   const auto latency = [&](NodeId a, NodeId b) {
-    return model.sample(topo.regions[a], topo.regions[b], rng);
+    return sample_latency(topo.regions[a], topo.regions[b], rng);
   };
 
   // Phase 1: locality-biased random wiring up to min_degree.

@@ -31,23 +31,16 @@ enum class Region : std::uint8_t {
 inline constexpr std::size_t kRegionCount = 9;
 std::string_view region_name(Region r);
 
-struct LatencyModelParams {
-  double intra_alpha = 2.5;   // inverse-gamma shape
-  double intra_beta = 14.0;   // inverse-gamma scale
-  double inter_mean = 90.0;   // ms
-  double inter_variance = 20.0;
-  double floor_ms = 0.1;  // physical lower bound on any link
-};
+// The paper's latency model. Every reader (topology edges, the network's
+// keyed pair latencies and engine lookahead, overlay families) shares it.
+inline constexpr double kIntraAlpha = 2.5;        // inverse-gamma shape
+inline constexpr double kIntraBeta = 14.0;        // inverse-gamma scale
+inline constexpr double kInterMeanMs = 90.0;
+inline constexpr double kInterVariance = 20.0;    // ms^2
+inline constexpr double kLatencyFloorMs = 0.1;    // lower bound on any link
 
-// Samples link latencies given the endpoint regions.
-class LatencyModel {
- public:
-  explicit LatencyModel(LatencyModelParams params = {});
-  double sample(Region a, Region b, Rng& rng) const;
-
- private:
-  LatencyModelParams params_;
-};
+// Samples one link latency given the endpoint regions.
+double sample_latency(Region a, Region b, Rng& rng);
 
 struct TopologyParams {
   std::size_t node_count = 200;
@@ -58,7 +51,6 @@ struct TopologyParams {
   std::size_t connectivity = 2;  // t
   // Probability that a random peer is drawn from the same region.
   double locality_bias = 0.5;
-  LatencyModelParams latency = {};
 };
 
 struct Topology {

@@ -423,14 +423,10 @@ Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           const RankTable& ranks, const AnnealingParams& params,
                           Rng& rng) {
   IncrementalObjective state(current, ranks, params.weights);
-  const double current_value = state.value();
   net::NearestScratch search;
   state.begin_move();
   generate_move(state, g, ranks, mean_rank(ranks), search, rng);
   state.flush();
-  if (params.greedy_neighbor_filter && state.value() >= current_value) {
-    return current;  // Algorithm 3 step 4: discard if no improvement
-  }
   return state.overlay();
 }
 
@@ -521,9 +517,6 @@ Overlay anneal(const Overlay& initial, const net::Graph& g,
         next.unreachable += cand.d.d_unreachable;
         next.connectivity_deficit += cand.d.d_connectivity;
         const double next_value = next.value(n, params.weights);
-        if (params.greedy_neighbor_filter && next_value >= current_value) {
-          continue;
-        }
         const bool accept =
             next_value < current_value ||
             std::exp(-(next_value - current_value) / t) > cand.accept_u;

@@ -62,10 +62,6 @@ struct AnnealingParams {
   // bit-identical for a fixed seed regardless of this value; it only
   // controls how candidate scoring is scheduled.
   std::size_t workers = 1;
-  // When true, GenerateNeighbor discards non-improving candidates before
-  // the SA accept rule, as literally written in Algorithm 3 step 4. The
-  // default keeps the standard SA accept rule of Algorithm 2.
-  bool greedy_neighbor_filter = false;
   ObjectiveWeights weights;
 };
 

@@ -61,14 +61,11 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
 
-  RobustTreeParams tree_params = params.tree;
-  tree_params.f = params.f;
-
   const auto pool = make_pool(params);
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
-    Overlay tree = build_robust_tree(g, tree_params, set.final_ranks);
+    Overlay tree = build_robust_tree(g, params.f, set.final_ranks);
     optimize_and_rank(std::move(tree), l, g, params, before, set, rng,
                       pool.get());
   }
@@ -83,9 +80,6 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
   OverlaySet set;
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
-
-  RobustTreeParams tree_params = params.tree;
-  tree_params.f = params.f;
 
   const auto pool = make_pool(params);
 
@@ -110,8 +104,8 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
       }
       if (ok) {
         for (NodeId v : churned) {
-          if (!attach_node_locally(warm, v, g, /*allow_logical=*/true,
-                                   costs, params.annealing.weights)
+          if (!attach_node_locally(warm, v, g, costs,
+                                   params.annealing.weights)
                    .ok) {
             ok = false;
             break;
@@ -121,7 +115,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
       if (ok) seed = std::move(warm);
     }
     Overlay tree = seed ? std::move(*seed)
-                        : build_robust_tree(g, tree_params, set.final_ranks);
+                        : build_robust_tree(g, params.f, set.final_ranks);
     optimize_and_rank(std::move(tree), l, g, params, before, set, rng,
                       pool.get());
   }

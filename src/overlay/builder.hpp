@@ -22,7 +22,6 @@ struct BuilderParams {
   // freezes ranks at zero — every tree elects the same entry points
   // (ablation bench only; real deployments keep this on).
   bool rotate_roles = true;
-  RobustTreeParams tree;
   AnnealingParams annealing;
 };
 

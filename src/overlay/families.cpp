@@ -21,8 +21,7 @@ double sample_latency(const net::Topology& topo, net::NodeId a, net::NodeId b,
   // Reuse the physical edge latency when one exists; otherwise sample from
   // the region model, as overlay links ride whatever path the underlay has.
   if (const auto lat = topo.graph.edge_latency(a, b)) return *lat;
-  const net::LatencyModel model{net::LatencyModelParams{}};
-  return model.sample(topo.regions[a], topo.regions[b], rng);
+  return net::sample_latency(topo.regions[a], topo.regions[b], rng);
 }
 
 enum class RingOrder { kById, kShuffled };

@@ -12,10 +12,9 @@ namespace {
 // Cheapest link cost from p to v: physical edge, else shortest path (same
 // preference order as repair.cpp). The single-source row is computed from
 // the joiner's side at most once per call when no shared cache is passed.
-double link_cost(const net::Graph& g, NodeId p, NodeId v, bool allow_logical,
+double link_cost(const net::Graph& g, NodeId p, NodeId v,
                  const LinkCostCache* costs, std::vector<double>* sp_cache) {
   if (const auto lat = g.edge_latency(p, v)) return *lat;
-  if (!allow_logical) return net::kInfLatency;
   if (costs != nullptr) return costs->cost(p, v);
   if (sp_cache->empty()) *sp_cache = g.shortest_latencies(v);
   return (*sp_cache)[p];
@@ -54,7 +53,6 @@ std::size_t join_out_degree_cap(std::size_t f) {
 
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
-                                        bool allow_logical,
                                         const LinkCostCache* costs,
                                         const ObjectiveWeights& weights,
                                         MoveDelta* delta) {
@@ -136,7 +134,7 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
       Candidate c;
       c.id = p;
       c.overloaded = o.successors(p).size() >= cap;
-      c.cost = link_cost(g, p, joiner, allow_logical, costs, &sp_cache);
+      c.cost = link_cost(g, p, joiner, costs, &sp_cache);
       if (c.cost >= net::kInfLatency) continue;
       pool.push_back(c);
     }

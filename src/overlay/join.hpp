@@ -66,14 +66,13 @@ std::size_t join_out_degree_cap(std::size_t f);
 
 // Attaches `joiner` (currently unplaced: depth 0, no links) to `o` under
 // the role/latency/out-degree constraints above. Physical edges of `g` are
-// preferred; multi-hop logical links (shortest-path latency) fill gaps when
-// allow_logical is set. Passing `costs` reuses a shared shortest-path cache
-// instead of running per-call Dijkstras. Fails (overlay unchanged) when no
-// depth offers f+1 distinct predecessors. When `delta` is non-null the add
-// ops are appended so callers can splice the move into annealing machinery.
+// preferred; multi-hop logical links (shortest-path latency) fill gaps.
+// Passing `costs` reuses a shared shortest-path cache instead of running
+// per-call Dijkstras. Fails (overlay unchanged) when no depth offers f+1
+// distinct predecessors. When `delta` is non-null the add ops are appended
+// so callers can splice the move into annealing machinery.
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
-                                        bool allow_logical = true,
                                         const LinkCostCache* costs = nullptr,
                                         const ObjectiveWeights& weights = {},
                                         MoveDelta* delta = nullptr);

@@ -9,23 +9,17 @@ namespace hermes::overlay {
 namespace {
 
 // Cheapest link cost from p to v: physical edge, else shortest path.
-double link_cost(const net::Graph& g, NodeId p, NodeId v, bool allow_logical,
-                 std::vector<double>* sp_cache, bool* is_logical) {
-  if (const auto lat = g.edge_latency(p, v)) {
-    *is_logical = false;
-    return *lat;
-  }
-  if (!allow_logical) return net::kInfLatency;
+double link_cost(const net::Graph& g, NodeId p, NodeId v,
+                 std::vector<double>* sp_cache) {
+  if (const auto lat = g.edge_latency(p, v)) return *lat;
   if (sp_cache->empty()) *sp_cache = g.shortest_latencies(v);
-  *is_logical = true;
   return (*sp_cache)[p];
 }
 
 }  // namespace
 
 LocalRepairResult remove_node_locally(Overlay& o, NodeId departed,
-                                      const net::Graph& g,
-                                      bool allow_logical) {
+                                      const net::Graph& g) {
   LocalRepairResult result;
   const std::size_t f = o.f();
   Overlay backup = o;
@@ -91,9 +85,7 @@ LocalRepairResult remove_node_locally(Overlay& o, NodeId departed,
         for (std::size_t pd = 1; pd < d; ++pd) {
           for (NodeId p : layers[pd]) {
             if (p == departed || p == v || o.has_link(p, v)) continue;
-            bool is_logical = false;
-            const double cost =
-                link_cost(g, p, v, allow_logical, &sp_cache, &is_logical);
+            const double cost = link_cost(g, p, v, &sp_cache);
             if (cost < best_cost) {
               best_cost = cost;
               best = p;

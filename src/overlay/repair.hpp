@@ -29,11 +29,10 @@ struct LocalRepairResult {
 
 // Repairs `o` in place after `departed` leaves. Physical edges of `g` are
 // preferred for new links; multi-hop logical links (shortest-path latency)
-// fill gaps when allow_logical is set. Fails (returns ok=false, overlay
-// unchanged) only when a child cannot reach f+1 predecessors at all.
+// fill gaps. Fails (returns ok=false, overlay unchanged) only when a child
+// cannot reach f+1 predecessors at all.
 LocalRepairResult remove_node_locally(Overlay& o, NodeId departed,
-                                      const net::Graph& g,
-                                      bool allow_logical = true);
+                                      const net::Graph& g);
 
 // Validation that tolerates a set of departed nodes: absent nodes may be
 // unplaced and unreachable; everyone else must satisfy the usual

@@ -32,10 +32,9 @@ struct Candidate {
 
 }  // namespace
 
-Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
+Overlay build_robust_tree(const net::Graph& g, std::size_t f,
                           RankTable& ranks) {
   const std::size_t n = g.node_count();
-  const std::size_t f = params.f;
   HERMES_REQUIRE(n >= f + 2);
   HERMES_REQUIRE(ranks.size() == n);
 
@@ -157,12 +156,10 @@ Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
       if (attach(c.node, /*allow_logical=*/false)) progress = true;
     }
   }
-  if (params.allow_logical_links) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (!placed[v]) {
-        const bool ok = attach(v, /*allow_logical=*/true);
-        HERMES_REQUIRE(ok && "physical graph too disconnected to integrate node");
-      }
+  for (NodeId v = 0; v < n; ++v) {
+    if (!placed[v]) {
+      const bool ok = attach(v, /*allow_logical=*/true);
+      HERMES_REQUIRE(ok && "physical graph too disconnected to integrate node");
     }
   }
 
@@ -181,14 +178,13 @@ Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
   return overlay;
 }
 
-std::vector<Overlay> build_robust_trees(const net::Graph& g,
-                                        const RobustTreeParams& params,
+std::vector<Overlay> build_robust_trees(const net::Graph& g, std::size_t f,
                                         std::size_t k) {
   RankTable ranks(g.node_count(), 0.0);
   std::vector<Overlay> out;
   out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    out.push_back(build_robust_tree(g, params, ranks));
+    out.push_back(build_robust_tree(g, f, ranks));
   }
   return out;
 }

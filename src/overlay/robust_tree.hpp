@@ -5,8 +5,12 @@
 // grows layers where each new node is physically connected to ALL nodes of
 // the previous layer, doubling the layer budget (2^d * (f+1)) until no node
 // fits the pattern. Remaining nodes are then integrated with f+1 links each.
-// Accumulated ranks are updated with each node's depth so that subsequent
-// trees rotate the near-root roles (Section V-B, role balancing).
+// A node left without f+1 physical edges into the overlay gets "logical"
+// links that ride multi-hop physical paths, at the physical shortest-path
+// latency; the paper assumes the network is connected enough that this is
+// rare. Accumulated ranks are updated with each node's depth so that
+// subsequent trees rotate the near-root roles (Section V-B, role
+// balancing).
 #pragma once
 
 #include <vector>
@@ -17,26 +21,17 @@
 
 namespace hermes::overlay {
 
-struct RobustTreeParams {
-  std::size_t f = 1;
-  // When a remaining node lacks f+1 physical edges into the overlay, allow
-  // "logical" links that ride multi-hop physical paths; their latency is
-  // the physical shortest-path latency. The paper assumes the network is
-  // connected enough that this is rare.
-  bool allow_logical_links = true;
-};
-
 // Accumulated rank per node across previously built overlays (rank(v) in
 // the paper, initially 0; incremented by the node's depth in each tree).
 using RankTable = std::vector<double>;
 
-// Builds one robust tree over `g`, updating `ranks` in place.
-Overlay build_robust_tree(const net::Graph& g, const RobustTreeParams& params,
+// Builds one robust tree with f+1 entry points over `g`, updating `ranks`
+// in place.
+Overlay build_robust_tree(const net::Graph& g, std::size_t f,
                           RankTable& ranks);
 
 // Convenience: build k robust trees (no annealing), sharing one rank table.
-std::vector<Overlay> build_robust_trees(const net::Graph& g,
-                                        const RobustTreeParams& params,
+std::vector<Overlay> build_robust_trees(const net::Graph& g, std::size_t f,
                                         std::size_t k);
 
 }  // namespace hermes::overlay

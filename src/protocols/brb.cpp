@@ -2,13 +2,8 @@
 
 namespace hermes::protocols {
 
-BrbNode::BrbNode(ExperimentContext& ctx, net::NodeId id, BrbParams params)
-    : ProtocolNode(ctx, id), params_(params), rng_(ctx.rng.fork(0xb4bULL + id)) {}
-
-std::size_t BrbNode::f_max() const {
-  if (params_.use_override) return params_.f_override;
-  return (ctx_.node_count() - 1) / 3;
-}
+BrbNode::BrbNode(ExperimentContext& ctx, net::NodeId id)
+    : ProtocolNode(ctx, id), rng_(ctx.rng.fork(0xb4bULL + id)) {}
 
 void BrbNode::broadcast_vote(std::uint32_t type, std::uint64_t tx_id) {
   for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {

@@ -22,19 +22,13 @@
 
 namespace hermes::protocols {
 
-struct BrbParams {
-  // f_max defaults to floor((n-1)/3) at runtime; override for experiments.
-  std::size_t f_override = 0;
-  bool use_override = false;
-};
-
 struct BrbVoteBody final : sim::Body<BrbVoteBody> {
   std::uint64_t tx_id = 0;
 };
 
 class BrbNode final : public ProtocolNode {
  public:
-  BrbNode(ExperimentContext& ctx, net::NodeId id, BrbParams params);
+  BrbNode(ExperimentContext& ctx, net::NodeId id);
 
   void submit(const Transaction& tx) override;
   void on_message(const sim::Message& msg) override;
@@ -61,11 +55,11 @@ class BrbNode final : public ProtocolNode {
     bool have_payload = false;
   };
 
-  std::size_t f_max() const;
+  // floor((n-1)/3): the most Byzantine nodes Bracha's quorums tolerate.
+  std::size_t f_max() const { return (ctx_.node_count() - 1) / 3; }
   void broadcast_vote(std::uint32_t type, std::uint64_t tx_id);
   void maybe_progress(std::uint64_t tx_id, Instance& inst);
 
-  BrbParams params_;
   Rng rng_;
   std::unordered_map<std::uint64_t, Instance> instances_;
   std::unordered_set<std::uint64_t> delivered_;
@@ -73,15 +67,11 @@ class BrbNode final : public ProtocolNode {
 
 class BrbProtocol final : public Protocol {
  public:
-  explicit BrbProtocol(BrbParams params = {}) : params_(params) {}
   std::string_view name() const override { return "brb"; }
   std::unique_ptr<ProtocolNode> make_node(ExperimentContext& ctx,
                                           net::NodeId id) override {
-    return std::make_unique<BrbNode>(ctx, id, params_);
+    return std::make_unique<BrbNode>(ctx, id);
   }
-
- private:
-  BrbParams params_;
 };
 
 }  // namespace hermes::protocols

@@ -24,20 +24,8 @@ void GossipNode::forward_to_neighbors(const Transaction& tx, std::size_t count,
     }
     return;
   }
-  const auto eager = rng_.sample_indices(nbrs.size(), count);
-  for (std::size_t i : eager) {
+  for (std::size_t i : rng_.sample_indices(nbrs.size(), count)) {
     if (nbrs[i].to != except) send_tx(nbrs[i].to, tx);
-  }
-  if (params_.lazy_announce) {
-    // Announce to everyone not served eagerly.
-    std::vector<bool> served(nbrs.size(), false);
-    for (std::size_t i : eager) served[i] = true;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (served[i] || nbrs[i].to == except) continue;
-      auto body = std::make_shared<TxIdBody>();
-      body->tx_id = tx.id;
-      send_to(nbrs[i].to, kMsgIHave, 16, std::move(body));
-    }
   }
 }
 
@@ -50,7 +38,7 @@ void GossipNode::fast_submit(const Transaction& tx) {
   // Adversarial fast path: flood every neighbor and a batch of random far
   // nodes over ad-hoc links.
   forward_to_neighbors(tx, ctx_.topology.graph.degree(id()), id());
-  for (std::size_t i = 0; i < params_.adversary_extra_links; ++i) {
+  for (std::size_t i = 0; i < kAdversaryExtraLinks; ++i) {
     const net::NodeId dst =
         static_cast<net::NodeId>(rng_.uniform_u64(ctx_.node_count()));
     if (dst != id()) send_tx(dst, tx);
@@ -58,34 +46,11 @@ void GossipNode::fast_submit(const Transaction& tx) {
 }
 
 void GossipNode::on_message(const sim::Message& msg) {
-  switch (msg.type) {
-    case kMsgTx: {
-      const Transaction& tx = msg.as<TxBody>().tx;
-      if (!deliver_tx(tx)) return;       // duplicate
-      if (!relays_tx(tx)) return;        // droppers / front-run censorship
-      forward_to_neighbors(tx, params_.fanout, msg.src);
-      return;
-    }
-    case kMsgIHave: {
-      const std::uint64_t tx_id = msg.as<TxIdBody>().tx_id;
-      // seen(), not contains(): a fee-evicted body must not be re-pulled.
-      if (pool_.seen(tx_id)) return;
-      auto body = std::make_shared<TxIdBody>();
-      body->tx_id = tx_id;
-      send_to(msg.src, kMsgIWant, 16, std::move(body));
-      return;
-    }
-    case kMsgIWant: {
-      if (!relays()) return;
-      const std::uint64_t tx_id = msg.as<TxIdBody>().tx_id;
-      if (const auto tx = pool_.get(tx_id)) {
-        if (relays_tx(*tx)) send_tx(msg.src, *tx);
-      }
-      return;
-    }
-    default:
-      return;
-  }
+  if (msg.type != kMsgTx) return;
+  const Transaction& tx = msg.as<TxBody>().tx;
+  if (!deliver_tx(tx)) return;       // duplicate
+  if (!relays_tx(tx)) return;        // droppers / front-run censorship
+  forward_to_neighbors(tx, params_.fanout, msg.src);
 }
 
 }  // namespace hermes::protocols

@@ -9,23 +9,10 @@ namespace hermes::protocols {
 
 struct GossipParams {
   std::size_t fanout = 8;
-  // Lazy announcements (Ethereum's eth-protocol style: push the payload to
-  // sqrt-ish many peers, announce the hash to the rest; holes pull). When
-  // enabled, `fanout` peers get the payload eagerly and every remaining
-  // neighbor gets a 40-byte IHAVE.
-  bool lazy_announce = false;
-  // Extra random far peers an adversary blasts to in fast_submit (gossip
-  // lets nodes open links beyond the overlay, which is exactly the degree
-  // of freedom front-runners exploit — Section I).
-  std::size_t adversary_extra_links = 32;
 };
 
 struct TxBody final : sim::Body<TxBody> {
   Transaction tx;
-};
-// Lazy-gossip announcement / request (tx id only).
-struct TxIdBody final : sim::Body<TxIdBody> {
-  std::uint64_t tx_id = 0;
 };
 
 class GossipNode : public ProtocolNode {
@@ -37,12 +24,14 @@ class GossipNode : public ProtocolNode {
   void on_message(const sim::Message& msg) override;
 
   static constexpr std::uint32_t kMsgTx = 1;
-  static constexpr std::uint32_t kMsgIHave = 2;
-  static constexpr std::uint32_t kMsgIWant = 3;
+
+  // Extra random far peers an adversary blasts to in fast_submit (gossip
+  // lets nodes open links beyond the overlay, which is exactly the degree
+  // of freedom front-runners exploit — Section I).
+  static constexpr std::size_t kAdversaryExtraLinks = 32;
 
  protected:
-  // Sends tx to up to `count` random neighbors, excluding `except`; with
-  // lazy_announce the remaining neighbors get IHAVE announcements.
+  // Sends tx to up to `count` random neighbors, excluding `except`.
   void forward_to_neighbors(const Transaction& tx, std::size_t count,
                             net::NodeId except);
   void send_tx(net::NodeId dst, const Transaction& tx);

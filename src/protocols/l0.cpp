@@ -8,14 +8,14 @@ namespace {
 std::size_t digest_wire_bytes(std::size_t entries) { return 16 + entries * 4; }
 }  // namespace
 
-L0Node::L0Node(ExperimentContext& ctx, net::NodeId id, L0Params params)
-    : ProtocolNode(ctx, id), params_(params), rng_(ctx.rng.fork(0x10ULL + id)) {}
+L0Node::L0Node(ExperimentContext& ctx, net::NodeId id)
+    : ProtocolNode(ctx, id), rng_(ctx.rng.fork(0x10ULL + id)) {}
 
 void L0Node::on_start() { schedule_reconciliation(); }
 
 void L0Node::schedule_reconciliation() {
   // Desynchronize nodes with a random phase.
-  const double phase = rng_.uniform_real(0.0, params_.recon_interval_ms);
+  const double phase = rng_.uniform_real(0.0, kReconIntervalMs);
   ctx_.engine.schedule(phase, [this] {
     const auto tick = [this](auto&& self) -> void {
       // Lazy reconciliation: reconcile eagerly while the pool is changing,
@@ -39,7 +39,7 @@ void L0Node::schedule_reconciliation() {
           send_to(peer, kMsgDigest, wire, std::move(body));
         }
       }
-      ctx_.engine.schedule(params_.recon_interval_ms,
+      ctx_.engine.schedule(kReconIntervalMs,
                            [this, self] { self(self); });
     };
     tick(tick);
@@ -86,8 +86,8 @@ void L0Node::submit(const Transaction& tx) {
   // later audit ordering claims.
   mempool::Commitment c{tx.hash(), id(), now()};
   pool_.add_commitment(c);
-  gossip_commitment(c, params_.commit_fanout, id());
-  gossip_tx(tx, params_.tx_fanout, id());
+  gossip_commitment(c, kCommitFanout, id());
+  gossip_tx(tx, kTxFanout, id());
 }
 
 void L0Node::fast_submit(const Transaction& tx) {
@@ -95,9 +95,9 @@ void L0Node::fast_submit(const Transaction& tx) {
   // transaction), then blasts the body over ad-hoc links.
   mempool::Commitment c{tx.hash(), id(), now()};
   pool_.add_commitment(c);
-  gossip_commitment(c, params_.commit_fanout, id());
+  gossip_commitment(c, kCommitFanout, id());
   gossip_tx(tx, ctx_.topology.graph.degree(id()), id());
-  for (std::size_t i = 0; i < params_.adversary_extra_links; ++i) {
+  for (std::size_t i = 0; i < kAdversaryExtraLinks; ++i) {
     const net::NodeId dst =
         static_cast<net::NodeId>(rng_.uniform_u64(ctx_.node_count()));
     if (dst != id()) send_tx(dst, tx);
@@ -110,7 +110,7 @@ void L0Node::on_message(const sim::Message& msg) {
       const Transaction& tx = msg.as<TxBody>().tx;
       if (!deliver_tx(tx)) return;
       if (!relays_tx(tx)) return;
-      gossip_tx(tx, params_.tx_fanout, msg.src);
+      gossip_tx(tx, kTxFanout, msg.src);
       return;
     }
     case kMsgCommit: {
@@ -118,7 +118,7 @@ void L0Node::on_message(const sim::Message& msg) {
       if (pool_.has_commitment(c.tx_hash)) return;
       pool_.add_commitment(c);
       if (!relays()) return;
-      gossip_commitment(c, params_.commit_fanout, msg.src);
+      gossip_commitment(c, kCommitFanout, msg.src);
       return;
     }
     case kMsgDigest: {

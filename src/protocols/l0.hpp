@@ -15,15 +15,6 @@
 
 namespace hermes::protocols {
 
-struct L0Params {
-  std::size_t tx_fanout = 2;       // low-fanout body gossip
-  std::size_t commit_fanout = 4;   // commitment gossip (tiny, spread wide)
-  double recon_interval_ms = 400;  // reconciliation period
-  // Adversarial blast width for fast_submit (LØ does not constrain
-  // dissemination paths — Section I of the paper).
-  std::size_t adversary_extra_links = 24;
-};
-
 struct CommitBody final : sim::Body<CommitBody> {
   mempool::Commitment commitment;
 };
@@ -38,7 +29,7 @@ struct TxRequestBody final : sim::Body<TxRequestBody> {
 
 class L0Node final : public ProtocolNode {
  public:
-  L0Node(ExperimentContext& ctx, net::NodeId id, L0Params params);
+  L0Node(ExperimentContext& ctx, net::NodeId id);
 
   void submit(const Transaction& tx) override;
   void fast_submit(const Transaction& tx) override;
@@ -62,6 +53,16 @@ class L0Node final : public ProtocolNode {
   static constexpr std::uint32_t kMsgDigest = 3;
   static constexpr std::uint32_t kMsgTxRequest = 4;
 
+  // Low-fanout body gossip.
+  static constexpr std::size_t kTxFanout = 2;
+  // Commitment gossip: tiny messages, spread wide.
+  static constexpr std::size_t kCommitFanout = 4;
+  // Reconciliation period.
+  static constexpr double kReconIntervalMs = 400.0;
+  // Random far peers an adversary blasts to in fast_submit (LØ does not
+  // constrain dissemination paths — Section I of the paper).
+  static constexpr std::size_t kAdversaryExtraLinks = 24;
+
   std::size_t reconciliations_started() const { return recon_rounds_; }
 
  private:
@@ -71,7 +72,6 @@ class L0Node final : public ProtocolNode {
   void schedule_reconciliation();
   void send_tx(net::NodeId dst, const Transaction& tx);
 
-  L0Params params_;
   Rng rng_;
   std::size_t recon_rounds_ = 0;
   std::size_t last_recon_size_ = 0;
@@ -80,15 +80,11 @@ class L0Node final : public ProtocolNode {
 
 class L0Protocol final : public Protocol {
  public:
-  explicit L0Protocol(L0Params params = {}) : params_(params) {}
   std::string_view name() const override { return "l0"; }
   std::unique_ptr<ProtocolNode> make_node(ExperimentContext& ctx,
                                           net::NodeId id) override {
-    return std::make_unique<L0Node>(ctx, id, params_);
+    return std::make_unique<L0Node>(ctx, id);
   }
-
- private:
-  L0Params params_;
 };
 
 }  // namespace hermes::protocols

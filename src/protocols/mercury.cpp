@@ -4,8 +4,7 @@
 
 namespace hermes::protocols {
 
-MercuryDirectory build_mercury_directory(const net::Topology& topo,
-                                         const MercuryParams& params, Rng& rng) {
+MercuryDirectory build_mercury_directory(const net::Topology& topo, Rng& rng) {
   const std::size_t n = topo.graph.node_count();
   MercuryDirectory dir;
   dir.cluster_of.resize(n);
@@ -14,10 +13,10 @@ MercuryDirectory build_mercury_directory(const net::Topology& topo,
 
   // VCS stand-in: nodes embed at their region's coordinate, so clusters are
   // latency-coherent region groups (regions folded onto K clusters).
-  std::vector<std::vector<net::NodeId>> members(params.clusters);
+  std::vector<std::vector<net::NodeId>> members(kMercuryClusters);
   for (net::NodeId v = 0; v < n; ++v) {
     const std::size_t c =
-        static_cast<std::size_t>(topo.regions[v]) % params.clusters;
+        static_cast<std::size_t>(topo.regions[v]) % kMercuryClusters;
     dir.cluster_of[v] = c;
     members[c].push_back(v);
   }
@@ -32,8 +31,8 @@ MercuryDirectory build_mercury_directory(const net::Topology& topo,
   // Intra-cluster ring (over a shuffled order) guarantees every cluster is
   // strongly connected under relaying; pure nearest-neighbor tables can
   // fragment a cluster into latency islands.
-  std::vector<std::vector<net::NodeId>> ring_next(params.clusters);
-  for (std::size_t c = 0; c < params.clusters; ++c) {
+  std::vector<std::vector<net::NodeId>> ring_next(kMercuryClusters);
+  for (std::size_t c = 0; c < kMercuryClusters; ++c) {
     ring_next[c] = members[c];
     rng.shuffle(ring_next[c]);
   }
@@ -59,7 +58,7 @@ MercuryDirectory build_mercury_directory(const net::Topology& topo,
     const net::NodeId succ = ring_successor(v);
     if (succ != v) chosen.push_back(succ);
     for (net::NodeId m : mates) {
-      if (chosen.size() >= params.intra_degree) break;
+      if (chosen.size() >= kMercuryIntraDegree) break;
       if (std::find(chosen.begin(), chosen.end(), m) == chosen.end()) {
         chosen.push_back(m);
       }
@@ -69,11 +68,11 @@ MercuryDirectory build_mercury_directory(const net::Topology& topo,
     // One gateway into each other cluster, nearest-first, capped so the
     // total degree stays within D_max.
     const std::size_t gateway_budget =
-        params.max_degree > dir.intra_peers[v].size()
-            ? params.max_degree - dir.intra_peers[v].size()
+        kMercuryMaxDegree > dir.intra_peers[v].size()
+            ? kMercuryMaxDegree - dir.intra_peers[v].size()
             : 0;
     std::vector<std::pair<double, net::NodeId>> candidates;
-    for (std::size_t c = 0; c < params.clusters; ++c) {
+    for (std::size_t c = 0; c < kMercuryClusters; ++c) {
       if (c == dir.cluster_of[v] || members[c].empty()) continue;
       net::NodeId best = members[c][rng.uniform_u64(members[c].size())];
       double best_d = vcs_distance(v, best);
@@ -96,35 +95,31 @@ MercuryDirectory build_mercury_directory(const net::Topology& topo,
 }
 
 MercuryNode::MercuryNode(ExperimentContext& ctx, net::NodeId id,
-                         MercuryParams params,
                          std::shared_ptr<const MercuryDirectory> directory)
     : ProtocolNode(ctx, id),
-      params_(params),
       dir_(std::move(directory)),
       rng_(ctx.rng.fork(0x6e7c00ULL + id)) {}
 
-void MercuryNode::on_start() {
-  if (params_.vcs_update_interval_ms > 0.0) schedule_vcs_tick();
-}
+void MercuryNode::on_start() { schedule_vcs_tick(); }
 
 void MercuryNode::schedule_vcs_tick() {
   // Desynchronized periodic coordinate updates to every peer.
-  const double phase = rng_.uniform_real(0.0, params_.vcs_update_interval_ms);
+  const double phase = rng_.uniform_real(0.0, kVcsUpdateIntervalMs);
   ctx_.engine.schedule(phase, [this] {
     const auto tick = [this](auto&& self) -> void {
       if (relays()) {
         // hermeslint: allow(tag-exhaustive) signal-only body: receivers bill bandwidth on arrival and never read a payload
         struct VcsBody final : sim::Body<VcsBody> {};
         for (net::NodeId p : dir_->intra_peers[id()]) {
-          send_to(p, kMsgVcsUpdate, params_.vcs_update_bytes,
+          send_to(p, kMsgVcsUpdate, kVcsUpdateBytes,
                   std::make_shared<VcsBody>());
         }
         for (net::NodeId g : dir_->gateways[id()]) {
-          send_to(g, kMsgVcsUpdate, params_.vcs_update_bytes,
+          send_to(g, kMsgVcsUpdate, kVcsUpdateBytes,
                   std::make_shared<VcsBody>());
         }
       }
-      ctx_.engine.schedule(params_.vcs_update_interval_ms,
+      ctx_.engine.schedule(kVcsUpdateIntervalMs,
                            [this, self] { self(self); });
     };
     tick(tick);
@@ -184,9 +179,9 @@ std::unique_ptr<ProtocolNode> MercuryProtocol::make_node(ExperimentContext& ctx,
   if (!directory_) {
     Rng dir_rng = ctx.rng.fork(0x6e7c);
     directory_ = std::make_shared<const MercuryDirectory>(
-        build_mercury_directory(ctx.topology, params_, dir_rng));
+        build_mercury_directory(ctx.topology, dir_rng));
   }
-  return std::make_unique<MercuryNode>(ctx, id, params_, directory_);
+  return std::make_unique<MercuryNode>(ctx, id, directory_);
 }
 
 }  // namespace hermes::protocols

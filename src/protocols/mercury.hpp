@@ -18,16 +18,10 @@
 
 namespace hermes::protocols {
 
-struct MercuryParams {
-  std::size_t clusters = 8;        // K
-  std::size_t intra_degree = 4;    // D_cluster
-  std::size_t max_degree = 8;      // D_max
-  // Virtual-coordinate-system upkeep: each node periodically exchanges
-  // coordinate updates with all its peers. This metadata stream is what
-  // puts Mercury above HERMES in Figure 3b; 0 disables it.
-  double vcs_update_interval_ms = 1000.0;
-  std::size_t vcs_update_bytes = 64;
-};
+// Figure 3a's setup: K clusters, D_cluster intra-cluster peers, D_max links.
+inline constexpr std::size_t kMercuryClusters = 8;      // K
+inline constexpr std::size_t kMercuryIntraDegree = 4;   // D_cluster
+inline constexpr std::size_t kMercuryMaxDegree = 8;     // D_max
 
 // Cluster assignment + per-node peer tables, computed once per experiment
 // from the latency structure (the VCS stand-in: nodes embed at their
@@ -38,12 +32,11 @@ struct MercuryDirectory {
   std::vector<std::vector<net::NodeId>> gateways;      // node -> 1/cluster
 };
 
-MercuryDirectory build_mercury_directory(const net::Topology& topo,
-                                         const MercuryParams& params, Rng& rng);
+MercuryDirectory build_mercury_directory(const net::Topology& topo, Rng& rng);
 
 class MercuryNode final : public ProtocolNode {
  public:
-  MercuryNode(ExperimentContext& ctx, net::NodeId id, MercuryParams params,
+  MercuryNode(ExperimentContext& ctx, net::NodeId id,
               std::shared_ptr<const MercuryDirectory> directory);
 
   void submit(const Transaction& tx) override;
@@ -57,26 +50,29 @@ class MercuryNode final : public ProtocolNode {
   // Periodic VCS coordinate update (metadata only).
   static constexpr std::uint32_t kMsgVcsUpdate = 3;
 
+  // Virtual-coordinate-system upkeep: each node periodically exchanges
+  // coordinate updates with all its peers. This metadata stream is what
+  // puts Mercury above HERMES in Figure 3b.
+  static constexpr double kVcsUpdateIntervalMs = 1000.0;
+  static constexpr std::size_t kVcsUpdateBytes = 64;
+
  private:
   void send_tx(net::NodeId dst, const Transaction& tx, std::uint32_t type);
   void outburst(const Transaction& tx);
   void intra_fanout(const Transaction& tx, net::NodeId except);
   void schedule_vcs_tick();
 
-  MercuryParams params_;
   std::shared_ptr<const MercuryDirectory> dir_;
   Rng rng_;
 };
 
 class MercuryProtocol final : public Protocol {
  public:
-  explicit MercuryProtocol(MercuryParams params = {}) : params_(params) {}
   std::string_view name() const override { return "mercury"; }
   std::unique_ptr<ProtocolNode> make_node(ExperimentContext& ctx,
                                           net::NodeId id) override;
 
  private:
-  MercuryParams params_;
   std::shared_ptr<const MercuryDirectory> directory_;
 };
 

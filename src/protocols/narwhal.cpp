@@ -4,9 +4,8 @@
 
 namespace hermes::protocols {
 
-NarwhalNode::NarwhalNode(ExperimentContext& ctx, net::NodeId id,
-                         NarwhalParams params)
-    : ProtocolNode(ctx, id), params_(params), rng_(ctx.rng.fork(0x4a0ULL + id)) {}
+NarwhalNode::NarwhalNode(ExperimentContext& ctx, net::NodeId id)
+    : ProtocolNode(ctx, id), rng_(ctx.rng.fork(0x4a0ULL + id)) {}
 
 std::size_t NarwhalNode::ordering_position(const Transaction& tx) const {
   const auto it = cert_position_.find(tx.id);
@@ -31,7 +30,7 @@ void NarwhalNode::flood_neighbors_tx(const Transaction& tx,
                                      net::NodeId except) {
   const auto& nbrs = ctx_.topology.graph.neighbors(id());
   if (nbrs.empty()) return;
-  const std::size_t count = std::min(params_.flood_fanout, nbrs.size());
+  const std::size_t count = std::min(kFloodFanout, nbrs.size());
   for (std::size_t i : rng_.sample_indices(nbrs.size(), count)) {
     if (nbrs[i].to == except) continue;
     auto body = std::make_shared<TxBody>();
@@ -45,7 +44,7 @@ void NarwhalNode::flood_neighbors_cert(const CertBody& cert,
   const auto& nbrs = ctx_.topology.graph.neighbors(id());
   if (nbrs.empty()) return;
   const std::size_t cert_wire = 48 + quorum() * 36;
-  const std::size_t count = std::min(params_.flood_fanout, nbrs.size());
+  const std::size_t count = std::min(kFloodFanout, nbrs.size());
   for (std::size_t i : rng_.sample_indices(nbrs.size(), count)) {
     if (nbrs[i].to == except) continue;
     auto body = std::make_shared<CertBody>(cert);
@@ -56,23 +55,18 @@ void NarwhalNode::flood_neighbors_cert(const CertBody& cert,
 void NarwhalNode::submit(const Transaction& tx) {
   deliver_tx(tx);
   acks_.try_emplace(tx.id);
-  if (params_.batch_delay_ms > 0.0) {
-    // The worker waits for the batch to fill (or the delay to expire)
-    // before broadcasting — part of Narwhal's dissemination latency.
-    ctx_.engine.schedule(params_.batch_delay_ms, [this, tx] {
-      broadcast_tx(tx);
-      retransmit_unacked(tx, 0);
-    });
-  } else {
+  // The worker waits for the batch to fill (or the delay to expire)
+  // before broadcasting — part of Narwhal's dissemination latency.
+  ctx_.engine.schedule(kBatchDelayMs, [this, tx] {
     broadcast_tx(tx);
     retransmit_unacked(tx, 0);
-  }
+  });
 }
 
 void NarwhalNode::retransmit_unacked(const Transaction& tx, int round) {
   constexpr int kMaxRounds = 3;
   if (round >= kMaxRounds) return;
-  ctx_.engine.schedule(params_.repair_timeout_ms, [this, tx, round] {
+  ctx_.engine.schedule(kRepairTimeoutMs, [this, tx, round] {
     if (cert_broadcast_.count(tx.id)) return;  // quorum reached
     const auto it = acks_.find(tx.id);
     if (it == acks_.end()) return;
@@ -120,10 +114,9 @@ void NarwhalNode::request_repair(std::uint64_t tx_id,
     auto fetch = std::make_shared<FetchBody>();
     fetch->tx_id = tx_id;
     send_to(s, kMsgFetch, 48, std::move(fetch));
-    if (++asked >= params_.repair_requests) break;
+    if (++asked >= kRepairRequests) break;
   }
-  ctx_.engine.schedule(params_.repair_timeout_ms, [this, tx_id, signers,
-                                                   round] {
+  ctx_.engine.schedule(kRepairTimeoutMs, [this, tx_id, signers, round] {
     request_repair(tx_id, signers, round + 1);
   });
 }

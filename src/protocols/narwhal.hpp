@@ -17,21 +17,6 @@
 
 namespace hermes::protocols {
 
-struct NarwhalParams {
-  // Relay fanout of the batch/certificate flood over the topology (the
-  // paper's "connected topology" broadcast). Bounded like production
-  // gossip stacks; lower redundancy is what Byzantine relays exploit in
-  // Figure 5b.
-  std::size_t flood_fanout = 4;
-  // How many certificate signers a node asks when repairing a hole.
-  std::size_t repair_requests = 2;
-  double repair_timeout_ms = 150.0;
-  // Worker batch accumulation before broadcast (Narwhal's max_batch_delay;
-  // production deployments use 100-200 ms). Front-runners flush their own
-  // worker immediately, so this does not blunt the attack model.
-  double batch_delay_ms = 120.0;
-};
-
 struct AckBody final : sim::Body<AckBody> {
   std::uint64_t tx_id = 0;
 };
@@ -47,7 +32,7 @@ struct FetchBody final : sim::Body<FetchBody> {
 
 class NarwhalNode final : public ProtocolNode {
  public:
-  NarwhalNode(ExperimentContext& ctx, net::NodeId id, NarwhalParams params);
+  NarwhalNode(ExperimentContext& ctx, net::NodeId id);
 
   void submit(const Transaction& tx) override;
   void fast_submit(const Transaction& tx) override;
@@ -67,6 +52,19 @@ class NarwhalNode final : public ProtocolNode {
   static constexpr std::uint32_t kMsgCert = 3;
   static constexpr std::uint32_t kMsgFetch = 4;
 
+  // Relay fanout of the batch/certificate flood over the topology (the
+  // paper's "connected topology" broadcast). Bounded like production
+  // gossip stacks; lower redundancy is what Byzantine relays exploit in
+  // Figure 5b.
+  static constexpr std::size_t kFloodFanout = 4;
+  // How many certificate signers a node asks when repairing a hole.
+  static constexpr std::size_t kRepairRequests = 2;
+  static constexpr double kRepairTimeoutMs = 150.0;
+  // Worker batch accumulation before broadcast (Narwhal's max_batch_delay;
+  // production deployments use 100-200 ms). Front-runners flush their own
+  // worker immediately, so this does not blunt the attack model.
+  static constexpr double kBatchDelayMs = 120.0;
+
   std::size_t certificates_formed() const { return certs_formed_; }
 
  private:
@@ -77,16 +75,15 @@ class NarwhalNode final : public ProtocolNode {
     return 2 * (ctx_.node_count() / 3) + 1;
   }
 
-  NarwhalParams params_;
   Rng rng_;
   void record_certificate(std::uint64_t tx_id);
-  // Pull the batch from up to repair_requests random signers; re-arms
-  // itself every repair_timeout_ms (up to 3 rounds) while the hole stays.
+  // Pull the batch from up to kRepairRequests random signers; re-arms
+  // itself every kRepairTimeoutMs (up to 3 rounds) while the hole stays.
   void request_repair(std::uint64_t tx_id, std::vector<net::NodeId> signers,
                       int round);
   // Sender-side reliability: real Narwhal runs over TCP; on lossy links we
   // model that by retransmitting the batch to non-ackers until the
-  // certificate forms (up to 3 rounds, repair_timeout_ms apart).
+  // certificate forms (up to 3 rounds, kRepairTimeoutMs apart).
   void retransmit_unacked(const Transaction& tx, int round);
 
   // Sender-side: acks collected per own transaction.
@@ -99,15 +96,11 @@ class NarwhalNode final : public ProtocolNode {
 
 class NarwhalProtocol final : public Protocol {
  public:
-  explicit NarwhalProtocol(NarwhalParams params = {}) : params_(params) {}
   std::string_view name() const override { return "narwhal"; }
   std::unique_ptr<ProtocolNode> make_node(ExperimentContext& ctx,
                                           net::NodeId id) override {
-    return std::make_unique<NarwhalNode>(ctx, id, params_);
+    return std::make_unique<NarwhalNode>(ctx, id);
   }
-
- private:
-  NarwhalParams params_;
 };
 
 }  // namespace hermes::protocols

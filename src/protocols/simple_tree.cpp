@@ -38,11 +38,9 @@ void SimpleTreeNode::on_message(const sim::Message& msg) {
 std::unique_ptr<ProtocolNode> SimpleTreeProtocol::make_node(
     ExperimentContext& ctx, net::NodeId id) {
   if (!tree_) {
-    overlay::RobustTreeParams params;
-    params.f = f_;
     overlay::RankTable ranks(ctx.node_count(), 0.0);
     tree_ = std::make_shared<const overlay::Overlay>(
-        overlay::build_robust_tree(ctx.topology.graph, params, ranks));
+        overlay::build_robust_tree(ctx.topology.graph, f_, ranks));
   }
   return std::make_unique<SimpleTreeNode>(ctx, id, tree_);
 }

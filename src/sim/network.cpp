@@ -82,7 +82,6 @@ Network::Network(Engine& engine, const net::Topology& topology,
       topology_(topology),
       params_(params),
       rng_(rng),
-      model_(net::LatencyModelParams{}),
       nodes_(topology.graph.node_count(), nullptr),
       counters_(topology.graph.node_count()),
       crashed_(topology.graph.node_count(), false),
@@ -108,8 +107,7 @@ double Network::derive_lookahead() const {
   // normal, bounded by mean - 8 sigma (P(below) ~ 6e-16 per draw; the
   // engine asserts the bound on every cross-shard delivery rather than
   // silently reordering).
-  const net::LatencyModelParams lp{};
-  double la = lp.inter_mean - 8.0 * std::sqrt(lp.inter_variance);
+  double la = net::kInterMeanMs - 8.0 * std::sqrt(net::kInterVariance);
   const std::size_t n = topology_.graph.node_count();
   for (net::NodeId v = 0; v < n; ++v) {
     for (const net::Edge& e : topology_.graph.neighbors(v)) {
@@ -149,7 +147,7 @@ double Network::pair_latency(net::NodeId a, net::NodeId b) {
   // independent of drain interleaving by construction.
   Rng pr(pair_seed_ ^ (key * 0x9e3779b97f4a7c15ULL));
   const double lat =
-      model_.sample(topology_.regions[a], topology_.regions[b], pr);
+      net::sample_latency(topology_.regions[a], topology_.regions[b], pr);
   st.cache.insert(key, lat);
   return lat;
 }
@@ -201,21 +199,18 @@ std::optional<SimTime> Network::send(const Message& msg) {
   if (params_.jitter_stddev_ms > 0.0) {
     latency += std::abs(st.rng.normal(0.0, params_.jitter_stddev_ms));
   }
-  latency += proc_mult_.empty()
-                 ? params_.processing_delay_ms
-                 : params_.processing_delay_ms * proc_mult_[msg.dst];
+  latency += proc_mult_.empty() ? kProcessingDelayMs
+                                : kProcessingDelayMs * proc_mult_[msg.dst];
 
-  if (params_.link_bandwidth_mbps > 0.0) {
-    // Queue on the sender's uplink: the wire time of this message starts
-    // when the previous one finished serializing. The slot is written only
-    // by the sender's own lane (or quiescent contexts).
-    const double wire_ms = static_cast<double>(msg.wire_bytes) * 8.0 /
-                           (params_.link_bandwidth_mbps * 1000.0);
-    SimTime& free_at = uplink_free_at_[msg.src];
-    const SimTime start = std::max(at, free_at);
-    free_at = start + wire_ms;
-    latency += (free_at - at);
-  }
+  // Queue on the sender's uplink: the wire time of this message starts
+  // when the previous one finished serializing. The slot is written only
+  // by the sender's own lane (or quiescent contexts).
+  const double wire_ms = static_cast<double>(msg.wire_bytes) * 8.0 /
+                         (kLinkBandwidthMbps * 1000.0);
+  SimTime& free_at = uplink_free_at_[msg.src];
+  const SimTime start = std::max(at, free_at);
+  free_at = start + wire_ms;
+  latency += (free_at - at);
 
   const SimTime deliver_at = at + latency;
   // The delivery closure (Network* + Message) and the deferred-tap closure

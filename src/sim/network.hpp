@@ -10,7 +10,7 @@
 // Sharding: construction splits the engine into one lane per geographic
 // region (the shard of a node is its region) with the conservative
 // lookahead derived from the latency model: cross-region latency is never
-// below min(min inter-region edge label, inter_mean - 8 * inter_stddev),
+// below min(min inter-region edge label, inter mean - 8 inter stddev),
 // and the engine asserts that bound on every cross-shard delivery. All mutable
 // per-send state (rng streams, aggregate counters, pair caches) is kept
 // per shard; per-node counters are written only by the node's own lane
@@ -36,14 +36,16 @@ namespace hermes::sim {
 
 class Node;
 
+// Receiver-side handling cost added to every delivery.
+inline constexpr double kProcessingDelayMs = 0.05;
+// Sender-side link serialization: outgoing messages queue on the node's
+// uplink at this rate. This is what makes O(n) fan-outs (Narwhal's
+// all-to-all) pay for their breadth as n grows.
+inline constexpr double kLinkBandwidthMbps = 200.0;
+
 struct NetworkParams {
   double drop_probability = 0.0;   // independent per message
   double jitter_stddev_ms = 0.0;   // gaussian per-message jitter, >= 0
-  double processing_delay_ms = 0.05;  // receiver-side handling cost
-  // Sender-side link serialization: outgoing messages queue on the node's
-  // uplink at this rate. This is what makes O(n) fan-outs (Narwhal's
-  // all-to-all) pay for their breadth as n grows. 0 disables the model.
-  double link_bandwidth_mbps = 200.0;
   // Engine worker threads for the region-sharded driver. 1 = sequential
   // on the calling thread (bit-identical to any other count);
   // 0 = hardware concurrency.
@@ -181,7 +183,6 @@ class Network {
   const net::Topology& topology_;
   NetworkParams params_;
   Rng rng_;
-  net::LatencyModel model_;
   // Keyed-sampling seed: pair latency = f(pair_seed_, packed pair key).
   std::uint64_t pair_seed_ = 0;
   std::vector<std::uint32_t> shard_of_;

@@ -1,33 +1,11 @@
 #include "workload/arrival.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 
 namespace hermes::workload {
-
-namespace {
-
-std::uint64_t draw_fee(Rng& rng, const FeeModel& fee) {
-  const double tip = fee.tip_mean > 0.0 ? rng.exponential(1.0 / fee.tip_mean)
-                                        : 0.0;
-  return fee.base_fee + static_cast<std::uint64_t>(tip);
-}
-
-net::NodeId draw_sender(Rng& rng, const WorkloadParams& p,
-                        std::span<const net::NodeId> senders) {
-  if (p.kind == ArrivalKind::kHotspot && p.hotspot_origins > 0) {
-    const std::size_t hot = std::min(p.hotspot_origins, senders.size());
-    if (rng.bernoulli(p.hotspot_weight)) {
-      return senders[rng.uniform_u64(hot)];
-    }
-  }
-  return senders[rng.uniform_u64(senders.size())];
-}
-
-}  // namespace
 
 std::vector<Arrival> generate_arrivals(const WorkloadParams& p,
                                        std::span<const net::NodeId> senders) {
@@ -37,37 +15,15 @@ std::vector<Arrival> generate_arrivals(const WorkloadParams& p,
   Rng rng = Rng(p.seed).fork(0x3a7710adULL);
 
   const double gap_rate = p.rate_hz / 1000.0;  // arrivals per ms
-  const bool bursty = p.kind == ArrivalKind::kBursty;
   double t = 0.0;
-  // kBursty alternates exponential ON/OFF phases; the other kinds are one
-  // infinite ON phase. Phase boundaries are drawn lazily as time advances
-  // so the draw sequence is a pure function of the parameters.
-  bool on = true;
-  double phase_end = bursty ? rng.exponential(1.0 / p.on_ms) : p.duration_ms;
   while (true) {
-    if (bursty) {
-      // Advance through phases until `t` lands inside an ON phase.
-      while (true) {
-        if (t >= phase_end) {
-          on = !on;
-          phase_end +=
-              rng.exponential(1.0 / (on ? p.on_ms : p.off_ms));
-          continue;
-        }
-        if (!on) {
-          t = phase_end;  // silent until the OFF phase ends
-          continue;
-        }
-        break;
-      }
-    }
     t += rng.exponential(gap_rate);
     if (t >= p.duration_ms) break;
     Arrival a;
     a.at_ms = t;
-    a.sender = draw_sender(rng, p, senders);
-    a.fee = draw_fee(rng, p.fee);
-    a.payload_bytes = p.payload_bytes;
+    a.sender = senders[rng.uniform_u64(senders.size())];
+    const double tip = rng.exponential(1.0 / kTipMean);
+    a.fee = kBaseFee + static_cast<std::uint64_t>(tip);
     out.push_back(a);
   }
   return out;

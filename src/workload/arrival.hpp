@@ -21,13 +21,6 @@ namespace hermes::workload {
 enum class ArrivalKind : std::uint8_t {
   // Homogeneous Poisson process at rate_hz, senders uniform.
   kPoisson,
-  // ON/OFF (interrupted Poisson): rate_hz while ON, silent while OFF, with
-  // exponentially distributed phase lengths of mean on_ms / off_ms.
-  kBursty,
-  // Poisson arrivals whose senders concentrate on a small hotspot set:
-  // with probability hotspot_weight the sender is one of the first
-  // hotspot_origins senders, uniform otherwise.
-  kHotspot,
   // Poisson honest arrivals with the front-running reaction machinery
   // armed: adversarial transactions are NOT pre-scheduled here — they are
   // emitted by Behavior::kFrontRunner observers keyed off the victim sends
@@ -36,23 +29,15 @@ enum class ArrivalKind : std::uint8_t {
   kAdversarial,
 };
 
-// Priority-fee model: every transaction bids base_fee plus an
-// exponentially distributed tip (mean tip_mean, floored to an integer).
-struct FeeModel {
-  std::uint64_t base_fee = 10;
-  double tip_mean = 20.0;
-};
+// Priority-fee model: every transaction bids kBaseFee plus an
+// exponentially distributed tip (mean kTipMean, floored to an integer).
+inline constexpr std::uint64_t kBaseFee = 10;
+inline constexpr double kTipMean = 20.0;
 
 struct WorkloadParams {
   ArrivalKind kind = ArrivalKind::kPoisson;
   double duration_ms = 2000.0;
-  double rate_hz = 50.0;  // mean arrivals per simulated second (while ON)
-  double on_ms = 200.0;   // kBursty: mean ON phase length
-  double off_ms = 300.0;  // kBursty: mean OFF phase length
-  std::size_t hotspot_origins = 4;   // kHotspot: size of the hot set
-  double hotspot_weight = 0.8;       // kHotspot: P(sender in hot set)
-  std::size_t payload_bytes = mempool::kDefaultTxBytes;
-  FeeModel fee;
+  double rate_hz = 50.0;  // mean arrivals per simulated second
   std::uint64_t seed = 1;
 };
 

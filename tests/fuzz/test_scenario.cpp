@@ -48,6 +48,9 @@ TEST(Scenario, ParseRejectsMalformedInput) {
       parse_scenario("hermes-fuzz-scenario v1\nnodes=abc\n").has_value());
   EXPECT_FALSE(
       parse_scenario("hermes-fuzz-scenario v1\nunknown_key=3\n").has_value());
+  // Not a key: self-healing alone admits rejoining nodes.
+  EXPECT_FALSE(parse_scenario("hermes-fuzz-scenario v1\njoin_admission=1\n")
+                   .has_value());
   EXPECT_FALSE(parse_scenario("hermes-fuzz-scenario v1\nbyz=5:weird\n")
                    .has_value());
 
@@ -60,7 +63,6 @@ TEST(Scenario, ParseRejectsMalformedInput) {
            "nodes=1\n",                               // no topology
            "k=0\n",                                   // no overlay set
            "f=0\n",                                   // no committee
-           "min_degree=1\nconnectivity=2\n",          // below connectivity
            "committee=0,1,2,10\n",                    // ids are 0..9
            "byz=10:dropper\n",
            "inject at=5 sender=10 batch=0\n",
@@ -102,6 +104,16 @@ TEST(Scenario, ParseRejectsMalformedInput) {
        }) {
     EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
   }
+}
+
+// The ring chords alone make the topology t-connected, so a minimum
+// degree below the connectivity still builds.
+TEST(Scenario, ParseAcceptsMinDegreeBelowConnectivity) {
+  const auto s = parse_scenario(
+      "hermes-fuzz-scenario v1\nnodes=10\nmin_degree=1\nconnectivity=2\n");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->min_degree, 1u);
+  EXPECT_EQ(s->connectivity, 2u);
 }
 
 TEST(Scenario, SampledScenariosSatisfySystemModel) {
@@ -213,7 +225,7 @@ TEST(Scenario, LegacyModeIsAPrefixOfExtended) {
     EXPECT_TRUE(legacy.link_flaps.empty());
     EXPECT_TRUE(legacy.stragglers.empty());
     EXPECT_FALSE(legacy.self_healing);
-    EXPECT_FALSE(legacy.join_admission);
+    EXPECT_FALSE(legacy.has_rejoin());
     EXPECT_FALSE(legacy.epoch_pipeline);
     EXPECT_FALSE(legacy.has_load());
     EXPECT_EQ(legacy.mempool_capacity, 0u);
@@ -226,7 +238,6 @@ TEST(Scenario, LegacyModeIsAPrefixOfExtended) {
     ext.link_flaps.clear();
     ext.stragglers.clear();
     ext.self_healing = false;
-    ext.join_admission = false;
     ext.epoch_pipeline = false;
     // Churn storms only append events after the legacy-drawn ones.
     ASSERT_GE(ext.churn.size(), legacy.churn.size());

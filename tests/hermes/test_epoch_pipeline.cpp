@@ -43,14 +43,10 @@ struct Harness {
 };
 
 EpochPipeline::Params params(std::size_t hysteresis = 3,
-                             std::size_t cap = 64) {
+                             double anneal_ms = 100.0) {
   EpochPipeline::Params p;
-  p.queue_cap = cap;
   p.hysteresis = hysteresis;
-  p.anneal_ms = 100.0;
-  p.retry_backoff = 2.0;
-  p.retry_max_ms = 350.0;
-  p.max_retries = 3;
+  p.anneal_ms = anneal_ms;
   return p;
 }
 
@@ -80,8 +76,10 @@ TEST(EpochPipeline, HysteresisAbsorbsSmallDeltasIncrementally) {
 }
 
 TEST(EpochPipeline, MidAnnealChurnInvalidatesAndRetriesWithBackoff) {
+  static_assert(EpochPipeline::kRetryBackoff == 2.0);
+  static_assert(EpochPipeline::kRetryMaxMs == 2000.0);
   Harness h;
-  EpochPipeline p = h.make(params(1));
+  EpochPipeline p = h.make(params(1, /*anneal_ms=*/600.0));
   p.on_membership_change({1, false});  // starts the anneal immediately
   ASSERT_EQ(h.scheduled.size(), 1u);
 
@@ -91,13 +89,13 @@ TEST(EpochPipeline, MidAnnealChurnInvalidatesAndRetriesWithBackoff) {
   EXPECT_EQ(p.invalidations(), 1u);
   EXPECT_TRUE(p.annealing());
   ASSERT_EQ(h.scheduled.size(), 1u);
-  EXPECT_EQ(h.scheduled[0].first, 200.0);  // anneal_ms * backoff^1
+  EXPECT_EQ(h.scheduled[0].first, 1200.0);  // anneal_ms * backoff^1
 
   p.on_membership_change({3, true});  // again mid-retry
   h.fire();
   EXPECT_EQ(p.invalidations(), 2u);
   ASSERT_EQ(h.scheduled.size(), 1u);
-  EXPECT_EQ(h.scheduled[0].first, 350.0);  // backoff^2 capped at retry_max_ms
+  EXPECT_EQ(h.scheduled[0].first, 2000.0);  // backoff^2 capped at kRetryMaxMs
 
   h.fire();  // quiet this time: the pipelined epoch lands
   EXPECT_FALSE(p.annealing());
@@ -111,24 +109,25 @@ TEST(EpochPipeline, RetryCapInstallsDespiteSustainedChurn) {
   EpochPipeline p = h.make(params(1));
   p.on_membership_change({1, false});
   net::NodeId next = 2;
-  for (std::size_t retry = 0; retry < 3; ++retry) {
+  for (std::size_t retry = 0; retry < EpochPipeline::kMaxRetries; ++retry) {
     p.on_membership_change({next++, false});  // invalidate every attempt
     h.fire();
   }
-  EXPECT_EQ(p.invalidations(), 3u);
+  EXPECT_EQ(p.invalidations(), EpochPipeline::kMaxRetries);
   p.on_membership_change({next, false});  // still churning...
   h.fire();                               // ...but the retry cap is spent
   EXPECT_EQ(p.pipelined_installs(), 1u);
   EXPECT_FALSE(p.annealing());
   ASSERT_EQ(h.installs.size(), 1u);
-  EXPECT_EQ(h.installs[0].size(), 5u);
+  EXPECT_EQ(h.installs[0].size(), EpochPipeline::kMaxRetries + 2);
 }
 
 TEST(EpochPipeline, QueueCapDropsOldestDelta) {
   Harness h;
-  EpochPipeline p = h.make(params(/*hysteresis=*/100, /*cap=*/4));
-  for (net::NodeId v = 0; v < 6; ++v) p.on_membership_change({v, false});
-  EXPECT_EQ(p.queued(), 4u);
+  EpochPipeline p = h.make(params(/*hysteresis=*/100));
+  const std::size_t deltas = EpochPipeline::kQueueCap + 2;
+  for (net::NodeId v = 0; v < deltas; ++v) p.on_membership_change({v, false});
+  EXPECT_EQ(p.queued(), EpochPipeline::kQueueCap);
   EXPECT_EQ(p.dropped_deltas(), 2u);
 }
 
@@ -145,7 +144,6 @@ fuzz::Scenario storm_scenario() {
     s = fuzz::generate_scenario(++seed, false);
   }
   s.self_healing = true;
-  s.join_admission = true;
   s.epoch_pipeline = true;
   std::vector<net::NodeId> exempt = s.committee;
   for (const fuzz::Injection& inj : s.injections) exempt.push_back(inj.sender);

@@ -30,7 +30,7 @@ TEST(HealthMonitor, NoGapWhileContiguousTracksMaxSeen) {
 }
 
 TEST(HealthMonitor, GapOpensAgesAndCloses) {
-  HealthMonitor m(600.0);
+  HealthMonitor m;
   // The highest seen pulls ahead; the tick at t=100 starts the timer.
   deliver_range(m, 3, 1, 2);
   m.note_seen(3, 5);
@@ -54,7 +54,7 @@ TEST(HealthMonitor, GapOpensAgesAndCloses) {
 }
 
 TEST(HealthMonitor, PersistentGapKeepsOriginalOpenTime) {
-  HealthMonitor m(600.0);
+  HealthMonitor m;
   m.note_seen(9, 2);
   m.tick(50.0);
   // Later ticks over the same open gap must not reset the timer.
@@ -70,7 +70,7 @@ TEST(HealthMonitor, PersistentGapKeepsOriginalOpenTime) {
 }
 
 TEST(HealthMonitor, StaleGapCountSpansOrigins) {
-  HealthMonitor m(600.0);
+  HealthMonitor m;
   m.note_seen(1, 4);
   deliver_range(m, 2, 1, 3);
   m.note_seen(2, 9);
@@ -88,7 +88,7 @@ TEST(HealthMonitor, StaleGapCountSpansOrigins) {
 }
 
 TEST(HealthMonitor, FrontierDrainsTheAheadSetAndClosesTheGap) {
-  HealthMonitor m(600.0);
+  HealthMonitor m;
   // Out of order: 2, 4 and 3 wait ahead of the missing 1.
   for (const std::uint64_t seq : {2u, 4u, 3u}) m.note_delivered(6, seq);
   m.note_seen(6, 6);
@@ -130,7 +130,7 @@ TEST(HealthMonitor, ShortfallAccountsPerOverlay) {
 }
 
 TEST(HealthMonitor, DegradationScoreFormula) {
-  HealthMonitor m(600.0);
+  HealthMonitor m;
   EXPECT_DOUBLE_EQ(m.degradation_score(2.0, 0.0), 0.0);
   m.note_removed();
   m.note_removed();                 // 2 removals -> +2
@@ -146,7 +146,7 @@ TEST(HealthMonitor, DegradationScoreFormula) {
 }
 
 TEST(HealthMonitor, EpochAdvanceResetsEpisodeButKeepsCumulativeCounters) {
-  HealthMonitor m(600.0);
+  HealthMonitor m;
   m.note_removed();
   m.set_failed_repairs(2);
   m.note_gap_pull();

@@ -182,12 +182,10 @@ TEST(HermesNode, AdversarialTxStillDeliveredThroughProtocol) {
 TEST(HermesNode, SequenceGapBlocksTrs) {
   // A sender that skips a sequence number never completes the TRS for the
   // out-of-order message: the committee parks the request (Section VI-C).
-  // Give the origin a retry budget that outlasts the 5 s gap below, so the
-  // round is still pending when the gap finally closes (with the default
-  // budget the origin gives up at 4.8 s and drops the pending entry).
-  HermesConfig config = fast_config();
-  config.trs_retry_max_attempts = 64;
-  HermesProtocol protocol(config);
+  // The 3 s gap below ends before the origin gives up (after
+  // kTrsRetryMaxAttempts requests 400 ms apart, 4.8 s), so the round is
+  // still pending when the gap finally closes.
+  HermesProtocol protocol(fast_config());
   World w(30, protocol);
   w.start();
   auto& sender = w.ctx->node(5);
@@ -201,7 +199,7 @@ TEST(HermesNode, SequenceGapBlocksTrs) {
   tx.created_at = w.ctx->engine.now();
   w.ctx->tracker.on_created(tx.id, tx.created_at);
   sender.submit(tx);
-  w.run_ms(5000);
+  w.run_ms(3000);
   // Nobody (except the sender itself) received it.
   EXPECT_LT(honest_coverage(*w.ctx, tx), 0.05);
 

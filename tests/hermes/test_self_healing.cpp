@@ -27,9 +27,6 @@ HermesConfig healing_config() {
   config.k = 2;  // concentrate traffic so silence evidence accrues fast
   config.enable_self_healing = true;
   config.health_tick_ms = 250.0;
-  // Min-degree-5 worlds: fanout 6 floods every neighbor, so report spread
-  // is a connectivity fact rather than a gossip coin flip.
-  config.report_fanout = 6;
   config.builder.annealing.initial_temperature = 5.0;
   config.builder.annealing.min_temperature = 1.0;
   config.builder.annealing.cooling_rate = 0.8;
@@ -144,7 +141,6 @@ TEST(SelfHealing, SustainedDegradationTriggersOneViewChange) {
   // One departure (score 1.0) is enough to vote; the huge cooldown pins the
   // run to at most a single automatic advance.
   config.view_change_threshold = 0.9;
-  config.view_change_clear = 0.1;
   config.view_change_cooldown_ms = 1e6;
   HermesProtocol protocol(config);
   World w(30, protocol, 13);
@@ -200,12 +196,10 @@ TEST(SelfHealing, HealthyRunNeverVotesForViewChange) {
 }
 
 TEST(SelfHealing, DeadCommitteeExhaustsTrsRetriesAndGivesUp) {
-  // Satellite regression for the retry bound: with the whole committee
-  // down, the origin must stop after trs_retry_max_attempts, drop its
-  // pending entry, and record the give-up — not spin forever.
-  HermesConfig config = healing_config();
-  config.trs_retry_max_attempts = 3;
-  HermesProtocol protocol(config);
+  // Regression for the retry bound: with the whole committee down, the
+  // origin must stop after HermesNode::kTrsRetryMaxAttempts (4.8 s), drop
+  // its pending entry, and record the give-up — not spin forever.
+  HermesProtocol protocol(healing_config());
   World w(30, protocol, 19);
   w.start();
   for (net::NodeId member : protocol.shared()->committee) w.crash(member);

@@ -9,11 +9,10 @@ namespace {
 
 TEST(LatencyModel, IntraRegionFollowsInverseGammaMean) {
   Rng rng(1);
-  const LatencyModel model{LatencyModelParams{}};
   double sum = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    sum += model.sample(Region::kFrankfurt, Region::kFrankfurt, rng);
+    sum += sample_latency(Region::kFrankfurt, Region::kFrankfurt, rng);
   }
   // inv-gamma(2.5, 14) mean = 14/1.5 = 9.33 ms.
   EXPECT_NEAR(sum / n, 14.0 / 1.5, 0.5);
@@ -21,24 +20,21 @@ TEST(LatencyModel, IntraRegionFollowsInverseGammaMean) {
 
 TEST(LatencyModel, InterRegionFollowsNormalMean) {
   Rng rng(2);
-  const LatencyModel model{LatencyModelParams{}};
   double sum = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    sum += model.sample(Region::kFrankfurt, Region::kNewYork, rng);
+    sum += sample_latency(Region::kFrankfurt, Region::kNewYork, rng);
   }
   EXPECT_NEAR(sum / n, 90.0, 0.5);
 }
 
 TEST(LatencyModel, FloorApplied) {
-  LatencyModelParams params;
-  params.inter_mean = 0.0;
-  params.inter_variance = 0.0001;
-  params.floor_ms = 0.5;
-  const LatencyModel model{params};
   Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_GE(model.sample(Region::kTokyo, Region::kLondon, rng), 0.5);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_GE(sample_latency(Region::kTokyo, Region::kLondon, rng),
+              kLatencyFloorMs);
+    EXPECT_GE(sample_latency(Region::kTokyo, Region::kTokyo, rng),
+              kLatencyFloorMs);
   }
 }
 
@@ -119,6 +115,23 @@ TEST(Topology, RingChordsAloneAreTConnected) {
       add_ring_chords(g, order, ring_strides(t),
                       [](NodeId, NodeId) { return 1.0; });
       EXPECT_TRUE(is_k_vertex_connected(g, t)) << "t=" << t << " n=" << n;
+    }
+  }
+}
+
+TEST(Topology, MinDegreeBelowConnectivityStillTConnected) {
+  // The ring chords make the graph t-connected whatever the random wiring
+  // laid before them, so a minimum degree below t (even 0) still builds.
+  for (std::size_t min_degree : {0, 1}) {
+    for (std::size_t t : {2, 3}) {
+      TopologyParams params;
+      params.node_count = 60;
+      params.min_degree = min_degree;
+      params.connectivity = t;
+      Rng rng(14);
+      const Topology topo = make_topology(params, rng);
+      EXPECT_TRUE(is_k_vertex_connected(topo.graph, t))
+          << "min_degree=" << min_degree << " t=" << t;
     }
   }
 }

@@ -25,10 +25,8 @@ AnnealFixture make_setup(std::size_t n = 50, std::size_t f = 1) {
   params.connectivity = 2;
   Rng rng(21);
   AnnealFixture s{net::make_topology(params, rng), Overlay{}, RankTable(n, 0.0)};
-  RobustTreeParams tree_params;
-  tree_params.f = f;
   RankTable build_ranks(n, 0.0);
-  s.tree = build_robust_tree(s.topo.graph, tree_params, build_ranks);
+  s.tree = build_robust_tree(s.topo.graph, f, build_ranks);
   return s;
 }
 
@@ -331,10 +329,8 @@ TEST(Anneal, PrunesEdgesFromDenseBicliqueTree) {
       g.add_edge(a, b, 1.0 + (a * 7 + b) % 13);
     }
   }
-  RobustTreeParams tree_params;
-  tree_params.f = 1;
   RankTable build_ranks(30, 0.0);
-  const Overlay tree = build_robust_tree(g, tree_params, build_ranks);
+  const Overlay tree = build_robust_tree(g, 1, build_ranks);
   Rng rng(6);
   AnnealingParams params = fast_params();
   params.initial_temperature = 20.0;
@@ -342,17 +338,6 @@ TEST(Anneal, PrunesEdgesFromDenseBicliqueTree) {
   const RankTable ranks(30, 0.0);
   const Overlay optimized = anneal(tree, g, ranks, params, rng);
   EXPECT_LT(optimized.edge_count(), tree.edge_count());
-  EXPECT_TRUE(optimized.is_valid());
-}
-
-TEST(Anneal, GreedyNeighborFilterMode) {
-  AnnealFixture s = make_setup();
-  Rng rng(7);
-  AnnealingParams params = fast_params();
-  params.greedy_neighbor_filter = true;
-  const double initial = objective_value(s.tree, s.ranks, params.weights);
-  const Overlay optimized = anneal(s.tree, s.topo.graph, s.ranks, params, rng);
-  EXPECT_LE(objective_value(optimized, s.ranks, params.weights), initial);
   EXPECT_TRUE(optimized.is_valid());
 }
 

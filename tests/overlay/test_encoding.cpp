@@ -15,10 +15,8 @@ Overlay test_overlay(std::size_t n = 40, std::size_t f = 1) {
   params.min_degree = 4;
   Rng trng(55);
   const net::Topology topo = net::make_topology(params, trng);
-  RobustTreeParams tree_params;
-  tree_params.f = f;
   RankTable ranks(n, 0.0);
-  return build_robust_tree(topo.graph, tree_params, ranks);
+  return build_robust_tree(topo.graph, f, ranks);
 }
 
 TEST(Encoding, RoundTripPreservesStructure) {

@@ -125,10 +125,8 @@ TEST(Families, FloodOnDisconnectedGraphPartialCoverage) {
 
 TEST(Families, OverlayFloodMatchesDissemination) {
   const net::Topology topo = test_topology();
-  RobustTreeParams params;
-  params.f = 1;
   RankTable ranks(topo.graph.node_count(), 0.0);
-  const Overlay o = build_robust_tree(topo.graph, params, ranks);
+  const Overlay o = build_robust_tree(topo.graph, 1, ranks);
   const FloodMetrics m = measure_overlay_flood(o);
   EXPECT_DOUBLE_EQ(m.reached_fraction, 1.0);
   const auto dist = o.dissemination_latencies();
@@ -142,10 +140,8 @@ TEST(Families, RobustTreeLowerLatencyThanChordalRing) {
   const net::Topology topo = test_topology(64);
   Rng rng(7);
   const net::Graph ring = make_chordal_ring(topo, 1, rng);
-  RobustTreeParams params;
-  params.f = 1;
   RankTable ranks(64, 0.0);
-  const Overlay tree = build_robust_tree(topo.graph, params, ranks);
+  const Overlay tree = build_robust_tree(topo.graph, 1, ranks);
   const FloodMetrics ring_m = measure_flood(ring, 0);
   const FloodMetrics tree_m = measure_overlay_flood(tree);
   EXPECT_LT(tree_m.avg_latency, ring_m.avg_latency);

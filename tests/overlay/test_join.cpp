@@ -33,10 +33,8 @@ JoinFixture make_fixture(std::size_t n = 50, std::size_t f = 1,
   tp.min_degree = 5;
   Rng rng(seed);
   JoinFixture fx{net::make_topology(tp, rng), Overlay{}};
-  RobustTreeParams params;
-  params.f = f;
   RankTable ranks(n, 0.0);
-  fx.tree = build_robust_tree(fx.topo.graph, params, ranks);
+  fx.tree = build_robust_tree(fx.topo.graph, f, ranks);
   return fx;
 }
 
@@ -90,7 +88,7 @@ TEST(JoinPlacement, AttachIsAPureFunctionOfTheBaseTree) {
   // One replica resolves link costs through the shared cache, the other
   // through per-call Dijkstra rows: the placement must not depend on it.
   const LinkCostCache costs(fx.topo.graph);
-  ASSERT_TRUE(attach_node_locally(a, joiner, fx.topo.graph, true, &costs).ok);
+  ASSERT_TRUE(attach_node_locally(a, joiner, fx.topo.graph, &costs).ok);
   ASSERT_TRUE(attach_node_locally(b, joiner, fx.topo.graph).ok);
   EXPECT_EQ(encode_overlay(a), encode_overlay(b));
 }
@@ -147,7 +145,7 @@ TEST(JoinPlacement, IncrementalPlacementStaysNearAnnealedObjective) {
   ASSERT_NE(joiner, net::NodeId(-1));
   ASSERT_TRUE(remove_node_locally(annealed, joiner, fx.topo.graph).ok);
   const auto result = attach_node_locally(annealed, joiner, fx.topo.graph,
-                                          true, nullptr, ap.weights);
+                                          nullptr, ap.weights);
   ASSERT_TRUE(result.ok);
   const double v_incremental = objective_value(annealed, ranks, ap.weights);
   EXPECT_LT(v_incremental, v_annealed * 1.15)

@@ -21,10 +21,8 @@ RepairFixture make_fixture(std::size_t n = 50, std::size_t f = 1,
   tp.min_degree = 5;
   Rng rng(seed);
   RepairFixture fx{net::make_topology(tp, rng), Overlay{}};
-  RobustTreeParams params;
-  params.f = f;
   RankTable ranks(n, 0.0);
-  fx.tree = build_robust_tree(fx.topo.graph, params, ranks);
+  fx.tree = build_robust_tree(fx.topo.graph, f, ranks);
   return fx;
 }
 
@@ -176,10 +174,10 @@ TEST(LocalRepair, TinyOverlaySucceedsByPromotion) {
 }
 
 TEST(LocalRepair, FailureLeavesOverlayUntouched) {
-  // Physical-links-only repair with no spare edges: entries {0,1},
-  // children {2,3} each wired to both entries and to nothing else. After
-  // entry 0 departs and one child is promoted, the other child cannot find
-  // a second physical predecessor.
+  // Entries {0,1}, children {2,3} each linked to both entries; node 3 has
+  // no physical edge at all (its overlay links are logical). After entry 0
+  // departs and one child is promoted, the other child has no path, direct
+  // or multi-hop, to a second predecessor.
   Overlay o(4, 1);
   o.add_entry_point(0);
   o.add_entry_point(1);
@@ -192,12 +190,10 @@ TEST(LocalRepair, FailureLeavesOverlayUntouched) {
   net::Graph g(4);
   g.add_edge(0, 1, 1.0);
   g.add_edge(0, 2, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(0, 3, 1.0);
-  g.add_edge(1, 3, 1.0);  // no 2-3 edge
+  g.add_edge(1, 2, 1.0);  // node 3 is isolated
   ASSERT_TRUE(o.is_valid());
   const Overlay before = o;
-  const auto result = remove_node_locally(o, 0, g, /*allow_logical=*/false);
+  const auto result = remove_node_locally(o, 0, g);
   EXPECT_FALSE(result.ok);
   // Unchanged on failure.
   EXPECT_EQ(o.edge_count(), before.edge_count());

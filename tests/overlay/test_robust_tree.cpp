@@ -18,20 +18,16 @@ net::Topology test_topology(std::size_t n, std::uint64_t seed = 42) {
 
 TEST(RobustTree, ProducesValidOverlay) {
   const net::Topology topo = test_topology(60);
-  RobustTreeParams params;
-  params.f = 1;
   RankTable ranks(60, 0.0);
-  const Overlay o = build_robust_tree(topo.graph, params, ranks);
+  const Overlay o = build_robust_tree(topo.graph, 1, ranks);
   const auto errors = o.validate();
   EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors[0]);
 }
 
 TEST(RobustTree, EveryNodePlacedAndRanked) {
   const net::Topology topo = test_topology(50);
-  RobustTreeParams params;
-  params.f = 1;
   RankTable ranks(50, 0.0);
-  const Overlay o = build_robust_tree(topo.graph, params, ranks);
+  const Overlay o = build_robust_tree(topo.graph, 1, ranks);
   const double max_depth = static_cast<double>(o.max_depth());
   for (net::NodeId v = 0; v < 50; ++v) {
     EXPECT_GE(o.depth(v), 1u);
@@ -48,13 +44,11 @@ TEST(RobustTree, EveryNodePlacedAndRanked) {
 
 TEST(RobustTree, EntryPointsHaveLowestInitialRank) {
   const net::Topology topo = test_topology(40);
-  RobustTreeParams params;
-  params.f = 2;
   RankTable ranks(40, 0.0);
   // Pre-bias ranks so nodes 10..12 are clearly the least-used.
   for (net::NodeId v = 0; v < 40; ++v) ranks[v] = 5.0;
   ranks[10] = ranks[11] = ranks[12] = 0.0;
-  const Overlay o = build_robust_tree(topo.graph, params, ranks);
+  const Overlay o = build_robust_tree(topo.graph, 2, ranks);
   ASSERT_EQ(o.entry_points().size(), 3u);
   for (net::NodeId e : o.entry_points()) {
     EXPECT_TRUE(e == 10 || e == 11 || e == 12) << e;
@@ -64,10 +58,8 @@ TEST(RobustTree, EntryPointsHaveLowestInitialRank) {
 TEST(RobustTree, NonEntryNodesHaveFPlusOnePredecessors) {
   for (std::size_t f : {1u, 2u, 3u}) {
     const net::Topology topo = test_topology(70, 100 + f);
-    RobustTreeParams params;
-    params.f = f;
     RankTable ranks(70, 0.0);
-    const Overlay o = build_robust_tree(topo.graph, params, ranks);
+    const Overlay o = build_robust_tree(topo.graph, f, ranks);
     for (net::NodeId v = 0; v < 70; ++v) {
       if (!o.is_entry(v)) {
         EXPECT_GE(o.predecessors(v).size(), f + 1) << "f=" << f << " v=" << v;
@@ -78,11 +70,9 @@ TEST(RobustTree, NonEntryNodesHaveFPlusOnePredecessors) {
 
 TEST(RobustTree, DeterministicGivenSameInputs) {
   const net::Topology topo = test_topology(45);
-  RobustTreeParams params;
-  params.f = 1;
   RankTable r1(45, 0.0), r2(45, 0.0);
-  const Overlay a = build_robust_tree(topo.graph, params, r1);
-  const Overlay b = build_robust_tree(topo.graph, params, r2);
+  const Overlay a = build_robust_tree(topo.graph, 1, r1);
+  const Overlay b = build_robust_tree(topo.graph, 1, r2);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(a.edge_count(), b.edge_count());
   for (net::NodeId v = 0; v < 45; ++v) {
@@ -93,9 +83,7 @@ TEST(RobustTree, DeterministicGivenSameInputs) {
 
 TEST(RobustTree, RankAccumulationRotatesEntryPoints) {
   const net::Topology topo = test_topology(60);
-  RobustTreeParams params;
-  params.f = 1;
-  const auto trees = build_robust_trees(topo.graph, params, 5);
+  const auto trees = build_robust_trees(topo.graph, 1, 5);
   ASSERT_EQ(trees.size(), 5u);
   // Entry points should not repeat wholesale across consecutive trees: the
   // rank update pushes previous entries away from the root.
@@ -113,19 +101,18 @@ TEST(RobustTree, RankAccumulationRotatesEntryPoints) {
 
 TEST(RobustTree, LayerBudgetRespected) {
   const net::Topology topo = test_topology(80);
-  RobustTreeParams params;
-  params.f = 1;
+  constexpr std::size_t f = 1;
   RankTable ranks(80, 0.0);
-  const Overlay o = build_robust_tree(topo.graph, params, ranks);
+  const Overlay o = build_robust_tree(topo.graph, f, ranks);
   const auto layers = o.layers();
   // Depth-d layers built by the doubling phase hold at most 2^(d-1)*(f+1)
   // nodes. Missing-node integration can exceed this only at depths below
   // the doubling frontier, so check the first two layers which are always
   // doubling-phase layers.
   ASSERT_GE(layers.size(), 2u);
-  EXPECT_EQ(layers[1].size(), params.f + 1);
+  EXPECT_EQ(layers[1].size(), f + 1);
   if (layers.size() > 2) {
-    EXPECT_LE(layers[2].size(), 2 * (params.f + 1));
+    EXPECT_LE(layers[2].size(), 2 * (f + 1));
   }
 }
 
@@ -134,10 +121,8 @@ TEST(RobustTree, RequiresEnoughNodes) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(0, 2, 1.0);
-  RobustTreeParams params;
-  params.f = 2;  // needs >= 4 nodes
   RankTable ranks(3, 0.0);
-  EXPECT_DEATH(build_robust_tree(g, params, ranks), "");
+  EXPECT_DEATH(build_robust_tree(g, /*f=*/2, ranks), "");  // needs >= 4 nodes
 }
 
 TEST(RobustTree, WorksOnDenseGraph) {
@@ -148,10 +133,8 @@ TEST(RobustTree, WorksOnDenseGraph) {
       g.add_edge(a, b, 1.0 + (a + b) % 7);
     }
   }
-  RobustTreeParams params;
-  params.f = 1;
   RankTable ranks(30, 0.0);
-  const Overlay o = build_robust_tree(g, params, ranks);
+  const Overlay o = build_robust_tree(g, 1, ranks);
   EXPECT_TRUE(o.is_valid());
   // Dense graph, doubling pattern: depth stays logarithmic-ish.
   EXPECT_LE(o.max_depth(), 6u);
@@ -171,10 +154,8 @@ TEST(RobustTree, LogicalLinkTieGoesToLowerId) {
   g.add_edge(4, 1, 1.0);
   g.add_edge(1, 0, 0.0);
   g.add_edge(4, 5, 10.0);
-  RobustTreeParams params;
-  params.f = 1;
   RankTable ranks(6, 0.0);
-  const Overlay o = build_robust_tree(g, params, ranks);
+  const Overlay o = build_robust_tree(g, 1, ranks);
   ASSERT_TRUE(o.is_valid());
   EXPECT_EQ(o.entry_points(), (std::vector<net::NodeId>{0, 1}));
 

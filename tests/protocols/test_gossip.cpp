@@ -119,52 +119,6 @@ TEST(Gossip, BandwidthScalesWithFanout) {
             w2.ctx->network.total().bytes_sent);
 }
 
-TEST(GossipLazy, AnnouncementsStillReachEveryone) {
-  GossipParams params;
-  params.fanout = 2;          // thin eager push
-  params.lazy_announce = true;  // the rest learn via IHAVE/IWANT
-  GossipProtocol protocol(params);
-  World w(40, protocol);
-  w.start();
-  const Transaction tx = w.send_from(3);
-  w.run_ms(5000);
-  EXPECT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0);
-}
-
-TEST(GossipLazy, CheaperThanEagerFullFanout) {
-  // Same effective reach, but announcements replace most payload pushes.
-  GossipParams eager;
-  eager.fanout = 8;
-  GossipParams lazy;
-  lazy.fanout = 2;
-  lazy.lazy_announce = true;
-  GossipProtocol p_eager(eager), p_lazy(lazy);
-  World we(40, p_eager, 4), wl(40, p_lazy, 4);
-  we.start();
-  wl.start();
-  we.send_from(0);
-  wl.send_from(0);
-  we.run_ms(5000);
-  wl.run_ms(5000);
-  EXPECT_LT(wl.ctx->network.total().bytes_sent,
-            we.ctx->network.total().bytes_sent);
-}
-
-TEST(GossipLazy, HolesPullOnlyWhatTheyMiss) {
-  GossipParams params;
-  params.fanout = 2;
-  params.lazy_announce = true;
-  GossipProtocol protocol(params);
-  World w(30, protocol, 8);
-  w.start();
-  const Transaction tx = w.send_from(1);
-  w.run_ms(5000);
-  // A node never requests a tx it already holds: total IWANTs <= nodes-1.
-  // (Indirect check: total messages stay well below eager flooding.)
-  EXPECT_LT(w.ctx->network.total().messages_sent, 30u * 30u);
-  EXPECT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0);
-}
-
 TEST(Gossip, CrashedNodesAreNotDelivered) {
   GossipProtocol protocol;
   World w(30, protocol);

@@ -24,9 +24,7 @@ TEST(L0, ReconciliationRepairsLossyLinks) {
   // periodic digest exchange must close them.
   sim::NetworkParams lossy;
   lossy.drop_probability = 0.2;
-  L0Params params;
-  params.tx_fanout = 2;
-  L0Protocol protocol(params);
+  L0Protocol protocol;
   World w(40, protocol, 99, lossy);
   w.start();
   const Transaction tx = w.send_from(1);
@@ -100,9 +98,7 @@ TEST(L0, LowerBandwidthThanPlainGossip) {
 }
 
 TEST(L0, DroppersDegradeCoverageWithoutRepairServing) {
-  L0Params params;
-  params.tx_fanout = 2;
-  L0Protocol protocol(params);
+  L0Protocol protocol;
   World w(50, protocol, 11);
   w.ctx->assign_behaviors(0.3, Behavior::kDropper);
   w.start();

@@ -22,21 +22,19 @@ net::Topology test_topology(std::size_t n = 48) {
 
 TEST(MercuryDirectory, RespectsDegreeBounds) {
   const net::Topology topo = test_topology(64);
-  MercuryParams params;
   Rng rng(1);
-  const MercuryDirectory dir = build_mercury_directory(topo, params, rng);
+  const MercuryDirectory dir = build_mercury_directory(topo, rng);
   for (net::NodeId v = 0; v < 64; ++v) {
-    EXPECT_LE(dir.intra_peers[v].size(), params.intra_degree);
+    EXPECT_LE(dir.intra_peers[v].size(), kMercuryIntraDegree);
     EXPECT_LE(dir.intra_peers[v].size() + dir.gateways[v].size(),
-              params.max_degree);
+              kMercuryMaxDegree);
   }
 }
 
 TEST(MercuryDirectory, IntraPeersShareCluster) {
   const net::Topology topo = test_topology(64);
-  MercuryParams params;
   Rng rng(2);
-  const MercuryDirectory dir = build_mercury_directory(topo, params, rng);
+  const MercuryDirectory dir = build_mercury_directory(topo, rng);
   for (net::NodeId v = 0; v < 64; ++v) {
     for (net::NodeId p : dir.intra_peers[v]) {
       EXPECT_EQ(dir.cluster_of[v], dir.cluster_of[p]);
@@ -47,9 +45,8 @@ TEST(MercuryDirectory, IntraPeersShareCluster) {
 
 TEST(MercuryDirectory, GatewaysCoverDistinctForeignClusters) {
   const net::Topology topo = test_topology(64);
-  MercuryParams params;
   Rng rng(3);
-  const MercuryDirectory dir = build_mercury_directory(topo, params, rng);
+  const MercuryDirectory dir = build_mercury_directory(topo, rng);
   for (net::NodeId v = 0; v < 64; ++v) {
     std::set<std::size_t> clusters;
     for (net::NodeId g : dir.gateways[v]) {

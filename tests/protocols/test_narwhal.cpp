@@ -83,8 +83,8 @@ TEST(Narwhal, LatencyIsBatchDelayPlusFloodSpread) {
   const auto lats = w.ctx->tracker.latencies(tx.id);
   ASSERT_FALSE(lats.empty());
   // Flooding over the topology: batch delay + a couple of link hops.
-  EXPECT_GT(percentile_of(lats, 50.0), NarwhalParams{}.batch_delay_ms);
-  EXPECT_LT(percentile_of(lats, 95.0), 330.0 + NarwhalParams{}.batch_delay_ms);
+  EXPECT_GT(percentile_of(lats, 50.0), NarwhalNode::kBatchDelayMs);
+  EXPECT_LT(percentile_of(lats, 95.0), 330.0 + NarwhalNode::kBatchDelayMs);
 }
 
 TEST(Narwhal, HighestBandwidthAmongBaselines) {

@@ -179,7 +179,7 @@ TEST(Network, ProcessingMultiplierDelaysReceiver) {
   ASSERT_EQ(plain.nodes[1]->received.size(), 1u);
   ASSERT_EQ(slow.nodes[1]->received.size(), 1u);
   // The straggler's delivery lags by exactly the extra processing time.
-  const double extra = 9.0 * NetworkParams{}.processing_delay_ms;
+  const double extra = 9.0 * kProcessingDelayMs;
   EXPECT_NEAR(slow.nodes[1]->received_at[0],
               plain.nodes[1]->received_at[0] + extra, 1e-9);
   // Receivers other than the straggler keep the baseline latency. The two

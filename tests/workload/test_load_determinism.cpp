@@ -166,13 +166,15 @@ TEST_F(WorkloadWorkers, BatchedSubmissionsDeterministicAcrossWorkers) {
           hasher.update(record);
         });
     WorkloadParams wp;
-    wp.kind = ArrivalKind::kHotspot;  // hot senders: batches actually form
     wp.duration_ms = 400.0;
     wp.rate_hz = 40.0;
-    wp.hotspot_origins = 2;
     wp.seed = 4711;
+    // Two hot senders carry the whole load, so batches actually form.
+    const std::vector<net::NodeId> hot = {ctx.honest_nodes()[0],
+                                          ctx.honest_nodes()[1]};
+    const std::vector<Arrival> arrivals = generate_arrivals(wp, hot);
     const ScheduleResult sched =
-        schedule_workload(ctx, wp, /*batch_window_ms=*/30.0);
+        schedule_arrivals(ctx, arrivals, /*batch_window_ms=*/30.0);
     EXPECT_LT(sched.batches, sched.txs.size());  // batching engaged
     ctx.engine.run_until(sched.horizon_ms + 5000.0);
     return hex_encode(crypto::digest_to_bytes(hasher.finish()));

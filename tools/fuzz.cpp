@@ -276,7 +276,6 @@ int churn_smoke() {
     s = generate_scenario(++seed, false);
   }
   s.self_healing = true;
-  s.join_admission = true;
   s.epoch_pipeline = true;
   std::unordered_set<net::NodeId> exempt(s.committee.begin(),
                                          s.committee.end());

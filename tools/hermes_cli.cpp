@@ -17,9 +17,11 @@
 //
 //   hermes_cli overlay decode ENC
 //       Decode + validate an overlay encoding.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "net/connectivity.hpp"
@@ -57,23 +59,34 @@ struct Args {
   std::string out;
   bool no_anneal = false;
 
-  static Args parse(int argc, char** argv, int start) {
+  // nullopt when a numeric flag's value is not a whole decimal number.
+  static std::optional<Args> parse(int argc, char** argv, int start) {
     Args args;
-    for (int i = start; i < argc; ++i) {
+    bool ok = true;
+    for (int i = start; i < argc && ok; ++i) {
       auto value = [&](const char* flag) -> const char* {
         if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) return argv[++i];
         return nullptr;
       };
-      if (const char* v = value("--nodes")) args.nodes = std::stoul(v);
-      else if (const char* v2 = value("--min-degree")) args.min_degree = std::stoul(v2);
-      else if (const char* v3 = value("--f")) args.f = std::stoul(v3);
-      else if (const char* v4 = value("--k")) args.k = std::stoul(v4);
-      else if (const char* v5 = value("--seed")) args.seed = std::stoull(v5);
+      if (const char* v = value("--nodes")) ok = number(v, args.nodes);
+      else if (const char* v2 = value("--min-degree")) ok = number(v2, args.min_degree);
+      else if (const char* v3 = value("--f")) ok = number(v3, args.f);
+      else if (const char* v4 = value("--k")) ok = number(v4, args.k);
+      else if (const char* v5 = value("--seed")) ok = number(v5, args.seed);
       else if (const char* v6 = value("--out")) args.out = v6;
       else if (std::strcmp(argv[i], "--no-anneal") == 0) args.no_anneal = true;
       else args.positional.push_back(argv[i]);
     }
+    if (!ok) return std::nullopt;
     return args;
+  }
+
+ private:
+  template <typename T>
+  static bool number(const char* text, T& out) {
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end && ptr != text;
   }
 };
 
@@ -94,7 +107,7 @@ std::optional<net::Topology> load_any(const std::string& path) {
 }
 
 int topo_gen(const Args& args) {
-  if (args.out.empty()) return usage();
+  if (args.out.empty() || args.nodes < 2) return usage();
   net::TopologyParams params;
   params.node_count = args.nodes;
   params.min_degree = args.min_degree;
@@ -197,11 +210,9 @@ int overlay_encode(const Args& args) {
     std::fprintf(stderr, "error: cannot load %s\n", args.positional[0].c_str());
     return 1;
   }
-  overlay::RobustTreeParams params;
-  params.f = args.f;
   overlay::RankTable ranks(topo->graph.node_count(), 0.0);
   const overlay::Overlay ov =
-      overlay::build_robust_tree(topo->graph, params, ranks);
+      overlay::build_robust_tree(topo->graph, args.f, ranks);
   const Bytes encoded = overlay::encode_overlay(ov);
   std::ofstream out(args.out, std::ios::binary);
   out.write(reinterpret_cast<const char*>(encoded.data()),
@@ -247,7 +258,9 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string domain = argv[1];
   const std::string verb = argv[2];
-  const Args args = Args::parse(argc, argv, 3);
+  const std::optional<Args> parsed = Args::parse(argc, argv, 3);
+  if (!parsed) return usage();
+  const Args& args = *parsed;
   if (domain == "topo" && verb == "gen") return topo_gen(args);
   if (domain == "topo" && verb == "info") return topo_info(args);
   if (domain == "overlay" && verb == "build") return overlay_build(args);

@@ -16,13 +16,19 @@
 # computed from the same run — plus threshold-RSA sign/verify/combine
 # throughput at 1024-bit keys.
 #
-# Usage: tools/run_benches.sh [--quick] [--only overlay|sim|workload|crypto]
+# The end-to-end suite (e2ebench/run.py, which builds its own Release
+# binary) writes BENCH_e2e.json: per workload, the median, quartiles and
+# sample count of every metric over ten repetitions, the traced per-layer
+# metrics, and the commit and host they were measured on.
+#
+# Usage: tools/run_benches.sh [--quick]
+#                             [--only overlay|sim|workload|crypto|e2e]
 #                             [--nodes N] [--workers W]
 #   BUILD_DIR=<dir>  build tree to use (default: <repo>/build)
 #   --quick          smoke mode for CI: tiny subset, 1 repetition, still
 #                    emits the JSON artifacts (includes a --workers 2
-#                    sharded-engine dissemination smoke)
-#   --only SUITE     run just one suite (overlay or sim)
+#                    sharded-engine dissemination smoke); skips e2e
+#   --only SUITE     run just one suite
 #   --nodes N        additionally run the paper-scale configs at N nodes
 #                    (forwarded to both suites; e.g. 2000 or 10000). The
 #                    sim suite runs the HERMES dissemination at N as a
@@ -53,7 +59,7 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     *)
-      echo "usage: tools/run_benches.sh [--quick] [--only overlay|sim|workload|crypto] [--nodes N] [--workers W]" >&2
+      echo "usage: tools/run_benches.sh [--quick] [--only overlay|sim|workload|crypto|e2e] [--nodes N] [--workers W]" >&2
       exit 2
       ;;
   esac
@@ -287,19 +293,73 @@ EOF
   echo "wrote $out (modexp 2048 speedup vs legacy: ${speedup}x)"
 }
 
+run_e2e() {
+  local out="$ROOT/BENCH_e2e.json"
+  (cd "$ROOT" && python3 e2ebench/run.py --reps 10)
+  python3 - "$ROOT" "$out" <<'PY'
+import json, os, statistics, subprocess, sys
+
+root, out = sys.argv[1], sys.argv[2]
+suite = json.load(open(os.path.join(root, "e2ebench", "out", "suite.json")))
+
+def stats(values):
+    if any(v is None for v in values):
+        return {"median": None, "q1": None, "q3": None, "n": len(values)}
+    q1, q3 = (statistics.quantiles(values, n=4)[0::2] if len(values) > 1
+              else (values[0], values[0]))
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "n": len(values)}
+
+def git(*args):
+    return subprocess.run(["git", "-C", root, *args], capture_output=True,
+                          text=True).stdout.strip()
+
+cpu_model = "unknown"
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        if line.startswith("model name"):
+            cpu_model = line.split(":", 1)[1].strip()
+            break
+
+workloads = {}
+for name, w in suite["workloads"].items():
+    workloads[name] = {
+        "metrics": {k: {"unit": m["unit"], "exact": m["exact"],
+                        **stats(m["values"])}
+                    for k, m in w["metrics"].items()},
+        "layers": w["layers"],
+    }
+report = {
+    "note": "python3 e2ebench/run.py --reps 10: medians and quartiles over "
+            "the untraced repetitions, layers from one traced pass",
+    "commit": git("rev-parse", "HEAD"),
+    "dirty": git("status", "--porcelain", "--untracked-files=no") != "",
+    "host": {"nproc": os.cpu_count(), "cpu_model": cpu_model},
+    "seed": suite["seed"],
+    "workloads": workloads,
+}
+with open(out, "w") as f:
+    json.dump(report, f, indent=1)
+    f.write("\n")
+PY
+  echo "wrote $out"
+}
+
 case "$ONLY" in
   "")
     run_overlay
     run_sim
     run_workload
     run_crypto
+    [[ $QUICK -eq 1 ]] || run_e2e
     ;;
   overlay) run_overlay ;;
   sim) run_sim ;;
   workload) run_workload ;;
   crypto) run_crypto ;;
+  e2e) run_e2e ;;
   *)
-    echo "error: --only expects 'overlay', 'sim', 'workload' or 'crypto'" >&2
+    echo "error: --only expects 'overlay', 'sim', 'workload', 'crypto' or 'e2e'" >&2
     exit 2
     ;;
 esac
