@@ -446,8 +446,6 @@ void BM_ChurnedDissemination(benchmark::State& state) {
     cfg.health_tick_ms = 500.0;
     if (pipelined) {
       cfg.enable_epoch_pipeline = true;
-      cfg.pipeline.hysteresis = 2;
-      cfg.pipeline.anneal_ms = 250.0;
       // Churn is the pipeline's job: keep the view-change layer for real
       // degradation only.
       cfg.view_change_threshold = 100.0;

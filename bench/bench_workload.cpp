@@ -34,7 +34,6 @@ struct WorkloadOptions {
   double rate_hz = 40.0;
   double duration_ms = 1500.0;
   double drain_ms = 6000.0;
-  double batch_window_ms = 0.0;
   std::size_t capacity = 48;
   double frontrunner_fraction = 0.15;
   // --signer real runs HERMES's TRS committee on genuine Shoup threshold
@@ -56,10 +55,9 @@ struct WorkloadOptions {
       else if (const char* v4 = grab("--duration")) opt.duration_ms = std::stod(v4);
       else if (const char* v5 = grab("--capacity")) opt.capacity = std::stoul(v5);
       else if (const char* v6 = grab("--frac")) opt.frontrunner_fraction = std::stod(v6);
-      else if (const char* v7 = grab("--batch-window")) opt.batch_window_ms = std::stod(v7);
-      else if (const char* v8 = grab("--json")) opt.json_path = v8;
-      else if (const char* v9 = grab("--signer")) opt.real_signer = std::strcmp(v9, "real") == 0;
-      else if (const char* v10 = grab("--rsa-bits")) opt.rsa_bits = std::stoul(v10);
+      else if (const char* v7 = grab("--json")) opt.json_path = v7;
+      else if (const char* v8 = grab("--signer")) opt.real_signer = std::strcmp(v8, "real") == 0;
+      else if (const char* v9 = grab("--rsa-bits")) opt.rsa_bits = std::stoul(v9);
     }
     return opt;
   }
@@ -67,7 +65,6 @@ struct WorkloadOptions {
 
 struct LoadStats {
   std::size_t txs = 0;
-  std::size_t batches = 0;
   double mean_coverage = 0.0;
   double mean_latency_ms = 0.0;
   std::uint64_t messages = 0;
@@ -76,7 +73,6 @@ struct LoadStats {
   std::size_t admitted = 0;
   std::size_t evicted = 0;
   std::size_t rejected = 0;
-  std::size_t committed = 0;
 };
 
 struct ProtocolRun {
@@ -93,7 +89,6 @@ LoadStats collect_load(const protocols::ExperimentContext& ctx,
                        const workload::ScheduleResult& sched) {
   LoadStats out;
   out.txs = sched.txs.size();
-  out.batches = sched.batches;
   RunningStats lat;
   for (const auto& tx : sched.txs) {
     out.mean_coverage += protocols::honest_coverage(ctx, tx);
@@ -111,7 +106,6 @@ LoadStats collect_load(const protocols::ExperimentContext& ctx,
     out.admitted += pool.admitted_total();
     out.evicted += pool.evicted_total();
     out.rejected += pool.rejected_total();
-    out.committed += pool.committed_total();
   }
   return out;
 }
@@ -135,7 +129,7 @@ ProtocolRun run_protocol(const Entry& entry, const WorkloadOptions& opt,
   wp.rate_hz = opt.rate_hz;
   wp.seed = opt.seed;
   const workload::ScheduleResult sched =
-      workload::schedule_workload(ctx, wp, opt.batch_window_ms);
+      workload::schedule_workload(ctx, wp);
   ctx.engine.run_until(sched.horizon_ms + opt.drain_ms);
 
   ProtocolRun run;
@@ -165,10 +159,10 @@ void print_json(std::FILE* f, const WorkloadOptions& opt,
                  "      \"poisson\": {\"txs\": %zu, \"coverage\": %.4f, "
                  "\"mean_latency_ms\": %.3f, \"messages\": %" PRIu64
                  ", \"bytes\": %" PRIu64
-                 ", \"admitted\": %zu, \"evicted\": %zu, \"rejected\": %zu, "
-                 "\"committed\": %zu},\n",
+                 ", \"admitted\": %zu, \"evicted\": %zu, \"rejected\": "
+                 "%zu},\n",
                  p.txs, p.mean_coverage, p.mean_latency_ms, p.messages,
-                 p.bytes, p.admitted, p.evicted, p.rejected, p.committed);
+                 p.bytes, p.admitted, p.evicted, p.rejected);
     std::fprintf(f,
                  "      \"adversarial\": {\"txs\": %zu, \"coverage\": %.4f, "
                  "\"evicted\": %zu, \"attacked\": %zu, \"insertions\": %zu, "

@@ -28,8 +28,6 @@ int main(int argc, char** argv) {
   config.builder.annealing.moves_per_temperature = 4;
   config.enable_self_healing = true;
   config.enable_epoch_pipeline = true;
-  config.pipeline.hysteresis = 2;
-  config.pipeline.anneal_ms = 250.0;
   // Churn is the pipeline's job: the view-change vote stays for real
   // degradation only.
   config.view_change_threshold = 100.0;

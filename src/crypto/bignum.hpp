@@ -121,9 +121,6 @@ class BigUint {
 
   std::size_t limb_count() const { return limbs_.size(); }
   Limb limb(std::size_t i) const { return i < limbs_.size() ? limbs_[i] : 0; }
-  std::span<const Limb> limb_view() const {
-    return {limbs_.data(), limbs_.size()};
-  }
 
   // Comparison: -1, 0, +1.
   static int compare(const BigUint& a, const BigUint& b);

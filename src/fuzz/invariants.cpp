@@ -256,7 +256,7 @@ void InvariantSuite::check_duplicates(std::vector<Failure>& out) const {
                 "an honest arrival log lists one tx twice (mutation)");
   }
   // A delivery appends to the arrival log, so the log holds one entry per
-  // delivery; an evicted or committed id offered again must not re-enter.
+  // delivery; an evicted id offered again must not re-enter.
   for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
     if (!honest(v)) continue;
     std::unordered_set<std::uint64_t> seen;
@@ -749,15 +749,13 @@ void InvariantSuite::check_mempool_pressure(std::vector<Failure>& out) const {
              << " resident txs over capacity " << pool.capacity();
       add_failure(out, before, "mempool-pressure", detail.str());
     }
-    // Conservation: every admitted tx is still resident, was evicted, or
-    // was committed — delivered-or-evicted, nothing vanishes silently.
-    if (pool.admitted_total() !=
-        pool.size() + pool.evicted_total() + pool.committed_total()) {
+    // Conservation: every admitted tx is still resident or was evicted —
+    // nothing vanishes silently.
+    if (pool.admitted_total() != pool.size() + pool.evicted_total()) {
       std::ostringstream detail;
       detail << "node " << v << " admission accounting broken: admitted "
              << pool.admitted_total() << " != resident " << pool.size()
-             << " + evicted " << pool.evicted_total() << " + committed "
-             << pool.committed_total();
+             << " + evicted " << pool.evicted_total();
       add_failure(out, before, "mempool-pressure", detail.str());
     }
     // Eviction log: every record is fee-lawful and final.

@@ -49,8 +49,8 @@
 //                           connectivity survives join/leave transitions
 //   mempool-pressure        under sustained load every honest mempool
 //                           respects its capacity bound, accounts for
-//                           every admitted transaction (resident, evicted
-//                           or committed — nothing vanishes), logs only
+//                           every admitted transaction (resident or
+//                           evicted — nothing vanishes), logs only
 //                           fee-lawful evictions (incoming strictly
 //                           outranks the evicted minimum) and keeps
 //                           each origin's sustained-load stream in

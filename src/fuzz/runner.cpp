@@ -32,13 +32,6 @@ HermesConfig hermes_config(const Scenario& s) {
   cfg.direct_entry_injection = s.direct_injection;
   cfg.enable_self_healing = s.self_healing;
   cfg.enable_epoch_pipeline = s.epoch_pipeline;
-  if (s.epoch_pipeline) {
-    // Pinned pipeline pacing: a short hysteresis so storm waves trigger
-    // background rebuilds inside fuzz horizons, and an anneal window brief
-    // enough that retries still land before the drain ends.
-    cfg.pipeline.hysteresis = 2;
-    cfg.pipeline.anneal_ms = 250.0;
-  }
   cfg.builder.f = s.f;
   cfg.builder.k = s.k;
   // Short annealing schedule: enough to exercise the optimizer (including

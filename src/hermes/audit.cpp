@@ -7,8 +7,6 @@ const char* violation_name(ViolationKind kind) {
     case ViolationKind::kBadCertificate: return "bad-certificate";
     case ViolationKind::kWrongOverlay: return "wrong-overlay";
     case ViolationKind::kIllegitimatePredecessor: return "illegitimate-predecessor";
-    case ViolationKind::kNotAnEntryPoint: return "not-an-entry-point";
-    case ViolationKind::kSequenceGap: return "sequence-gap";
   }
   return "unknown";
 }
@@ -16,9 +14,7 @@ const char* violation_name(ViolationKind kind) {
 void AuditLog::record(sim::SimTime at, ViolationKind kind, net::NodeId offender,
                       std::uint64_t tx_id) {
   violations_.push_back(Violation{at, kind, offender, tx_id});
-  if (++strikes_[offender] >= exclusion_threshold_) {
-    excluded_.insert(offender);
-  }
+  excluded_.insert(offender);
 }
 
 std::size_t AuditLog::count_of(ViolationKind kind) const {

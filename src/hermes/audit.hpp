@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -17,8 +16,6 @@ enum class ViolationKind : std::uint8_t {
   kBadCertificate,          // threshold signature does not verify
   kWrongOverlay,            // claimed overlay != seed mod k
   kIllegitimatePredecessor, // sender is not a predecessor in the overlay
-  kNotAnEntryPoint,         // route injection at a non-entry node
-  kSequenceGap,             // origin skipped a sequence number
 };
 
 const char* violation_name(ViolationKind kind);
@@ -32,8 +29,7 @@ struct Violation {
 
 class AuditLog {
  public:
-  // Records the violation; the offender is excluded once its violation
-  // count reaches `exclusion_threshold` (default: first strike).
+  // Records the violation and excludes the offender: one strike suffices.
   void record(sim::SimTime at, ViolationKind kind, net::NodeId offender,
               std::uint64_t tx_id);
 
@@ -42,13 +38,9 @@ class AuditLog {
   std::size_t count_of(ViolationKind kind) const;
   std::size_t excluded_count() const { return excluded_.size(); }
 
-  void set_exclusion_threshold(std::size_t t) { exclusion_threshold_ = t; }
-
  private:
-  std::size_t exclusion_threshold_ = 1;
   std::vector<Violation> violations_;
   std::unordered_set<net::NodeId> excluded_;
-  std::unordered_map<net::NodeId, std::size_t> strikes_;
 };
 
 }  // namespace hermes::hermes_proto

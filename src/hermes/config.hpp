@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "hermes/epoch_pipeline.hpp"
 #include "net/graph.hpp"
 #include "overlay/builder.hpp"
 
@@ -86,15 +85,13 @@ struct HermesConfig {
   // Membership changes (admitted joins, departures) feed a bounded delta
   // queue; small deltas are absorbed incrementally (local repair +
   // incremental join placement), and once the queue reaches
-  // pipeline.hysteresis a warm-started re-anneal of epoch e+1 runs in the
-  // background (modeled as pipeline.anneal_ms of sim time on the builder
-  // thread pool) while epoch e keeps serving traffic. If further churn
-  // lands mid-anneal the pipelined epoch is invalidated and retried with
-  // exponential backoff (EpochPipeline's constants). Requires
+  // EpochPipeline::kHysteresis a warm-started re-anneal of epoch e+1 runs
+  // in the background (modeled as EpochPipeline::kAnnealMs of sim time on
+  // the builder thread pool) while epoch e keeps serving traffic. If
+  // further churn lands mid-anneal the pipelined epoch is invalidated and
+  // retried with exponential backoff (EpochPipeline's constants). Requires
   // enable_self_healing.
   bool enable_epoch_pipeline = false;
-
-  EpochPipeline::Params pipeline;
 
   // Overlay construction knobs (offline phase).
   overlay::BuilderParams builder;

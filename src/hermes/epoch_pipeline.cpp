@@ -11,7 +11,7 @@ void EpochPipeline::on_membership_change(const MembershipDelta& delta) {
   }
   queue_.push_back(delta);
   if (annealing_) return;  // growth is detected when the anneal completes
-  if (queue_.size() < params_.hysteresis) {
+  if (queue_.size() < kHysteresis) {
     // Every node already spliced this delta into its routing trees via
     // local repair / incremental join placement; no epoch rebuild needed.
     ++absorbed_;
@@ -24,7 +24,7 @@ void EpochPipeline::start_anneal() {
   annealing_ = true;
   snapshot_size_ = queue_.size();
   retries_ = 0;
-  schedule_(params_.anneal_ms, [this] { on_anneal_done(); });
+  schedule_(kAnnealMs, [this] { on_anneal_done(); });
 }
 
 void EpochPipeline::on_anneal_done() {
@@ -35,7 +35,7 @@ void EpochPipeline::on_anneal_done() {
     ++invalidations_;
     ++retries_;
     snapshot_size_ = queue_.size();
-    double delay = params_.anneal_ms;
+    double delay = kAnnealMs;
     for (std::size_t i = 0; i < retries_; ++i) delay *= kRetryBackoff;
     delay = std::min(delay, kRetryMaxMs);
     schedule_(delay, [this] { on_anneal_done(); });

@@ -6,7 +6,7 @@
 // routing trees via local repair / incremental join placement, so the
 // pipeline merely counts it. Once enough deltas accumulate, a warm-started
 // re-anneal of epoch e+1 is kicked off "in the background": the anneal is
-// modeled as `anneal_ms` of simulated wall-time during which epoch e keeps
+// modeled as kAnnealMs of simulated wall-time during which epoch e keeps
 // serving traffic; when the timer fires the install callback builds the
 // new overlay set (on the builder thread pool) and performs the quiescent
 // handoff inside the same barrier-serialized control event, so sharded-sim
@@ -41,15 +41,14 @@ struct MembershipDelta {
 
 class EpochPipeline {
  public:
-  // Pacing: `hysteresis` deltas are absorbed incrementally before a
-  // re-anneal starts, and the anneal takes `anneal_ms` of sim time.
-  struct Params {
-    std::size_t hysteresis = 4;
-    double anneal_ms = 250.0;
-  };
+  // Pacing: a re-anneal starts once kHysteresis deltas are queued (a
+  // short hysteresis, so storm waves trigger pipelined installs rather
+  // than piling up), and the anneal takes kAnnealMs of sim time.
+  static constexpr std::size_t kHysteresis = 2;
+  static constexpr double kAnnealMs = 250.0;
   // The delta queue drops its oldest entry past kQueueCap (the next full
   // re-anneal still covers it: membership state is absolute). An
-  // invalidated anneal retries after anneal_ms * kRetryBackoff^retries,
+  // invalidated anneal retries after kAnnealMs * kRetryBackoff^retries,
   // capped at kRetryMaxMs, and installs anyway after kMaxRetries.
   static constexpr std::size_t kQueueCap = 64;
   static constexpr double kRetryBackoff = 2.0;
@@ -63,10 +62,8 @@ class EpochPipeline {
   using ScheduleFn = std::function<void(double, std::function<void()>)>;
   using InstallFn = std::function<void(const std::vector<MembershipDelta>&)>;
 
-  EpochPipeline(Params params, ScheduleFn schedule, InstallFn install)
-      : params_(params),
-        schedule_(std::move(schedule)),
-        install_(std::move(install)) {}
+  EpochPipeline(ScheduleFn schedule, InstallFn install)
+      : schedule_(std::move(schedule)), install_(std::move(install)) {}
 
   // Must be called from inside a global control event.
   void on_membership_change(const MembershipDelta& delta);
@@ -82,7 +79,6 @@ class EpochPipeline {
   void start_anneal();
   void on_anneal_done();
 
-  Params params_;
   ScheduleFn schedule_;
   InstallFn install_;
 

@@ -59,14 +59,4 @@ FaultDensityReport check_fault_density(const net::Graph& g,
   return report;
 }
 
-std::size_t max_tolerated_density(const net::Graph& g,
-                                  const std::vector<bool>& faulty,
-                                  std::size_t d_hops) {
-  std::size_t worst = 0;
-  for (net::NodeId v = 0; v < g.node_count(); ++v) {
-    worst = std::max(worst, faulty_in_ball(g, faulty, v, d_hops));
-  }
-  return worst;
-}
-
 }  // namespace hermes::hermes_proto

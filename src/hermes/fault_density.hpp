@@ -28,10 +28,4 @@ FaultDensityReport check_fault_density(const net::Graph& g,
                                        const std::vector<bool>& faulty,
                                        std::size_t d_hops, std::size_t f);
 
-// Largest f for which the assumption holds at radius d_hops (0 when some
-// node is surrounded at radius 1... i.e. the max ball fault count).
-std::size_t max_tolerated_density(const net::Graph& g,
-                                  const std::vector<bool>& faulty,
-                                  std::size_t d_hops);
-
 }  // namespace hermes::hermes_proto

@@ -1461,7 +1461,6 @@ std::unique_ptr<ProtocolNode> HermesProtocol::make_node(ExperimentContext& ctx,
       // global control events too, so the warm rebuild plus quiescent
       // handoff stay deterministic on the sharded engine.
       pipeline_ = std::make_unique<EpochPipeline>(
-          config_.pipeline,
           [ctx_ptr](double delay_ms, std::function<void()> fn) {
             ctx_ptr->engine.schedule_global(delay_ms, std::move(fn));
           },

@@ -106,11 +106,4 @@ std::size_t select_overlay(BytesView combined_signature, std::size_t k) {
                                   k);
 }
 
-bool verify_overlay_choice(const crypto::ThresholdScheme& scheme,
-                           const TrsId& id, BytesView signature,
-                           std::size_t claimed_overlay, std::size_t k) {
-  if (!scheme.verify_combined(id.signed_message(), signature)) return false;
-  return select_overlay(signature, k) == claimed_overlay;
-}
-
 }  // namespace hermes::hermes_proto

@@ -59,7 +59,6 @@ class BrachaState {
   bool readied() const { return readied_; }
   bool delivered() const { return delivered_; }
   std::size_t echo_count() const { return echoes_.size(); }
-  std::size_t ready_count() const { return readies_.size(); }
 
  private:
   std::size_t f_;
@@ -116,12 +115,9 @@ class TrsCollector {
   std::set<std::string> combined_;
 };
 
-// The verifiable overlay choice (Section VI-B): seed mod k.
+// The verifiable overlay choice (Section VI-B): seed mod k. A receiver
+// checks the combined signature and this index separately, recording a
+// violation of its own kind for each (HermesNode::admissible).
 std::size_t select_overlay(BytesView combined_signature, std::size_t k);
-// Full receiver-side check: signature valid for (origin, seq, hash) and the
-// claimed overlay index matches the seed.
-bool verify_overlay_choice(const crypto::ThresholdScheme& scheme,
-                           const TrsId& id, BytesView signature,
-                           std::size_t claimed_overlay, std::size_t k);
 
 }  // namespace hermes::hermes_proto

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/assert.hpp"
-
 namespace hermes::mempool {
 
 bool Block::contains(std::uint64_t tx_id) const {
@@ -15,13 +13,6 @@ std::size_t Block::position(std::uint64_t tx_id) const {
     if (tx_ids[i] == tx_id) return i;
   }
   return SIZE_MAX;
-}
-
-bool Block::orders_before(std::uint64_t a, std::uint64_t b) const {
-  const std::size_t pa = position(a);
-  const std::size_t pb = position(b);
-  HERMES_REQUIRE(pa != SIZE_MAX && pb != SIZE_MAX);
-  return pa < pb;
 }
 
 crypto::Digest Block::hash() const {

@@ -26,8 +26,6 @@ struct Block {
   bool contains(std::uint64_t tx_id) const;
   // Position of tx in the block; SIZE_MAX when absent.
   std::size_t position(std::uint64_t tx_id) const;
-  // True iff `a` appears strictly before `b` (both must be present).
-  bool orders_before(std::uint64_t a, std::uint64_t b) const;
 
   crypto::Digest hash() const;
 };

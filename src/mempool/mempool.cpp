@@ -7,6 +7,16 @@
 
 namespace hermes::mempool {
 
+namespace {
+
+// The shortest member serialize_batch writes: id, sender, sequence, a
+// one-byte payload-size varint, the adversarial flag, the victim id and
+// the filler digest.
+constexpr std::size_t kMinBatchMemberBytes =
+    8 + 4 + 8 + 1 + 1 + 8 + crypto::kSha256DigestSize;
+
+}  // namespace
+
 crypto::Digest Transaction::hash() const {
   // Big-endian (id, sender, seq, size).
   std::array<std::uint8_t, 28> material{};
@@ -55,6 +65,9 @@ std::optional<std::vector<Transaction>> deserialize_batch(BytesView bytes) {
   std::size_t off = 0;
   std::uint64_t count = 0;
   if (!get_varint(bytes, &off, &count)) return std::nullopt;
+  // Every member takes at least kMinBatchMemberBytes: reject a count the
+  // input cannot hold before reserving for it.
+  if (count > (bytes.size() - off) / kMinBatchMemberBytes) return std::nullopt;
   std::vector<Transaction> out;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -161,18 +174,6 @@ std::optional<Transaction> Mempool::get(std::uint64_t tx_id) const {
     return std::nullopt;
   }
   return it->second.tx;
-}
-
-bool Mempool::mark_committed(std::uint64_t tx_id) {
-  const auto it = entries_.find(tx_id);
-  if (it == entries_.end() || it->second.state != Admission::kResident) {
-    return false;
-  }
-  fee_index_.erase({it->second.tx.fee, tx_id});
-  it->second.state = Admission::kCommitted;
-  --resident_count_;
-  ++committed_total_;
-  return true;
 }
 
 Mempool::Admission Mempool::admission_of(std::uint64_t tx_id) const {

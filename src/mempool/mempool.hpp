@@ -13,8 +13,8 @@
 // (fee, id) order, so the resident set is always the top-capacity slice of
 // everything offered, independent of arrival order. Every transaction ever
 // offered stays in the seen set (dedup for relay paths must survive
-// eviction, or gossip would re-pull evicted bodies forever), and committed
-// transactions can never be re-admitted (no resurrection).
+// eviction, or gossip would re-pull evicted bodies forever), so an evicted
+// transaction can never be re-admitted.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,7 @@ class Mempool {
   // capacity; admission_of() reports it.
   bool insert(const Transaction& tx, sim::SimTime now);
 
-  // Resident right now (admitted, not evicted and not committed).
+  // Resident right now (admitted and not evicted).
   bool contains(std::uint64_t tx_id) const;
   // Ever offered via insert(), in any current state.
   bool seen(std::uint64_t tx_id) const;
@@ -60,26 +60,19 @@ class Mempool {
   // Resident count (<= capacity when bounded).
   std::size_t size() const { return resident_count_; }
 
-  // Marks a resident transaction as committed (included in a block): it
-  // leaves the resident set and can never be re-admitted. Returns false
-  // when the transaction is not resident.
-  bool mark_committed(std::uint64_t tx_id);
-
   enum class Admission : std::uint8_t {
     kNeverSeen,   // insert() was never called for this id
     kResident,    // admitted and still in the pool
     kEvicted,     // admitted, later displaced by a higher-fee arrival
     kRejected,    // seen while full and below the resident minimum fee
-    kCommitted,   // admitted and since included in a block
   };
   Admission admission_of(std::uint64_t tx_id) const;
 
   // Lifetime counters. Conservation invariant (checked by the fuzz suite):
-  // admitted_total == size() + evicted_total + committed_total.
+  // admitted_total == size() + evicted_total.
   std::size_t admitted_total() const { return admitted_total_; }
   std::size_t evicted_total() const { return evictions_.size(); }
   std::size_t rejected_total() const { return rejected_total_; }
-  std::size_t committed_total() const { return committed_total_; }
   const std::vector<Eviction>& eviction_log() const { return evictions_; }
 
   // Arrival order (first insertion, admitted or not). Front-running
@@ -89,7 +82,7 @@ class Mempool {
   }
   sim::SimTime arrival_time(std::uint64_t tx_id) const;
   // Position of tx in the arrival log while resident; SIZE_MAX when absent
-  // (never seen, evicted, rejected or committed — an evicted victim has no
+  // (never seen, evicted or rejected — an evicted victim has no
   // block position left to defend, which is exactly the displacement the
   // attacker economics measure).
   std::size_t arrival_position(std::uint64_t tx_id) const;
@@ -133,7 +126,6 @@ class Mempool {
   std::size_t resident_count_ = 0;
   std::size_t admitted_total_ = 0;
   std::size_t rejected_total_ = 0;
-  std::size_t committed_total_ = 0;
 
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::vector<std::uint64_t> arrival_order_;

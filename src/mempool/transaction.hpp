@@ -58,8 +58,6 @@ crypto::Digest batch_hash(std::span<const Transaction> txs);
 // transaction body (LØ's accountability primitive).
 struct Commitment {
   crypto::Digest tx_hash{};
-  net::NodeId committer = 0;
-  sim::SimTime committed_at = 0.0;
 };
 
 }  // namespace hermes::mempool

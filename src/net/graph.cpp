@@ -24,17 +24,6 @@ void Graph::add_edge(NodeId a, NodeId b, double latency_ms) {
   adjacency_[b].push_back(Edge{a, latency_ms});
 }
 
-void Graph::remove_edge(NodeId a, NodeId b) {
-  auto erase_from = [](std::vector<Edge>& adj, NodeId target) {
-    adj.erase(std::remove_if(adj.begin(), adj.end(),
-                             [target](const Edge& e) { return e.to == target; }),
-              adj.end());
-  };
-  HERMES_REQUIRE(a < adjacency_.size() && b < adjacency_.size());
-  erase_from(adjacency_[a], b);
-  erase_from(adjacency_[b], a);
-}
-
 bool Graph::has_edge(NodeId a, NodeId b) const {
   HERMES_DCHECK(a < adjacency_.size());
   const auto& adj = adjacency_[a];
@@ -96,19 +85,6 @@ bool Graph::is_connected() const {
   const auto dist = hop_distances(0);
   return std::none_of(dist.begin(), dist.end(),
                       [](std::size_t d) { return d == SIZE_MAX; });
-}
-
-double Graph::average_pairwise_latency() const {
-  const std::size_t n = adjacency_.size();
-  if (n < 2) return 0.0;
-  double total = 0.0;
-  for (NodeId v = 0; v < n; ++v) {
-    const auto dist = shortest_latencies(v);
-    for (NodeId u = 0; u < n; ++u) {
-      if (u != v && dist[u] != kInfLatency) total += dist[u];
-    }
-  }
-  return total / (static_cast<double>(n) * static_cast<double>(n - 1));
 }
 
 }  // namespace hermes::net

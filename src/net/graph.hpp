@@ -45,7 +45,6 @@ class Graph {
   NodeId add_node();
   // Adds an undirected edge; no-op (keeping the first latency) if present.
   void add_edge(NodeId a, NodeId b, double latency_ms);
-  void remove_edge(NodeId a, NodeId b);
   bool has_edge(NodeId a, NodeId b) const;
   // Latency of edge (a, b); nullopt if absent.
   std::optional<double> edge_latency(NodeId a, NodeId b) const;
@@ -74,8 +73,6 @@ class Graph {
   std::vector<std::size_t> hop_distances(NodeId source) const;
 
   bool is_connected() const;
-  // Sum over all ordered pairs of shortest-path latency / (n * (n-1)).
-  double average_pairwise_latency() const;
 
  private:
   std::vector<std::vector<Edge>> adjacency_;

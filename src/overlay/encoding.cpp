@@ -55,6 +55,9 @@ std::optional<Overlay> decode_overlay(BytesView bytes) {
   if (!hermes::get_varint(bytes, &off, &f)) return std::nullopt;
   if (!hermes::get_varint(bytes, &off, &entries)) return std::nullopt;
   if (n == 0 || entries > n) return std::nullopt;
+  // Every node takes at least two bytes, its depth and its successor
+  // count: reject a count the input cannot hold before allocating for it.
+  if (n > (bytes.size() - off) / 2) return std::nullopt;
 
   Overlay o(static_cast<std::size_t>(n), static_cast<std::size_t>(f));
   for (std::uint64_t i = 0; i < entries; ++i) {

@@ -54,8 +54,7 @@ std::size_t join_out_degree_cap(std::size_t f) {
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
                                         const LinkCostCache* costs,
-                                        const ObjectiveWeights& weights,
-                                        MoveDelta* delta) {
+                                        const ObjectiveWeights& weights) {
   JoinPlacementResult result;
   if (joiner >= o.node_count()) return result;
   if (o.depth(joiner) != 0 || !o.successors(joiner).empty() ||
@@ -189,9 +188,6 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
   o.set_depth(joiner, best_depth);
   for (const Candidate& c : best_preds) {
     o.add_link(c.id, joiner, c.cost);
-    if (delta != nullptr) {
-      delta->ops.push_back({c.id, joiner, c.cost, /*add=*/true, 0, 0});
-    }
     ++result.links_added;
   }
   result.ok = true;

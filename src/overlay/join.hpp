@@ -69,12 +69,10 @@ std::size_t join_out_degree_cap(std::size_t f);
 // preferred; multi-hop logical links (shortest-path latency) fill gaps.
 // Passing `costs` reuses a shared shortest-path cache instead of running
 // per-call Dijkstras. Fails (overlay unchanged) when no depth offers f+1
-// distinct predecessors. When `delta` is non-null the add ops are appended
-// so callers can splice the move into annealing machinery.
+// distinct predecessors.
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
                                         const LinkCostCache* costs = nullptr,
-                                        const ObjectiveWeights& weights = {},
-                                        MoveDelta* delta = nullptr);
+                                        const ObjectiveWeights& weights = {});
 
 }  // namespace hermes::overlay

@@ -178,15 +178,4 @@ Overlay build_robust_tree(const net::Graph& g, std::size_t f,
   return overlay;
 }
 
-std::vector<Overlay> build_robust_trees(const net::Graph& g, std::size_t f,
-                                        std::size_t k) {
-  RankTable ranks(g.node_count(), 0.0);
-  std::vector<Overlay> out;
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    out.push_back(build_robust_tree(g, f, ranks));
-  }
-  return out;
-}
-
 }  // namespace hermes::overlay

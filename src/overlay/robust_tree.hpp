@@ -30,8 +30,4 @@ using RankTable = std::vector<double>;
 Overlay build_robust_tree(const net::Graph& g, std::size_t f,
                           RankTable& ranks);
 
-// Convenience: build k robust trees (no annealing), sharing one rank table.
-std::vector<Overlay> build_robust_trees(const net::Graph& g, std::size_t f,
-                                        std::size_t k);
-
 }  // namespace hermes::overlay

@@ -157,15 +157,13 @@ void enable_transit_faults(ExperimentContext& ctx) {
   });
 }
 
-Transaction inject_tx(ExperimentContext& ctx, net::NodeId sender,
-                      std::size_t payload_bytes) {
+Transaction inject_tx(ExperimentContext& ctx, net::NodeId sender) {
   Transaction tx;
   tx.sender = sender;
   const std::uint64_t seq = ctx.node(sender).allocate_seq();
   tx.sender_seq = seq;
   tx.id = Transaction::make_id(sender, seq);
   tx.created_at = ctx.engine.now();
-  tx.payload_bytes = payload_bytes;
   ctx.tracker.on_created(tx.id, tx.created_at);
   {
     // Submission enters the simulation from outside any lane; scope it to

@@ -182,8 +182,7 @@ void enable_transit_faults(ExperimentContext& ctx);
 // Submits a transaction from `sender` at the current simulation time,
 // registering it with the tracker. The sequence number is allocated from
 // the sender's own counter. Returns the transaction.
-Transaction inject_tx(ExperimentContext& ctx, net::NodeId sender,
-                      std::size_t payload_bytes = mempool::kDefaultTxBytes);
+Transaction inject_tx(ExperimentContext& ctx, net::NodeId sender);
 
 // --- Outcome analysis -------------------------------------------------------
 

@@ -84,7 +84,7 @@ void L0Node::submit(const Transaction& tx) {
   deliver_tx(tx);
   // Commit-before-reveal: the commitment precedes the body so witnesses can
   // later audit ordering claims.
-  mempool::Commitment c{tx.hash(), id(), now()};
+  const mempool::Commitment c{tx.hash()};
   pool_.add_commitment(c);
   gossip_commitment(c, kCommitFanout, id());
   gossip_tx(tx, kTxFanout, id());
@@ -93,7 +93,7 @@ void L0Node::submit(const Transaction& tx) {
 void L0Node::fast_submit(const Transaction& tx) {
   // The adversary still has to commit (witnesses would catch an uncommitted
   // transaction), then blasts the body over ad-hoc links.
-  mempool::Commitment c{tx.hash(), id(), now()};
+  const mempool::Commitment c{tx.hash()};
   pool_.add_commitment(c);
   gossip_commitment(c, kCommitFanout, id());
   gossip_tx(tx, ctx_.topology.graph.degree(id()), id());

@@ -40,7 +40,7 @@ std::unique_ptr<ProtocolNode> SimpleTreeProtocol::make_node(
   if (!tree_) {
     overlay::RankTable ranks(ctx.node_count(), 0.0);
     tree_ = std::make_shared<const overlay::Overlay>(
-        overlay::build_robust_tree(ctx.topology.graph, f_, ranks));
+        overlay::build_robust_tree(ctx.topology.graph, kF, ranks));
   }
   return std::make_unique<SimpleTreeNode>(ctx, id, tree_);
 }

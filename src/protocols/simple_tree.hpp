@@ -29,13 +29,14 @@ class SimpleTreeNode final : public ProtocolNode {
 
 class SimpleTreeProtocol final : public Protocol {
  public:
-  explicit SimpleTreeProtocol(std::size_t f = 1) : f_(f) {}
+  // The tree tolerates one fault: f + 1 = 2 entry points and predecessors.
+  static constexpr std::size_t kF = 1;
+
   std::string_view name() const override { return "simple-tree"; }
   std::unique_ptr<ProtocolNode> make_node(ExperimentContext& ctx,
                                           net::NodeId id) override;
 
  private:
-  std::size_t f_;
   std::shared_ptr<const overlay::Overlay> tree_;
 };
 

@@ -203,18 +203,12 @@ Engine::ShardScope::~ShardScope() {
   tls() = ExecContext{prev_engine_, prev_shard_, prev_draining_};
 }
 
-std::size_t Engine::run(std::size_t max_events) {
-  return run_windows(kInfTime, max_events);
-}
+std::size_t Engine::run() { return run_until(kInfTime); }
 
 std::size_t Engine::run_until(SimTime deadline) {
-  return run_windows(deadline, SIZE_MAX);
-}
-
-std::size_t Engine::run_windows(SimTime deadline, std::size_t max_events) {
   std::size_t executed = 0;
   Lane& ctl = control();
-  while (executed < max_events) {
+  while (true) {
     SimTime t0 = kInfTime;
     for (const Lane& ln : lanes_) t0 = std::min(t0, ln.next_when());
     if (t0 == kInfTime || t0 > deadline) break;
@@ -334,19 +328,6 @@ std::size_t Engine::pool_capacity() const {
 
 void Engine::clear() {
   for (Lane& ln : lanes_) ln.clear_events();
-}
-
-void Engine::reset() {
-  clear();
-  now_ = 0.0;
-  window_bound_ = 0.0;
-  for (Lane& ln : lanes_) {
-    ln.next_local_ = 0;
-    ln.now = 0.0;
-    ln.cur_seq = 0;
-    ln.fx_idx = 0;
-    ln.executed = 0;
-  }
 }
 
 }  // namespace hermes::sim

@@ -294,10 +294,9 @@ class Engine {
     bool prev_draining_;
   };
 
-  // Runs events until the queue drains or `max_events` fire. Returns the
-  // number of events executed. The cap is checked only at window barriers,
-  // so a window of region-lane events may finish past it.
-  std::size_t run(std::size_t max_events = SIZE_MAX);
+  // Runs events until the queue drains. Returns the number of events
+  // executed.
+  std::size_t run();
   // Runs events with timestamp <= deadline.
   std::size_t run_until(SimTime deadline);
 
@@ -308,14 +307,8 @@ class Engine {
   // deliberately NOT rewound: events scheduled after a clear() still order
   // behind everything scheduled before it, and now() stays monotonic, so a
   // clear() mid-run cannot reorder a subsequently shared schedule. The
-  // event pools are retained for reuse. Benchmark repetitions that want a
-  // fresh, seed-deterministic engine should call reset().
+  // event pools are retained for reuse.
   void clear();
-
-  // clear() plus rewinding now() to 0 and the sequence counters to their
-  // initial state: the engine becomes indistinguishable from a freshly
-  // configured one, except that the warmed event pools are kept.
-  void reset();
 
   // Number of slab slots ever allocated across lanes (regression hook:
   // repetitions over a bounded-pending workload must not grow the pool).
@@ -380,7 +373,6 @@ class Engine {
 
   Lane& control() { return lanes_.back(); }
 
-  std::size_t run_windows(SimTime deadline, std::size_t max_events);
   void drain_lanes(SimTime bound);
   bool flush_outboxes(SimTime bound);
   void flush_deferred();

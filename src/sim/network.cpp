@@ -160,8 +160,6 @@ std::optional<SimTime> Network::send(const Message& msg) {
   ShardState& st = state();
   counters_[msg.src].messages_sent += 1;
   counters_[msg.src].bytes_sent += msg.wire_bytes;
-  st.total.messages_sent += 1;
-  st.total.bytes_sent += msg.wire_bytes;
   if (send_tap_) {
     if (engine_.in_shard_drain()) {
       // Observation order must not depend on lane interleaving: replayed
@@ -223,11 +221,8 @@ std::optional<SimTime> Network::send(const Message& msg) {
     if (crashed_[msg.dst]) return;
     Node* receiver = nodes_[msg.dst];
     HERMES_REQUIRE(receiver != nullptr);
-    ShardState& rst = state();  // the destination lane's slice
     counters_[msg.dst].messages_received += 1;
     counters_[msg.dst].bytes_received += msg.wire_bytes;
-    rst.total.messages_received += 1;
-    rst.total.bytes_received += msg.wire_bytes;
     receiver->on_message(msg);
   });
   return deliver_at;
@@ -235,11 +230,11 @@ std::optional<SimTime> Network::send(const Message& msg) {
 
 BandwidthCounters Network::total() const {
   BandwidthCounters out;
-  for (const ShardState& st : shards_) {
-    out.messages_sent += st.total.messages_sent;
-    out.messages_received += st.total.messages_received;
-    out.bytes_sent += st.total.bytes_sent;
-    out.bytes_received += st.total.bytes_received;
+  for (const BandwidthCounters& c : counters_) {
+    out.messages_sent += c.messages_sent;
+    out.messages_received += c.messages_received;
+    out.bytes_sent += c.bytes_sent;
+    out.bytes_received += c.bytes_received;
   }
   return out;
 }
@@ -248,15 +243,6 @@ std::uint64_t Network::dropped_messages() const {
   std::uint64_t total = 0;
   for (const ShardState& st : shards_) total += st.dropped;
   return total;
-}
-
-void Network::reset_counters() {
-  require_quiescent();
-  for (auto& c : counters_) c = BandwidthCounters{};
-  for (ShardState& st : shards_) {
-    st.total = BandwidthCounters{};
-    st.dropped = 0;
-  }
 }
 
 void Network::set_send_tap(SendTap tap) {

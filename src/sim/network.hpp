@@ -11,10 +11,11 @@
 // region (the shard of a node is its region) with the conservative
 // lookahead derived from the latency model: cross-region latency is never
 // below min(min inter-region edge label, inter mean - 8 inter stddev),
-// and the engine asserts that bound on every cross-shard delivery. All mutable
-// per-send state (rng streams, aggregate counters, pair caches) is kept
-// per shard; per-node counters are written only by the node's own lane
-// (sends by the source lane, receipts by the destination lane at delivery).
+// and the engine asserts that bound on every cross-shard delivery. The
+// mutable per-send state that no node owns (rng streams, drop counts, pair
+// caches) is kept per shard; per-node counters are written only by the
+// node's own lane (sends by the source lane, receipts by the destination
+// lane at delivery).
 // Global fault switches (crash, partition, flaps, stragglers) may only be
 // flipped while the engine is quiescent — control events, setup, or
 // between runs — which the setters assert.
@@ -85,11 +86,11 @@ class Network {
   const BandwidthCounters& counters(net::NodeId id) const {
     return counters_[id];
   }
-  // Aggregate counters, summed over the per-shard slices. Meaningful at
-  // quiescent points (between runs / from control events).
+  // Aggregate counters, summed over the per-node counters; drops are
+  // summed over the per-shard slices. Meaningful at quiescent points
+  // (between runs / from control events).
   BandwidthCounters total() const;
   std::uint64_t dropped_messages() const;
-  void reset_counters();
 
   // Marks a node as crashed: all deliveries to/from it are suppressed.
   void set_crashed(net::NodeId id, bool crashed);
@@ -117,7 +118,6 @@ class Network {
   // delivered (they already left the wire).
   void set_partition(const std::vector<int>& partition_of);
   void heal_partition();
-  bool is_partitioned() const { return !partition_of_.empty(); }
 
   // Link flap: the undirected link (a, b) is down during [start_ms, end_ms).
   // Messages attempted while the link is down are charged as drops (the
@@ -169,7 +169,6 @@ class Network {
     explicit ShardState(std::uint64_t seed, std::size_t node_count)
         : rng(seed), cache(node_count) {}
     Rng rng;  // drop / jitter draws, consumed in per-lane event order
-    BandwidthCounters total;
     std::uint64_t dropped = 0;
     PairCache cache;
   };

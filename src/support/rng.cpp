@@ -51,14 +51,6 @@ std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  HERMES_REQUIRE(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-  return lo + static_cast<std::int64_t>(uniform_u64(span));
-}
-
 double Rng::uniform01() {
   // 53 random bits -> [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -44,8 +44,6 @@ class Rng {
 
   // Uniform integer in [0, bound). bound must be > 0. Unbiased (rejection).
   std::uint64_t uniform_u64(std::uint64_t bound);
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   // Uniform real in [0, 1).
   double uniform01();
   // Uniform real in [lo, hi).

@@ -31,7 +31,7 @@ std::vector<Arrival> generate_arrivals(const WorkloadParams& p,
 
 Bytes serialize_arrivals(std::span<const Arrival> arrivals) {
   Bytes out;
-  out.reserve(arrivals.size() * 28 + 8);
+  out.reserve(arrivals.size() * 20 + 8);
   put_u64_be(out, arrivals.size());
   for (const Arrival& a : arrivals) {
     std::uint64_t time_bits = 0;
@@ -40,7 +40,6 @@ Bytes serialize_arrivals(std::span<const Arrival> arrivals) {
     put_u64_be(out, time_bits);
     put_u32_be(out, a.sender);
     put_u64_be(out, a.fee);
-    put_u64_be(out, a.payload_bytes);
   }
   return out;
 }

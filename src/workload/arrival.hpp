@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "mempool/transaction.hpp"
 #include "net/graph.hpp"
 #include "support/bytes.hpp"
 
@@ -47,7 +46,6 @@ struct Arrival {
   double at_ms = 0.0;
   net::NodeId sender = 0;
   std::uint64_t fee = 0;
-  std::size_t payload_bytes = mempool::kDefaultTxBytes;
 };
 
 // Generates the full arrival schedule, sorted by at_ms (ties keep draw
@@ -56,8 +54,8 @@ struct Arrival {
 std::vector<Arrival> generate_arrivals(const WorkloadParams& params,
                                        std::span<const net::NodeId> senders);
 
-// Canonical byte encoding of a schedule (time bits, sender, fee, payload
-// per arrival). Two schedules are identical iff their serializations
+// Canonical byte encoding of a schedule (time bits, sender and fee per
+// arrival). Two schedules are identical iff their serializations
 // compare equal — the determinism tests diff these.
 Bytes serialize_arrivals(std::span<const Arrival> arrivals);
 

@@ -1,40 +1,18 @@
 #include "workload/driver.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <unordered_map>
 
-#include "hermes/hermes_node.hpp"
 #include "support/assert.hpp"
 
 namespace hermes::workload {
 
-namespace {
-
-// One origin batch: same-sender transactions submitted together when the
-// batch window closes (or a single tx at its own arrival time when
-// batching is off).
-struct Group {
-  net::NodeId sender = 0;
-  double submit_at = 0.0;
-  std::vector<mempool::Transaction> txs;
-};
-
-}  // namespace
-
 ScheduleResult schedule_arrivals(protocols::ExperimentContext& ctx,
-                                 std::span<const Arrival> arrivals,
-                                 double batch_window_ms) {
+                                 std::span<const Arrival> arrivals) {
   HERMES_REQUIRE(!ctx.nodes.empty());  // populate() must have run
   ScheduleResult result;
-
-  // Build all transactions up-front, while the engine is quiescent: seq
-  // allocation mutates node state, and doing it here (in arrival order)
-  // makes the id assignment independent of how the run interleaves.
-  std::vector<Group> groups;
-  // sender -> open group index; indexed lookups only (no iteration), so
-  // scheduling order stays the deterministic group-creation order.
-  std::unordered_map<net::NodeId, std::size_t> open;
+  // Transactions are built here, while the engine is quiescent: seq
+  // allocation mutates node state, and doing it in arrival order makes the
+  // id assignment independent of how the run interleaves.
   for (const Arrival& a : arrivals) {
     HERMES_REQUIRE(a.sender < ctx.node_count());
     mempool::Transaction tx;
@@ -42,56 +20,28 @@ ScheduleResult schedule_arrivals(protocols::ExperimentContext& ctx,
     tx.sender_seq = ctx.node(a.sender).allocate_seq();
     tx.id = mempool::Transaction::make_id(a.sender, tx.sender_seq);
     tx.created_at = a.at_ms;
-    tx.payload_bytes = a.payload_bytes;
     tx.fee = a.fee;
     ctx.tracker.on_created(tx.id, tx.created_at);
     result.txs.push_back(tx);
-
-    if (batch_window_ms <= 0.0) {
-      groups.push_back(Group{a.sender, a.at_ms, {tx}});
-      continue;
-    }
-    const auto it = open.find(a.sender);
-    if (it != open.end() && a.at_ms < groups[it->second].submit_at) {
-      groups[it->second].txs.push_back(tx);
-      continue;
-    }
-    open[a.sender] = groups.size();
-    groups.push_back(Group{a.sender, a.at_ms + batch_window_ms, {tx}});
-  }
-
-  result.batches = groups.size();
-  for (Group& g : groups) {
-    result.horizon_ms = std::max(result.horizon_ms, g.submit_at);
+    result.horizon_ms = std::max(result.horizon_ms, a.at_ms);
     // schedule_global_at: submissions are control events, firing with all
     // lanes quiescent in scheduling order among equal times — the same
     // entry discipline as inject_tx and the fuzzer's World::at.
-    auto batch = std::make_shared<std::vector<mempool::Transaction>>(
-        std::move(g.txs));
-    const net::NodeId sender = g.sender;
-    ctx.engine.schedule_global_at(g.submit_at, [&ctx, sender, batch] {
+    ctx.engine.schedule_global_at(a.at_ms, [&ctx, tx] {
       // Route the dissemination timers into the sender's own lane.
-      sim::Engine::ShardScope scope(ctx.engine, ctx.shard_of(sender));
-      auto* hn = dynamic_cast<hermes_proto::HermesNode*>(&ctx.node(sender));
-      if (hn != nullptr && batch->size() > 1) {
-        hn->submit_batch(*batch);
-        return;
-      }
-      for (const mempool::Transaction& tx : *batch) {
-        ctx.node(sender).submit(tx);
-      }
+      sim::Engine::ShardScope scope(ctx.engine, ctx.shard_of(tx.sender));
+      ctx.node(tx.sender).submit(tx);
     });
   }
   return result;
 }
 
 ScheduleResult schedule_workload(protocols::ExperimentContext& ctx,
-                                 const WorkloadParams& params,
-                                 double batch_window_ms) {
+                                 const WorkloadParams& params) {
   const std::vector<net::NodeId> honest = ctx.honest_nodes();
   const std::vector<Arrival> arrivals = generate_arrivals(params, honest);
   if (params.kind == ArrivalKind::kAdversarial) ctx.attack_enabled = true;
-  return schedule_arrivals(ctx, arrivals, batch_window_ms);
+  return schedule_arrivals(ctx, arrivals);
 }
 
 }  // namespace hermes::workload

@@ -1,8 +1,8 @@
 // Pipelined workload driver: turns an arrival schedule into scheduled
-// submissions on an ExperimentContext's engine, with optional batching at
-// the origin. Every protocol (HERMES, LØ, Narwhal, Mercury, gossip) runs
-// the identical schedule — the driver only goes through the ProtocolNode
-// interface, so load comparisons across protocols are apples-to-apples.
+// submissions on an ExperimentContext's engine. Every protocol (HERMES,
+// LØ, Narwhal, Mercury, gossip) runs the identical schedule — the driver
+// only goes through the ProtocolNode interface, so load comparisons across
+// protocols are apples-to-apples.
 #pragma once
 
 #include <span>
@@ -19,8 +19,6 @@ struct ScheduleResult {
   // complete when this returns; the submissions themselves fire as the
   // engine advances past each arrival time.
   std::vector<mempool::Transaction> txs;
-  // Number of origin batches submitted (== txs.size() when batching off).
-  std::size_t batches = 0;
   // Latest submission event time; run the engine past this plus a drain.
   double horizon_ms = 0.0;
 };
@@ -29,20 +27,12 @@ struct ScheduleResult {
 // Call after populate() (nodes must exist; mempool capacity and behaviors
 // are fixed at populate time). The caller then drives
 // ctx.engine.run_until(result.horizon_ms + drain).
-//
-// batch_window_ms > 0 enables batching at origin: consecutive arrivals
-// from the same sender within one window are submitted together when the
-// window closes — through HermesNode::submit_batch (erasure-coded batch
-// path) on HERMES, as back-to-back submits on other protocols, so the
-// per-protocol batching semantics stay native while the load is shared.
 ScheduleResult schedule_workload(protocols::ExperimentContext& ctx,
-                                 const WorkloadParams& params,
-                                 double batch_window_ms = 0.0);
+                                 const WorkloadParams& params);
 
 // As above, but over an explicit arrival schedule (the fuzzer pre-draws
 // arrivals so the scenario stays a pure function of its seed).
 ScheduleResult schedule_arrivals(protocols::ExperimentContext& ctx,
-                                 std::span<const Arrival> arrivals,
-                                 double batch_window_ms = 0.0);
+                                 std::span<const Arrival> arrivals);
 
 }  // namespace hermes::workload

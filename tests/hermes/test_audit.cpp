@@ -13,7 +13,7 @@ TEST(AuditLog, RecordsViolations) {
   EXPECT_EQ(log.violations()[0].offender, 7u);
   EXPECT_EQ(log.violations()[1].kind, ViolationKind::kWrongOverlay);
   EXPECT_EQ(log.count_of(ViolationKind::kBadCertificate), 1u);
-  EXPECT_EQ(log.count_of(ViolationKind::kSequenceGap), 0u);
+  EXPECT_EQ(log.count_of(ViolationKind::kIllegitimatePredecessor), 0u);
 }
 
 TEST(AuditLog, FirstStrikeExcludesByDefault) {
@@ -24,25 +24,14 @@ TEST(AuditLog, FirstStrikeExcludesByDefault) {
   EXPECT_EQ(log.excluded_count(), 1u);
 }
 
-TEST(AuditLog, ConfigurableExclusionThreshold) {
-  AuditLog log;
-  log.set_exclusion_threshold(3);
-  log.record(1.0, ViolationKind::kBadCertificate, 7, 1);
-  log.record(2.0, ViolationKind::kBadCertificate, 7, 2);
-  EXPECT_FALSE(log.is_excluded(7));
-  log.record(3.0, ViolationKind::kBadCertificate, 7, 3);
-  EXPECT_TRUE(log.is_excluded(7));
-}
-
 TEST(AuditLog, ViolationNamesDistinct) {
   std::set<std::string> names;
   for (auto kind :
        {ViolationKind::kBadCertificate, ViolationKind::kWrongOverlay,
-        ViolationKind::kIllegitimatePredecessor,
-        ViolationKind::kNotAnEntryPoint, ViolationKind::kSequenceGap}) {
+        ViolationKind::kIllegitimatePredecessor}) {
     names.insert(violation_name(kind));
   }
-  EXPECT_EQ(names.size(), 5u);
+  EXPECT_EQ(names.size(), 3u);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Erasure-coded batch dissemination tests (Section VIII-D extension).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "../protocols/harness.hpp"
 #include "hermes/hermes_node.hpp"
 
@@ -71,6 +75,50 @@ TEST(BatchSerialization, RejectsTruncation) {
   Bytes encoded = mempool::serialize_batch(std::vector<Transaction>{a});
   encoded.pop_back();
   EXPECT_FALSE(mempool::deserialize_batch(encoded).has_value());
+}
+
+TEST(BatchSerialization, RejectsMemberCountPastTheInput) {
+  // A 9-byte input claiming 2^62 members: rejected before any allocation.
+  Bytes encoded;
+  put_varint(encoded, std::uint64_t{1} << 62);
+  ASSERT_EQ(encoded.size(), 9u);
+  EXPECT_FALSE(mempool::deserialize_batch(encoded).has_value());
+}
+
+// Mutation harness for the batch decoder: every truncation and every
+// single-bit flip of a serialized 5-member batch (fee appendix included)
+// must either be rejected or decode to no more members than its input can
+// hold, each at least 62 bytes. Nothing may throw.
+TEST(BatchDecoderMutation, TruncationsAndBitFlips) {
+  std::vector<Transaction> batch;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Transaction tx;
+    tx.sender = static_cast<net::NodeId>(i + 1);
+    tx.sender_seq = 10 + i;
+    tx.id = mempool::Transaction::make_id(tx.sender, tx.sender_seq);
+    tx.payload_bytes = 100 + 50 * i;
+    tx.fee = 3 * i;
+    tx.adversarial = i == 4;
+    tx.victim_id = tx.adversarial ? batch.front().id : 0;
+    batch.push_back(tx);
+  }
+  const Bytes bytes = mempool::serialize_batch(batch);
+  ASSERT_TRUE(mempool::deserialize_batch(bytes).has_value());
+  const auto expect_bounded = [](BytesView input, const std::string& what) {
+    std::optional<std::vector<Transaction>> decoded;
+    ASSERT_NO_THROW(decoded = mempool::deserialize_batch(input)) << what;
+    if (!decoded) return;
+    ASSERT_LE(decoded->size() * 62, input.size()) << what;
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    expect_bounded(BytesView(bytes.data(), len),
+                   "length " + std::to_string(len));
+  }
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    Bytes flipped = bytes;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_bounded(flipped, "bit " + std::to_string(bit));
+  }
 }
 
 TEST(BatchSerialization, HashBindsContent) {

@@ -23,9 +23,8 @@ struct Harness {
   std::vector<std::pair<double, std::function<void()>>> scheduled;
   std::vector<std::vector<MembershipDelta>> installs;
 
-  EpochPipeline make(EpochPipeline::Params p) {
+  EpochPipeline make() {
     return EpochPipeline(
-        p,
         [this](double delay, std::function<void()> fn) {
           scheduled.emplace_back(delay, std::move(fn));
         },
@@ -42,73 +41,74 @@ struct Harness {
   }
 };
 
-EpochPipeline::Params params(std::size_t hysteresis = 3,
-                             double anneal_ms = 100.0) {
-  EpochPipeline::Params p;
-  p.hysteresis = hysteresis;
-  p.anneal_ms = anneal_ms;
-  return p;
-}
-
 TEST(EpochPipeline, HysteresisAbsorbsSmallDeltasIncrementally) {
+  static_assert(EpochPipeline::kHysteresis == 2);
   Harness h;
-  EpochPipeline p = h.make(params(3));
+  EpochPipeline p = h.make();
   p.on_membership_change({5, false});
-  p.on_membership_change({5, true});
   EXPECT_FALSE(p.annealing());
   EXPECT_TRUE(h.scheduled.empty());
-  EXPECT_EQ(p.absorbed_incrementally(), 2u);
-  EXPECT_EQ(p.queued(), 2u);
+  EXPECT_EQ(p.absorbed_incrementally(), 1u);
+  EXPECT_EQ(p.queued(), 1u);
 
-  // The third delta crosses the hysteresis: background anneal starts.
+  // The second delta reaches the hysteresis: background anneal starts.
   p.on_membership_change({7, false});
   EXPECT_TRUE(p.annealing());
   ASSERT_EQ(h.scheduled.size(), 1u);
-  EXPECT_EQ(h.scheduled[0].first, 100.0);
+  EXPECT_EQ(h.scheduled[0].first, EpochPipeline::kAnnealMs);
 
   h.fire();
   EXPECT_FALSE(p.annealing());
   EXPECT_EQ(p.pipelined_installs(), 1u);
   EXPECT_EQ(p.queued(), 0u);  // folded into the install
   ASSERT_EQ(h.installs.size(), 1u);
-  EXPECT_EQ(h.installs[0].size(), 3u);
-  EXPECT_EQ(h.installs[0][2].node, 7u);
+  EXPECT_EQ(h.installs[0].size(), 2u);
+  EXPECT_EQ(h.installs[0][1].node, 7u);
 }
 
 TEST(EpochPipeline, MidAnnealChurnInvalidatesAndRetriesWithBackoff) {
+  static_assert(EpochPipeline::kAnnealMs == 250.0);
   static_assert(EpochPipeline::kRetryBackoff == 2.0);
   static_assert(EpochPipeline::kRetryMaxMs == 2000.0);
   Harness h;
-  EpochPipeline p = h.make(params(1, /*anneal_ms=*/600.0));
-  p.on_membership_change({1, false});  // starts the anneal immediately
+  EpochPipeline p = h.make();
+  p.on_membership_change({1, false});
+  p.on_membership_change({2, false});  // starts the anneal
   ASSERT_EQ(h.scheduled.size(), 1u);
 
-  p.on_membership_change({2, false});  // lands mid-anneal
-  EXPECT_EQ(p.absorbed_incrementally(), 0u);  // not absorbed: queued for e+1
+  p.on_membership_change({3, false});  // lands mid-anneal
+  EXPECT_EQ(p.absorbed_incrementally(), 1u);  // not absorbed: queued for e+1
   h.fire();
   EXPECT_EQ(p.invalidations(), 1u);
   EXPECT_TRUE(p.annealing());
   ASSERT_EQ(h.scheduled.size(), 1u);
-  EXPECT_EQ(h.scheduled[0].first, 1200.0);  // anneal_ms * backoff^1
+  EXPECT_EQ(h.scheduled[0].first, 500.0);  // kAnnealMs * backoff^1
 
-  p.on_membership_change({3, true});  // again mid-retry
+  p.on_membership_change({4, true});  // again mid-retry
   h.fire();
   EXPECT_EQ(p.invalidations(), 2u);
   ASSERT_EQ(h.scheduled.size(), 1u);
-  EXPECT_EQ(h.scheduled[0].first, 2000.0);  // backoff^2 capped at kRetryMaxMs
+  EXPECT_EQ(h.scheduled[0].first, 1000.0);  // backoff^2
+
+  p.on_membership_change({5, true});
+  h.fire();
+  EXPECT_EQ(p.invalidations(), 3u);
+  ASSERT_EQ(h.scheduled.size(), 1u);
+  EXPECT_EQ(h.scheduled[0].first, 2000.0);  // backoff^3, at kRetryMaxMs
 
   h.fire();  // quiet this time: the pipelined epoch lands
   EXPECT_FALSE(p.annealing());
   EXPECT_EQ(p.pipelined_installs(), 1u);
   ASSERT_EQ(h.installs.size(), 1u);
-  EXPECT_EQ(h.installs[0].size(), 3u);  // all three deltas folded
+  EXPECT_EQ(h.installs[0].size(), 5u);  // all five deltas folded
 }
 
 TEST(EpochPipeline, RetryCapInstallsDespiteSustainedChurn) {
   Harness h;
-  EpochPipeline p = h.make(params(1));
+  EpochPipeline p = h.make();
   p.on_membership_change({1, false});
-  net::NodeId next = 2;
+  p.on_membership_change({2, false});
+  net::NodeId next = 3;
   for (std::size_t retry = 0; retry < EpochPipeline::kMaxRetries; ++retry) {
     p.on_membership_change({next++, false});  // invalidate every attempt
     h.fire();
@@ -119,14 +119,17 @@ TEST(EpochPipeline, RetryCapInstallsDespiteSustainedChurn) {
   EXPECT_EQ(p.pipelined_installs(), 1u);
   EXPECT_FALSE(p.annealing());
   ASSERT_EQ(h.installs.size(), 1u);
-  EXPECT_EQ(h.installs[0].size(), EpochPipeline::kMaxRetries + 2);
+  EXPECT_EQ(h.installs[0].size(), EpochPipeline::kMaxRetries + 3);
 }
 
 TEST(EpochPipeline, QueueCapDropsOldestDelta) {
   Harness h;
-  EpochPipeline p = h.make(params(/*hysteresis=*/100));
+  EpochPipeline p = h.make();
+  // The second delta starts an anneal that never fires, so every later
+  // one queues behind it.
   const std::size_t deltas = EpochPipeline::kQueueCap + 2;
   for (net::NodeId v = 0; v < deltas; ++v) p.on_membership_change({v, false});
+  EXPECT_TRUE(p.annealing());
   EXPECT_EQ(p.queued(), EpochPipeline::kQueueCap);
   EXPECT_EQ(p.dropped_deltas(), 2u);
 }

@@ -136,16 +136,20 @@ TEST(OverlaySelection, DeterministicAndVerifiable) {
   const std::size_t k = 10;
   const std::size_t choice = select_overlay(*sig, k);
   EXPECT_LT(choice, k);
-  EXPECT_TRUE(verify_overlay_choice(scheme, id, *sig, choice, k));
-  EXPECT_FALSE(verify_overlay_choice(scheme, id, *sig, (choice + 1) % k, k));
+  // A receiver checks the certificate and then the claimed index against
+  // the seed (HermesNode::admissible).
+  EXPECT_TRUE(scheme.verify_combined(msg, *sig));
+  EXPECT_EQ(select_overlay(*sig, k), choice);
+  EXPECT_NE(select_overlay(*sig, k), (choice + 1) % k);
 }
 
 TEST(OverlaySelection, RejectsForgedSignature) {
   const crypto::SimThresholdScheme scheme(to_bytes("grp"), 4, 3);
   const TrsId id = make_id();
   Bytes forged(32, 0xab);
-  EXPECT_FALSE(verify_overlay_choice(scheme, id, forged,
-                                     select_overlay(forged, 10), 10));
+  // The forged seed picks some overlay, but the certificate fails first.
+  EXPECT_LT(select_overlay(forged, 10), 10u);
+  EXPECT_FALSE(scheme.verify_combined(id.signed_message(), forged));
 }
 
 TEST(OverlaySelection, SpreadsAcrossOverlays) {

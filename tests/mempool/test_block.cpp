@@ -33,8 +33,8 @@ TEST(Block, PositionAndOrdering) {
   block.tx_ids = {7, 8, 9};
   EXPECT_EQ(block.position(8), 1u);
   EXPECT_EQ(block.position(99), SIZE_MAX);
-  EXPECT_TRUE(block.orders_before(7, 9));
-  EXPECT_FALSE(block.orders_before(9, 8));
+  EXPECT_LT(block.position(7), block.position(9));
+  EXPECT_GT(block.position(9), block.position(8));
 }
 
 TEST(Block, HashBindsContentAndOrder) {
@@ -73,7 +73,7 @@ TEST(Block, ProposeBlockMatchesFrontRunVerdict) {
     const Block block = node.propose_block(1, 1000);
     if (!block.contains(victim.id) || !block.contains(attack.id)) continue;
     const bool block_says_attack_first =
-        block.orders_before(attack.id, victim.id);
+        block.position(attack.id) < block.position(victim.id);
     const bool verdict_says_attack_first =
         node.ordering_position(attack) < node.ordering_position(victim);
     EXPECT_EQ(block_says_attack_first, verdict_says_attack_first)

@@ -67,11 +67,11 @@ TEST(Mempool, Commitments) {
   Mempool pool;
   const Transaction tx = make_tx(4, 9);
   EXPECT_FALSE(pool.has_commitment(tx.hash()));
-  pool.add_commitment(Commitment{tx.hash(), 4, 1.0});
+  pool.add_commitment(Commitment{tx.hash()});
   EXPECT_TRUE(pool.has_commitment(tx.hash()));
   EXPECT_EQ(pool.commitment_count(), 1u);
   // Idempotent.
-  pool.add_commitment(Commitment{tx.hash(), 5, 2.0});
+  pool.add_commitment(Commitment{tx.hash()});
   EXPECT_EQ(pool.commitment_count(), 1u);
 }
 

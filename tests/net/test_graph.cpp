@@ -36,16 +36,6 @@ TEST(Graph, AddEdgeIdempotent) {
   EXPECT_DOUBLE_EQ(*g.edge_latency(0, 1), 5.0);  // first latency kept
 }
 
-TEST(Graph, RemoveEdge) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.remove_edge(0, 1);
-  EXPECT_FALSE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_EQ(g.degree(1), 1u);
-}
-
 TEST(Graph, AddNodeGrows) {
   Graph g(1);
   const NodeId v = g.add_node();
@@ -153,13 +143,6 @@ TEST(Graph, Connectivity) {
 TEST(Graph, EmptyGraphIsConnected) {
   EXPECT_TRUE(Graph(0).is_connected());
   EXPECT_TRUE(Graph(1).is_connected());
-}
-
-TEST(Graph, AveragePairwiseLatencyLine) {
-  // Line 0-1-2 with unit edges: pairs (0,1)=1 (0,2)=2 (1,2)=1; both
-  // directions -> mean = (1+2+1)*2 / 6 = 4/3.
-  const Graph g = line_graph(3);
-  EXPECT_NEAR(g.average_pairwise_latency(), 4.0 / 3.0, 1e-12);
 }
 
 }  // namespace

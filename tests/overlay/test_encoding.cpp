@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "crypto/sim_signer.hpp"
 #include "net/topology.hpp"
 #include "overlay/robust_tree.hpp"
@@ -76,6 +79,43 @@ TEST(Encoding, RejectsTrailingGarbage) {
   auto enc = encode_overlay(test_overlay());
   enc.push_back(0);
   EXPECT_FALSE(decode_overlay(enc).has_value());
+}
+
+TEST(Encoding, RejectsNodeCountPastTheInput) {
+  // A 15-byte input claiming 2^62 nodes: rejected before any allocation.
+  const Bytes enc = encode_overlay(test_overlay());
+  hermes::Bytes forged(enc.begin(), enc.begin() + 4);  // the magic
+  hermes::put_varint(forged, std::uint64_t{1} << 62);
+  hermes::put_varint(forged, 1);  // f
+  hermes::put_varint(forged, 0);  // no entry points
+  ASSERT_EQ(forged.size(), 15u);
+  EXPECT_FALSE(decode_overlay(forged).has_value());
+}
+
+// Mutation harness for the overlay decoder: every truncation and every
+// single-bit flip of a 30-node overlay encoding must either be rejected
+// or decode to an overlay of at most one node per two input bytes, which
+// its own structural check can then judge. Nothing may throw.
+TEST(OverlayDecoderMutation, TruncationsAndBitFlips) {
+  const hermes::Bytes bytes = encode_overlay(test_overlay(30));
+  ASSERT_TRUE(decode_overlay(bytes).has_value());
+  const auto expect_bounded = [](hermes::BytesView input,
+                                 const std::string& what) {
+    std::optional<Overlay> decoded;
+    ASSERT_NO_THROW(decoded = decode_overlay(input)) << what;
+    if (!decoded) return;
+    ASSERT_LE(decoded->node_count() * 2, input.size()) << what;
+    ASSERT_NO_THROW(decoded->validate()) << what;
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    expect_bounded(hermes::BytesView(bytes.data(), len),
+                   "length " + std::to_string(len));
+  }
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    hermes::Bytes flipped = bytes;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_bounded(flipped, "bit " + std::to_string(bit));
+  }
 }
 
 TEST(Encoding, CertifyAndVerify) {

@@ -83,8 +83,11 @@ TEST(RobustTree, DeterministicGivenSameInputs) {
 
 TEST(RobustTree, RankAccumulationRotatesEntryPoints) {
   const net::Topology topo = test_topology(60);
-  const auto trees = build_robust_trees(topo.graph, 1, 5);
-  ASSERT_EQ(trees.size(), 5u);
+  RankTable ranks(60, 0.0);
+  std::vector<Overlay> trees;
+  for (int i = 0; i < 5; ++i) {
+    trees.push_back(build_robust_tree(topo.graph, 1, ranks));
+  }
   // Entry points should not repeat wholesale across consecutive trees: the
   // rank update pushes previous entries away from the root.
   for (std::size_t i = 0; i + 1 < trees.size(); ++i) {

@@ -67,14 +67,6 @@ TEST(Engine, RunUntilAdvancesClockEvenWithoutEvents) {
   EXPECT_DOUBLE_EQ(e.now(), 42.0);
 }
 
-TEST(Engine, MaxEventsCap) {
-  Engine e;
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) e.schedule(static_cast<double>(i), [&] { ++fired; });
-  EXPECT_EQ(e.run(3), 3u);
-  EXPECT_EQ(fired, 3);
-}
-
 TEST(Engine, ClearDropsPending) {
   Engine e;
   int fired = 0;
@@ -183,25 +175,8 @@ TEST(Engine, ClearKeepsClockAndSequence) {
   EXPECT_DOUBLE_EQ(fired_at, 9.0);
 }
 
-TEST(Engine, ResetRewindsClock) {
-  Engine e;
-  e.schedule(5.0, [] {});
-  e.schedule(9.0, [] {});
-  e.run(1);
-  EXPECT_DOUBLE_EQ(e.now(), 5.0);
-  e.reset();
-  EXPECT_DOUBLE_EQ(e.now(), 0.0);
-  EXPECT_TRUE(e.empty());
-  std::vector<int> order;
-  e.schedule(1.0, [&] { order.push_back(1); });
-  e.schedule(1.0, [&] { order.push_back(2); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(e.now(), 1.0);
-}
-
 // The event pool must recycle slots: repeating a bounded-pending workload
-// (with clear() or reset() between repetitions) cannot grow the slab.
+// (with clear() between repetitions) cannot grow the slab.
 TEST(Engine, PoolSlotsAreReusedAcrossRepetitions) {
   Engine e;
   auto repetition = [&e] {
@@ -214,7 +189,7 @@ TEST(Engine, PoolSlotsAreReusedAcrossRepetitions) {
   const std::size_t warm = e.pool_capacity();
   EXPECT_GT(warm, 0u);
   for (int rep = 0; rep < 5; ++rep) {
-    e.reset();
+    e.clear();
     repetition();
     EXPECT_EQ(e.pool_capacity(), warm);
   }

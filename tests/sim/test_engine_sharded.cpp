@@ -215,27 +215,5 @@ TEST(EngineSharded, WorkersZeroResolvesToHardwareConcurrency) {
   EXPECT_GE(e.workers(), 1u);
 }
 
-// reset() rewinds a sharded engine to its freshly configured state.
-TEST(EngineSharded, ResetRewindsShardedEngine) {
-  auto run_once = [](Engine& e) {
-    auto log = std::make_shared<std::vector<Rec>>();
-    for (std::uint32_t s = 0; s < 2; ++s) {
-      Engine::ShardScope scope(e, s);
-      e.schedule(1.0 + double(s),
-                 Timer{&e, log, s, s * 10ULL, 4, 2.0});
-    }
-    e.run_until(30.0);
-    return *log;
-  };
-  Engine e;
-  e.configure_shards(4, 5.0);  // Timer's cross hops target (shard + 1) % 4
-  const auto first = run_once(e);
-  ASSERT_FALSE(first.empty());
-  e.reset();
-  EXPECT_DOUBLE_EQ(e.now(), 0.0);
-  EXPECT_TRUE(e.empty());
-  EXPECT_EQ(run_once(e), first);
-}
-
 }  // namespace
 }  // namespace hermes::sim

@@ -86,15 +86,6 @@ TEST(Network, BandwidthAccounting) {
   EXPECT_EQ(fx.net_.total().bytes_received, 200u);
 }
 
-TEST(Network, ResetCountersZeroes) {
-  NetworkFixture fx;
-  fx.net_.send(make_msg(0, 1));
-  fx.engine.run();
-  fx.net_.reset_counters();
-  EXPECT_EQ(fx.net_.total().messages_sent, 0u);
-  EXPECT_EQ(fx.net_.counters(0).bytes_sent, 0u);
-}
-
 TEST(Network, CrashedReceiverGetsNothing) {
   NetworkFixture fx;
   fx.net_.set_crashed(1, true);

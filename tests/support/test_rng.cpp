@@ -46,20 +46,6 @@ TEST(Rng, UniformBoundRespected) {
   }
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng(4);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const std::int64_t v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, Uniform01InHalfOpenInterval) {
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) {

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "mempool/transaction.hpp"
+
 namespace hermes::workload {
 namespace {
 
@@ -79,9 +81,10 @@ TEST(Arrival, SchedulesAreSortedWithinDurationWithLawfulFields) {
       EXPECT_LE(a.at_ms, p.duration_ms);
       EXPECT_LT(a.sender, 20u);
       EXPECT_GE(a.fee, kBaseFee);
-      EXPECT_EQ(a.payload_bytes, mempool::kDefaultTxBytes);
     }
   }
+  // Sizes are not drawn: the driver's transactions keep the paper's 250 B.
+  EXPECT_EQ(mempool::Transaction{}.payload_bytes, mempool::kDefaultTxBytes);
 }
 
 TEST(Arrival, PoissonMeanInterArrivalMatchesRate) {
@@ -129,15 +132,13 @@ TEST(Arrival, SerializationIsInjectiveOnFieldChanges) {
   a.at_ms = 12.5;
   a.sender = 3;
   a.fee = 40;
-  a.payload_bytes = 250;
   const std::vector<Arrival> base{a};
   const Bytes ref = serialize_arrivals(base);
-  for (int field = 0; field < 4; ++field) {
+  for (int field = 0; field < 3; ++field) {
     Arrival m = a;
     if (field == 0) m.at_ms = 12.6;
     if (field == 1) m.sender = 4;
     if (field == 2) m.fee = 41;
-    if (field == 3) m.payload_bytes = 251;
     EXPECT_NE(serialize_arrivals(std::vector<Arrival>{m}), ref)
         << "field " << field;
   }

@@ -129,60 +129,5 @@ TEST_F(WorkloadWorkers, NarwhalLoadedTraceAndEconomicsIdentical) {
   check([] { return std::make_unique<protocols::NarwhalProtocol>(); }, 2027);
 }
 
-// Batching at origin rides the same contract: the batch path (HERMES
-// erasure-coded submit_batch) must stay deterministic across workers too.
-TEST_F(WorkloadWorkers, BatchedSubmissionsDeterministicAcrossWorkers) {
-  auto make = [] {
-    hermes_proto::HermesConfig cfg;
-    cfg.f = 1;
-    cfg.k = 4;
-    cfg.builder.annealing.initial_temperature = 5.0;
-    cfg.builder.annealing.min_temperature = 1.0;
-    cfg.builder.annealing.cooling_rate = 0.8;
-    cfg.builder.annealing.moves_per_temperature = 4;
-    return std::make_unique<hermes_proto::HermesProtocol>(cfg);
-  };
-  auto run = [&make](std::size_t workers) {
-    auto protocol = make();
-    net::TopologyParams tp;
-    tp.node_count = 32;
-    tp.min_degree = 5;
-    Rng trng(4711);
-    sim::NetworkParams np;
-    np.workers = workers;
-    protocols::ExperimentContext ctx(net::make_topology(tp, trng), np, 4711);
-    protocols::populate(ctx, *protocol);
-    crypto::Sha256 hasher;
-    ctx.network.set_send_tap(
-        [&hasher](const sim::Message& msg, sim::SimTime now) {
-          Bytes record;
-          std::uint64_t time_bits = 0;
-          std::memcpy(&time_bits, &now, sizeof(time_bits));
-          put_u64_be(record, time_bits);
-          put_u32_be(record, msg.src);
-          put_u32_be(record, msg.dst);
-          put_u32_be(record, msg.type);
-          put_u64_be(record, msg.wire_bytes);
-          hasher.update(record);
-        });
-    WorkloadParams wp;
-    wp.duration_ms = 400.0;
-    wp.rate_hz = 40.0;
-    wp.seed = 4711;
-    // Two hot senders carry the whole load, so batches actually form.
-    const std::vector<net::NodeId> hot = {ctx.honest_nodes()[0],
-                                          ctx.honest_nodes()[1]};
-    const std::vector<Arrival> arrivals = generate_arrivals(wp, hot);
-    const ScheduleResult sched =
-        schedule_arrivals(ctx, arrivals, /*batch_window_ms=*/30.0);
-    EXPECT_LT(sched.batches, sched.txs.size());  // batching engaged
-    ctx.engine.run_until(sched.horizon_ms + 5000.0);
-    return hex_encode(crypto::digest_to_bytes(hasher.finish()));
-  };
-  const std::string base = run(1);
-  EXPECT_EQ(run(2), base);
-  EXPECT_EQ(run(4), base);
-}
-
 }  // namespace
 }  // namespace hermes::workload

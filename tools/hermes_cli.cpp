@@ -171,12 +171,14 @@ int topo_info(const Args& args) {
 }
 
 int overlay_build(const Args& args) {
-  if (args.positional.empty()) return usage();
+  if (args.positional.empty() || args.k == 0) return usage();
   const auto topo = load_any(args.positional[0]);
   if (!topo) {
     std::fprintf(stderr, "error: cannot load %s\n", args.positional[0].c_str());
     return 1;
   }
+  // A tree needs f + 1 entry points and one node below them.
+  if (topo->graph.node_count() < args.f + 2) return usage();
   overlay::BuilderParams params;
   params.f = args.f;
   params.k = args.k;
@@ -210,6 +212,7 @@ int overlay_encode(const Args& args) {
     std::fprintf(stderr, "error: cannot load %s\n", args.positional[0].c_str());
     return 1;
   }
+  if (topo->graph.node_count() < args.f + 2) return usage();
   overlay::RankTable ranks(topo->graph.node_count(), 0.0);
   const overlay::Overlay ov =
       overlay::build_robust_tree(topo->graph, args.f, ranks);
