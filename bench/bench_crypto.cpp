@@ -12,6 +12,9 @@
 //     and the squaring specialization vs the legacy schoolbook);
 //   - modexp at 512/1024/2048-bit odd moduli (windowed Montgomery vs
 //     legacy), plus mulmod through a warm MontgomeryCtx vs divmod;
+//   - fixed-base exponentiation from a precomputed table against the
+//     windowed path on the same 1024-bit modulus and 1,537-bit exponent
+//     (the v^z of a threshold-RSA proof check);
 //   - threshold RSA: partial sign, single + batched proof verification,
 //     combine with warm vs cold Lagrange/Montgomery caches, RSA-FDH
 //     sign/verify. Key size via --rsa-bits (default 512 so the trusted
@@ -90,30 +93,65 @@ struct ModExpInput {
   BigUint mod;  // odd
 };
 
-ModExpInput modexp_input(std::size_t bits) {
+// Modulus and base depend on `bits` alone; the exponent has `exp_bits`
+// bits (default: as many as the modulus).
+ModExpInput modexp_input(std::size_t bits, std::size_t exp_bits = 0) {
   Rng rng(0xBEEF ^ bits);
   ModExpInput in;
   in.mod = BigUint::random_bits(rng, bits);
   if (!in.mod.is_odd()) in.mod = in.mod + BigUint(1);
   in.base = BigUint::random_below(rng, in.mod);
-  in.exp = BigUint::random_bits(rng, bits);
+  in.exp = BigUint::random_bits(rng, exp_bits ? exp_bits : bits);
   return in;
 }
 
-// Windowed Montgomery through a warm context — the post-PR hot path. The
-// items_per_second counter on the 2048-bit run, divided by the legacy one,
-// is the modexp speedup BENCH_crypto.json records.
-void BM_ModExp(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  const ModExpInput in = modexp_input(bits);
+// The v table of a threshold key covers 8 * ceil((|n| + 512)/8) + 1 bits,
+// every honest proof exponent: 1,537 bits at |n| = 1024.
+std::size_t proof_exp_bits(std::size_t bits) {
+  return 8 * ((bits + 519) / 8) + 1;
+}
+
+void run_modexp(benchmark::State& state, const ModExpInput& in) {
   const MontgomeryCtx ctx(in.mod);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctx.powmod(in.base, in.exp));
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// Windowed Montgomery through a warm context — the post-PR hot path. The
+// items_per_second counter on the 2048-bit run, divided by the legacy one,
+// is the modexp speedup BENCH_crypto.json records.
+void BM_ModExp(benchmark::State& state) {
+  run_modexp(state, modexp_input(static_cast<std::size_t>(state.range(0))));
+}
 BENCHMARK(BM_ModExp)->Arg(512)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
+
+// BM_ModExp/1024/1537: the windowed path on BM_FixedBasePow/1024's inputs.
+// Their ratio is the fixed_base_1024_speedup BENCH_crypto.json records.
+[[maybe_unused]] const auto* const g_modexp_proof_exp =
+    benchmark::RegisterBenchmark(
+        "BM_ModExp/1024/1537",
+        [](benchmark::State& state) {
+          run_modexp(state, modexp_input(1024, proof_exp_bits(1024)));
+        })
+        ->Unit(benchmark::kMicrosecond);
+
+// Fixed-base exponentiation from a table built once, outside the timed
+// loop, as ThresholdRsaContext builds the v table once per key.
+void BM_FixedBasePow(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  const ModExpInput in = modexp_input(bits, proof_exp_bits(bits));
+  const MontgomeryCtx ctx(in.mod);
+  const MontgomeryCtx::FixedBaseTable table =
+      ctx.fixed_base_table(in.base, in.exp.bit_length());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.powmod(table, in.exp));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FixedBasePow)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 // Same inputs through the frozen pre-PR kernel (32-bit CIOS,
 // bit-at-a-time square-and-multiply, per-call context).

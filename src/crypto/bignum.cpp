@@ -690,13 +690,40 @@ void mont_cond_sub(const Limb* nl, std::size_t k, const Limb* acc, Limb* out) {
   }
 }
 
-// k Montgomery reduction rounds over the 2k-limb value in t; the (k+1)-limb
-// pre-subtraction result lands at t[k .. 2k]. t must be 2k+1 limbs.
-// Reduction rounds are interleaved in pairs: rounds i and i+1 share one pass
-// over n with independent carry chains (c0, c1), so the multiplies
-// pipeline instead of serializing on a single chain per round.
+#ifdef HERMES_BIGNUM_ADX
+// The mpn_redc_1 shape of mont_reduce: one addmul_1_adx row per round adds
+// m_i * n at limb i, which zeroes t[i]; the row's carry parks in that freed
+// limb, and one pass at the end adds all k parked carries into the upper
+// half. Deferring them is exact: round i's carry belongs at limb i + k >= k,
+// past every limb a later round reads its multiplier from.
+void mont_reduce_adx(const Limb* __restrict nl, std::size_t k, Limb n_prime,
+                     Limb* __restrict t) {
+  for (std::size_t i = 0; i < k; ++i) {
+    t[i] = addmul_1_adx(t + i, nl, k, t[i] * n_prime);
+  }
+  DLimb carry = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const DLimb cur = static_cast<DLimb>(t[k + i]) + t[i] + carry;
+    t[k + i] = static_cast<Limb>(cur);
+    carry = cur >> 64;
+  }
+  t[2 * k] += static_cast<Limb>(carry);
+}
+#endif
+
+// k Montgomery reduction rounds over the 2k-limb value in t (t[2k] zero);
+// the (k+1)-limb pre-subtraction result lands at t[k .. 2k]. t must be
+// 2k+1 limbs. The portable rounds are interleaved in pairs: rounds i and
+// i+1 share one pass over n with independent carry chains (c0, c1), so the
+// multiplies pipeline instead of serializing on a single chain per round.
 void mont_reduce(const Limb* __restrict nl, std::size_t k, Limb n_prime,
                  Limb* __restrict t) {
+#ifdef HERMES_BIGNUM_ADX
+  if (have_addmul_adx()) {
+    mont_reduce_adx(nl, k, n_prime, t);
+    return;
+  }
+#endif
   std::size_t i = 0;
   for (; i + 1 < k; i += 2) {
     const DLimb m0 = static_cast<Limb>(t[i] * n_prime);
@@ -864,27 +891,8 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
   if (reduced.is_zero()) return BigUint();
 
   const std::size_t ebits = exp.bit_length();
-  // Window width: 2^(w-1) precomputed odd powers against ebits/w fewer
-  // multiplies; crossover points follow the usual table-vs-exponent balance.
-  const std::size_t w = ebits >= 768 ? 5 : ebits >= 160 ? 4 : ebits >= 24 ? 3 : 2;
-  const std::size_t table_size = std::size_t{1} << (w - 1);
-
   std::vector<Limb> scratch(3 * k_ + 2);
-  std::vector<Limb> table(table_size * k_);
-  std::vector<Limb> b2(k_), acc(k_), tmp(k_);
-
-  // table[i] = base^(2i+1) in Montgomery form.
-  to_mont(reduced, table.data(), scratch.data());
-  if (table_size > 1) {
-    mont_sqr(n_.limbs_.data(), k_, n_prime_, table.data(), b2.data(),
-             scratch.data());
-    for (std::size_t i = 1; i < table_size; ++i) {
-      mont_mul(table.data() + (i - 1) * k_, b2.data(), table.data() + i * k_,
-               scratch.data());
-    }
-  }
-
-  to_mont(BigUint(1), acc.data(), scratch.data());  // acc = R mod n
+  std::vector<Limb> acc(k_), tmp(k_);
   Limb* cur = acc.data();
   Limb* spare = tmp.data();
   const auto mont_step = [&](const Limb* other) {
@@ -896,8 +904,39 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
     std::swap(cur, spare);
   };
 
-  // Left-to-right windowed scan: squarings for every bit, one table
-  // multiply per (odd) window.
+  if (ebits < kShortExpBits) {
+    // Short exponents (e = 65537, the 2*Delta and 4*Delta of threshold RSA):
+    // an odd-power table costs more than it saves. Start from the base
+    // itself, which the top bit contributes.
+    std::vector<Limb> b(k_);
+    to_mont(reduced, b.data(), scratch.data());
+    std::copy(b.begin(), b.end(), cur);
+    for (std::size_t i = ebits - 1; i-- > 0;) {
+      mont_square();
+      if (exp.bit(i)) mont_step(b.data());
+    }
+    return from_mont(cur, scratch.data());
+  }
+
+  // Window width: 2^(w-1) precomputed odd powers against ebits/w fewer
+  // multiplies; crossover points follow the usual table-vs-exponent balance.
+  const std::size_t w = ebits >= 768 ? 5 : ebits >= 160 ? 4 : 3;
+  const std::size_t table_size = std::size_t{1} << (w - 1);
+  std::vector<Limb> table(table_size * k_);
+  std::vector<Limb> b2(k_);
+
+  // table[i] = base^(2i+1) in Montgomery form.
+  to_mont(reduced, table.data(), scratch.data());
+  mont_sqr(n_.limbs_.data(), k_, n_prime_, table.data(), b2.data(),
+           scratch.data());
+  for (std::size_t i = 1; i < table_size; ++i) {
+    mont_mul(table.data() + (i - 1) * k_, b2.data(), table.data() + i * k_,
+             scratch.data());
+  }
+
+  // Left-to-right sliding scan: squarings for every bit, one table multiply
+  // per (odd) window. The top window seeds the accumulator directly.
+  bool started = false;
   std::size_t i = ebits;
   while (i > 0) {
     if (!exp.bit(i - 1)) {
@@ -913,11 +952,96 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
       window = (window << 1) | (exp.bit(j) ? 1 : 0);
       if (j == l - 1 || j == 0) break;
     }
-    for (std::size_t j = 0; j < i - l + 1; ++j) mont_square();
-    mont_step(table.data() + ((window - 1) >> 1) * k_);
+    const Limb* entry = table.data() + ((window - 1) >> 1) * k_;
+    if (started) {
+      for (std::size_t j = 0; j < i - l + 1; ++j) mont_square();
+      mont_step(entry);
+    } else {
+      std::copy(entry, entry + k_, cur);
+      started = true;
+    }
     i = l - 1;
   }
   return from_mont(cur, scratch.data());
+}
+
+MontgomeryCtx::FixedBaseTable MontgomeryCtx::fixed_base_table(
+    const BigUint& base, std::size_t max_bits) const {
+  FixedBaseTable t;
+  t.base_ = base.limbs_.size() > k_ ? base % n_ : base;
+  t.digits_ = std::max<std::size_t>(
+      1, (max_bits + kFixedBaseDigitBits - 1) / kFixedBaseDigitBits);
+  t.powers_.resize(t.digits_ * k_);
+  std::vector<Limb> scratch(3 * k_ + 2), tmp(k_);
+  to_mont(t.base_, t.powers_.data(), scratch.data());
+  // powers_[j] = powers_[j-1]^(2^6): six squarings ping-ponging between tmp
+  // and the entry, so (six being even) the last one lands in the entry.
+  static_assert(kFixedBaseDigitBits % 2 == 0);
+  for (std::size_t j = 1; j < t.digits_; ++j) {
+    Limb* const bufs[2] = {tmp.data(), t.powers_.data() + j * k_};
+    const Limb* src = t.powers_.data() + (j - 1) * k_;
+    for (std::size_t s = 0; s < kFixedBaseDigitBits; ++s) {
+      mont_sqr(n_.limbs_.data(), k_, n_prime_, src, bufs[s % 2],
+               scratch.data());
+      src = bufs[s % 2];
+    }
+  }
+  return t;
+}
+
+BigUint MontgomeryCtx::powmod(const FixedBaseTable& table,
+                              const BigUint& exp) const {
+  const std::size_t ebits = exp.bit_length();
+  if (ebits > table.max_bits()) return powmod(table.base_, exp);
+  if (k_ == 1 && n_.limbs_[0] == 1) return BigUint();  // everything mod 1
+  if (exp.is_zero()) return BigUint(1);
+  if (table.base_.is_zero()) return BigUint();
+
+  // Digit j of exp is bits [6j, 6j+6); visit the positions by descending
+  // digit.
+  constexpr Limb kRadix = Limb{1} << kFixedBaseDigitBits;
+  const std::size_t ndigits =
+      (ebits + kFixedBaseDigitBits - 1) / kFixedBaseDigitBits;
+  std::vector<Limb> digit(ndigits);
+  for (std::size_t j = 0; j < ndigits; ++j) {
+    const std::size_t pos = j * kFixedBaseDigitBits;
+    const std::size_t off = pos % 64;
+    Limb v = exp.limb(pos / 64) >> off;
+    if (off + kFixedBaseDigitBits > 64) {
+      v |= exp.limb(pos / 64 + 1) << (64 - off);
+    }
+    digit[j] = v & (kRadix - 1);
+  }
+  std::vector<std::size_t> order(ndigits);
+  for (std::size_t j = 0; j < ndigits; ++j) order[j] = j;
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return digit[x] > digit[y];
+  });
+
+  // Yao's method: for d = 63 down to 1, B *= g_j for every digit j equal to
+  // d, then A *= B. Each g_j then enters A exactly d times, so
+  // A = prod_j g_j^(digit j) = base^exp. A product with a still-empty
+  // accumulator is a copy.
+  std::vector<Limb> scratch(3 * k_ + 2), a(k_), b(k_), spare(k_);
+  bool a_set = false, b_set = false;
+  const auto accumulate = [&](std::vector<Limb>& into, bool& set,
+                              const Limb* factor) {
+    if (set) {
+      mont_mul(into.data(), factor, spare.data(), scratch.data());
+      into.swap(spare);
+    } else {
+      std::copy(factor, factor + k_, into.begin());
+      set = true;
+    }
+  };
+  auto next = order.begin();
+  for (Limb d = kRadix - 1; d >= 1; --d) {
+    for (; next != order.end() && digit[*next] == d; ++next) {
+      accumulate(b, b_set, table.powers_.data() + *next * k_);
+    }
+    if (b_set) accumulate(a, a_set, b.data());
+  }
+  return from_mont(a.data(), scratch.data());
 }
 
 BigUint BigUint::powmod(const BigUint& base, const BigUint& exp, const BigUint& m) {

@@ -13,8 +13,10 @@
 //     above it, with a dedicated squaring specialization (cross-term sum,
 //     one doubling pass, then the diagonal);
 //   - division: Knuth Algorithm D with 128/64-bit trial quotients;
-//   - modular exponentiation: Montgomery CIOS with a windowed (w = 4/5)
-//     odd-power table for odd moduli, via the reusable MontgomeryCtx below.
+//   - modular exponentiation: Montgomery CIOS with a sliding odd-power
+//     window (w = 3..5) for odd moduli, plain square-and-multiply for short
+//     exponents, and a fixed-base table for bases reused across calls, via
+//     the reusable MontgomeryCtx below.
 //
 // The frozen pre-rewrite kernels (32-bit schoolbook + binary division +
 // bit-at-a-time CIOS) live in crypto/bignum_reference.hpp; the differential
@@ -148,8 +150,8 @@ class BigUint {
 
   static BigUint mulmod(const BigUint& a, const BigUint& b, const BigUint& m);
   // Modular exponentiation. Odd moduli (every RSA modulus) route through a
-  // MontgomeryCtx with windowed odd-power exponentiation; even moduli fall
-  // back to square-and-multiply with divmod reduction.
+  // MontgomeryCtx (MontgomeryCtx::powmod); even moduli fall back to
+  // square-and-multiply with divmod reduction.
   static BigUint powmod(const BigUint& base, const BigUint& exp, const BigUint& m);
   static BigUint gcd(BigUint a, BigUint b);
   // Multiplicative inverse of a mod m; returns false if gcd(a, m) != 1.
@@ -197,9 +199,39 @@ class MontgomeryCtx {
   // reduced mod n as long as they fit in k limbs; pass reduced values.
   BigUint mulmod(const BigUint& a, const BigUint& b) const;
 
-  // base^exp mod n with a windowed odd-power table (w = 4 below 768 exponent
-  // bits, 5 at or above). base need not be reduced.
+  // base^exp mod n. Below kShortExpBits exponent bits: square-and-multiply
+  // with no table. Otherwise a sliding window over odd powers (w = 3 below
+  // 160 exponent bits, 4 below 768, 5 at or above). base need not be
+  // reduced.
+  static constexpr std::size_t kShortExpBits = 24;
   BigUint powmod(const BigUint& base, const BigUint& exp) const;
+
+  // Fixed-base table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92):
+  // g^(2^(6j)) in Montgomery form for every 6-bit digit position j of an
+  // exponent of up to max_bits() bits. Building it costs one squaring per
+  // exponent bit; each powmod on it then runs Yao's method, about
+  // ceil(bits/6) + 63 products against the window's ~1.2 products per bit.
+  // It pays off from the second exponentiation of the same base.
+  static constexpr std::size_t kFixedBaseDigitBits = 6;
+  class FixedBaseTable {
+   public:
+    std::size_t max_bits() const { return digits_ * kFixedBaseDigitBits; }
+
+   private:
+    friend class MontgomeryCtx;
+    BigUint base_;              // as powmod(base, exp) reduces it
+    std::vector<Limb> powers_;  // digits_ entries of k limbs
+    std::size_t digits_ = 0;
+  };
+
+  // Table for `base` covering every exponent of up to `max_bits` bits
+  // (max_bits() rounds up to whole digits).
+  FixedBaseTable fixed_base_table(const BigUint& base,
+                                  std::size_t max_bits) const;
+
+  // base^exp mod n from the table, byte-identical to powmod(base, exp). An
+  // exponent longer than table.max_bits() takes the windowed path.
+  BigUint powmod(const FixedBaseTable& table, const BigUint& exp) const;
 
  private:
   friend class BigUint;

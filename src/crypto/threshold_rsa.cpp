@@ -19,7 +19,7 @@ void put_biguint(Bytes& out, const BigUint& v) {
 bool get_biguint(BytesView in, std::size_t* offset, BigUint* v) {
   std::uint64_t len = 0;
   if (!get_varint(in, offset, &len)) return false;
-  if (*offset + len > in.size()) return false;
+  if (len > in.size() - *offset) return false;  // *offset + len may wrap
   *v = BigUint::from_bytes_be(in.subspan(*offset, len));
   *offset += len;
   return true;
@@ -37,6 +37,12 @@ BigUint challenge_hash(std::initializer_list<const BigUint*> elems) {
   }
   const Digest d = h.finish();
   return BigUint::from_bytes_be(BytesView(d.data(), d.size()));
+}
+
+// The proof nonce r is this many bytes: |n| + 512 bits, rounded up, so
+// z = s_i*c + r hides s_i statistically.
+std::size_t nonce_bytes(const BigUint& n) {
+  return (n.bit_length() + 512 + 7) / 8;
 }
 
 // x^exp mod n where exp may be negative (uses inverse; requires gcd(x,n)=1).
@@ -58,7 +64,21 @@ ThresholdRsaContext::ThresholdRsaContext(const ThresholdRsaPublic& pub)
       mont_(pub.rsa.n),
       delta_(factorial_big(pub.players)),
       e_prime_((delta_ * delta_) << 2),
-      bezout_(extended_gcd(e_prime_, pub.rsa.e)) {}
+      bezout_(extended_gcd(e_prime_, pub.rsa.e)),
+      v_table_(mont_.fixed_base_table(pub.v, 8 * nonce_bytes(pub.rsa.n) + 1)) {
+  verification_key_inverses_.reserve(pub.verification_keys.size());
+  for (const BigUint& v_i : pub.verification_keys) {
+    BigUint inv;
+    auto& slot = verification_key_inverses_.emplace_back();
+    if (BigUint::modinv(v_i, pub.rsa.n, &inv)) slot = std::move(inv);
+  }
+}
+
+const BigUint* ThresholdRsaContext::verification_key_inverse(
+    std::size_t index) const {
+  const auto& inv = verification_key_inverses_.at(index - 1);
+  return inv ? &*inv : nullptr;
+}
 
 std::shared_ptr<const std::map<std::size_t, BigInt>>
 ThresholdRsaContext::lagrange_coeffs(
@@ -178,16 +198,6 @@ ThresholdPartial threshold_partial_sign(const ThresholdRsaContext& ctx,
   const MontgomeryCtx& mont = ctx.mont();
   const BigUint& n = pub.rsa.n;
   const BigUint x = fdh_encode(message, n);
-  const BigUint& delta = ctx.delta();
-  const BigUint exponent = (delta << 1) * share.s;  // 2 * Delta * s_i
-  ThresholdPartial partial;
-  partial.signer_index = share.index;
-  partial.value = mont.powmod(x, exponent);
-
-  // Fiat-Shamir proof of log_v(v_i) == log_{x~}(x_i^2), x~ = x^{4*Delta}.
-  const BigUint x_tilde = mont.powmod(x, delta << 2);
-  const BigUint x_i_sq = mont.mulmod(partial.value, partial.value);
-  const BigUint& v_i = pub.verification_keys[share.index - 1];
 
   // Deterministic nonce: PRF(share, message) stretched past |n| + 512 bits,
   // so repeated signing never leaks the share through nonce reuse.
@@ -195,18 +205,33 @@ ThresholdPartial threshold_partial_sign(const ThresholdRsaContext& ctx,
   put_varint(prf_key, share.index);
   Bytes nonce_material;
   std::uint32_t ctr = 0;
-  const std::size_t nonce_bytes = (n.bit_length() + 512 + 7) / 8;
-  while (nonce_material.size() < nonce_bytes) {
+  const std::size_t r_bytes = nonce_bytes(n);
+  while (nonce_material.size() < r_bytes) {
     Bytes block(message.begin(), message.end());
     put_u32_be(block, ctr++);
     const Digest dg = hmac_sha256(prf_key, block);
     nonce_material.insert(nonce_material.end(), dg.begin(), dg.end());
   }
-  nonce_material.resize(nonce_bytes);
+  nonce_material.resize(r_bytes);
   const BigUint r = BigUint::from_bytes_be(nonce_material);
+  const BigUint two_r = r << 1;
 
-  const BigUint v_r = mont.powmod(pub.v, r);
-  const BigUint x_r = mont.powmod(x_tilde, r);
+  // Both long exponentiations of x share one base, y = x^{2*Delta}:
+  // x_i = x^{2*Delta*s_i} = y^{s_i}, and with x~ = x^{4*Delta} = y^2 the
+  // commitment x~^r = y^{2r}. One table of y's powers serves both.
+  const BigUint y = mont.powmod(x, ctx.delta() << 1);
+  const MontgomeryCtx::FixedBaseTable y_table = mont.fixed_base_table(
+      y, std::max(share.s.bit_length(), two_r.bit_length()));
+  ThresholdPartial partial;
+  partial.signer_index = share.index;
+  partial.value = mont.powmod(y_table, share.s);
+
+  // Fiat-Shamir proof of log_v(v_i) == log_{x~}(x_i^2).
+  const BigUint x_tilde = mont.mulmod(y, y);
+  const BigUint x_i_sq = mont.mulmod(partial.value, partial.value);
+  const BigUint& v_i = pub.verification_keys[share.index - 1];
+  const BigUint v_r = mont.powmod(ctx.v_table(), r);
+  const BigUint x_r = mont.powmod(y_table, two_r);
   partial.proof_c =
       challenge_hash({&pub.v, &x_tilde, &v_i, &x_i_sq, &v_r, &x_r});
   partial.proof_z = share.s * partial.proof_c + r;
@@ -230,11 +255,13 @@ bool verify_partial_with_bases(const ThresholdRsaContext& ctx,
   const BigUint& v_i = pub.verification_keys[partial.signer_index - 1];
 
   // Recover the commitments: v' = v^z * v_i^{-c}, x' = x~^z * (x_i^2)^{-c}.
-  BigUint v_i_inv, x_sq_inv;
-  if (!BigUint::modinv(v_i, n, &v_i_inv)) return false;
+  const BigUint* v_i_inv = ctx.verification_key_inverse(partial.signer_index);
+  if (v_i_inv == nullptr) return false;
+  BigUint x_sq_inv;
   if (!BigUint::modinv(x_i_sq, n, &x_sq_inv)) return false;
-  const BigUint v_prime = mont.mulmod(mont.powmod(pub.v, partial.proof_z),
-                                      mont.powmod(v_i_inv, partial.proof_c));
+  const BigUint v_prime =
+      mont.mulmod(mont.powmod(ctx.v_table(), partial.proof_z),
+                  mont.powmod(*v_i_inv, partial.proof_c));
   const BigUint x_prime = mont.mulmod(mont.powmod(x_tilde, partial.proof_z),
                                       mont.powmod(x_sq_inv, partial.proof_c));
   const BigUint expected =

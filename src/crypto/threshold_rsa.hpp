@@ -80,9 +80,10 @@ ThresholdRsaKey threshold_rsa_generate(Rng& rng, std::size_t bits,
 // Precomputed per-key state shared across every sign/verify/combine on the
 // same public parameters: the Montgomery context for n (one division at
 // construction, division-free modular arithmetic after), Delta = l!, the
-// Bezout pair for e' = 4*Delta^2, and a cache of integer Lagrange
-// coefficient sets keyed by the participating index subset. A committee
-// epoch reuses one context for its whole lifetime (the scheme object
+// Bezout pair for e' = 4*Delta^2, a fixed-base table for the verification
+// base v, the inverse of every verification key, and a cache of integer
+// Lagrange coefficient sets keyed by the participating index subset. A
+// committee epoch reuses one context for its whole lifetime (the scheme object
 // survives view changes, so warm coefficients carry across epochs that
 // re-elect the same index subset); the coefficient cache is mutex-guarded
 // because the region-sharded simulation may verify/combine from worker
@@ -99,6 +100,13 @@ class ThresholdRsaContext {
   const BigUint& delta() const { return delta_; }
   // a, b with a*e' + b*e = 1 (x = a, y = b in ExtendedGcd terms).
   const ExtendedGcd& bezout() const { return bezout_; }
+  // Powers of v covering every exponent v is raised to for an honest
+  // partial: the signer's nonce r and the checker's z = s_i*c + r, at most
+  // 8*ceil((|n| + 512)/8) + 1 bits.
+  const MontgomeryCtx::FixedBaseTable& v_table() const { return v_table_; }
+  // v_i^{-1} mod n for the 1-based player index i, or nullptr when v_i is
+  // not invertible (its partials fail verification).
+  const BigUint* verification_key_inverse(std::size_t index) const;
 
   // 2*lambda'_i for every i in `indices` (sorted, distinct, 1-based),
   // computed once per distinct subset and cached. The shared_ptr keeps a
@@ -115,6 +123,8 @@ class ThresholdRsaContext {
   BigUint delta_;
   BigUint e_prime_;
   ExtendedGcd bezout_;
+  MontgomeryCtx::FixedBaseTable v_table_;
+  std::vector<std::optional<BigUint>> verification_key_inverses_;
   mutable std::mutex cache_mu_;
   mutable std::map<std::vector<std::size_t>,
                    std::shared_ptr<const std::map<std::size_t, BigInt>>>
@@ -148,8 +158,9 @@ std::optional<Bytes> threshold_combine(const ThresholdRsaContext& ctx,
                                        std::span<const ThresholdPartial> partials);
 
 // Transient-context conveniences: build a fresh ThresholdRsaContext per
-// call (the "cache cold" path — one extra division plus Lagrange
-// recomputation). Hot callers hold a context instead.
+// call (the "cache cold" path — one extra division, the v table, one
+// inverse per verification key and Lagrange recomputation). Hot callers
+// hold a context instead.
 ThresholdPartial threshold_partial_sign(const ThresholdRsaPublic& pub,
                                         const ThresholdRsaShare& share,
                                         BytesView message);

@@ -1,7 +1,5 @@
 #include "hermes/epoch_pipeline.hpp"
 
-#include <algorithm>
-
 namespace hermes::hermes_proto {
 
 void EpochPipeline::on_membership_change(const MembershipDelta& delta) {
@@ -37,7 +35,6 @@ void EpochPipeline::on_anneal_done() {
     snapshot_size_ = queue_.size();
     double delay = kAnnealMs;
     for (std::size_t i = 0; i < retries_; ++i) delay *= kRetryBackoff;
-    delay = std::min(delay, kRetryMaxMs);
     schedule_(delay, [this] { on_anneal_done(); });
     return;
   }

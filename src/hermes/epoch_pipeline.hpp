@@ -48,12 +48,16 @@ class EpochPipeline {
   static constexpr double kAnnealMs = 250.0;
   // The delta queue drops its oldest entry past kQueueCap (the next full
   // re-anneal still covers it: membership state is absolute). An
-  // invalidated anneal retries after kAnnealMs * kRetryBackoff^retries,
-  // capped at kRetryMaxMs, and installs anyway after kMaxRetries.
+  // invalidated anneal retries after kAnnealMs * kRetryBackoff^retries and
+  // installs anyway after kMaxRetries, so the longest retry waits
+  // 250 * 2^3 = 2,000 ms.
   static constexpr std::size_t kQueueCap = 64;
   static constexpr double kRetryBackoff = 2.0;
-  static constexpr double kRetryMaxMs = 2000.0;
   static constexpr std::size_t kMaxRetries = 3;
+  static_assert(kMaxRetries == 3 &&
+                    kAnnealMs * kRetryBackoff * kRetryBackoff * kRetryBackoff ==
+                        2000.0,
+                "the comment above states the longest retry");
 
   // schedule(delay_ms, fn): run fn after delay_ms of sim time inside a
   // barrier-serialized global control event (Engine::schedule_global).

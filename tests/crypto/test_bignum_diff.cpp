@@ -1,7 +1,8 @@
 // Differential property suite: the rewritten 64-bit kernels (Karatsuba
-// multiply, squaring specialization, windowed Montgomery exponentiation,
-// and the ADX addmul rows where the CPU has them) pinned bit for bit
-// against the frozen pre-rewrite reference kernels in crypto::ref across
+// multiply, squaring specialization, windowed, short-exponent and
+// fixed-base Montgomery exponentiation, and the ADX addmul rows and
+// Montgomery reduction where the CPU has them) pinned bit for bit against
+// the frozen pre-rewrite reference kernels in crypto::ref across
 // randomized operand sizes and adversarial limb shapes. Everything is
 // seeded: a failure reproduces byte-identically.
 #include <gtest/gtest.h>
@@ -132,6 +133,63 @@ TEST(BignumDiff, PowmodExponentEdges) {
     EXPECT_EQ(BigUint::powmod(base, BigUint(e), m),
               ref::powmod(base, BigUint(e), m))
         << "exp " << e;
+  }
+}
+
+TEST(BignumDiff, ShortExponentPowmodMatchesReference) {
+  // Below MontgomeryCtx::kShortExpBits the ladder is plain
+  // square-and-multiply; 2^23 - 1 is its longest all-ones exponent, 2^23
+  // and 2^24 - 1 the first windowed ones.
+  Rng rng(0xD1FF08);
+  for (const std::size_t bits : {256u, 1024u}) {
+    BigUint m = BigUint::random_bits(rng, bits);
+    if (!m.is_odd()) m = m + BigUint(1);
+    const MontgomeryCtx ctx(m);
+    const BigUint base = BigUint::random_below(rng, m);
+    for (const std::uint64_t e :
+         {3ULL, 65537ULL, (1ULL << 23) - 1, 1ULL << 23, (1ULL << 24) - 1}) {
+      EXPECT_EQ(ctx.powmod(base, BigUint(e)), ref::powmod(base, BigUint(e), m))
+          << bits << "-bit modulus, exp " << e;
+    }
+  }
+}
+
+TEST(BignumDiff, FixedBasePowmodMatchesReference) {
+  // Exponents 0, 1 and all-ones up to the table's capacity, random ones one
+  // bit below, at and one bit above it (the last takes the windowed path).
+  Rng rng(0xD1FF09);
+  for (const std::size_t bits : {256u, 512u, 1024u, 2048u}) {
+    BigUint m = BigUint::random_bits(rng, bits);
+    if (!m.is_odd()) m = m + BigUint(1);
+    const MontgomeryCtx ctx(m);
+    const BigUint base = BigUint::random_below(rng, m);
+    // Sized as threshold RSA sizes the v table: |n| + 512 bits, plus one.
+    const MontgomeryCtx::FixedBaseTable table =
+        ctx.fixed_base_table(base, bits + 513);
+    const std::size_t cap = table.max_bits();
+    ASSERT_GE(cap, bits + 513);
+    std::vector<BigUint> exps{BigUint(), BigUint(1),
+                              (BigUint(1) << cap) - BigUint(1)};
+    for (const std::size_t len : {cap - 1, cap, cap + 1}) {
+      exps.push_back(BigUint::random_bits(rng, len));
+    }
+    for (const BigUint& e : exps) {
+      EXPECT_EQ(ctx.powmod(table, e), ref::powmod(base, e, m))
+          << bits << "-bit modulus, " << e.bit_length() << "-bit exponent";
+    }
+  }
+  // Bases the ladder treats specially: zero, one past the modulus, and one
+  // a limb wider than it.
+  BigUint m = BigUint::random_bits(rng, 512);
+  if (!m.is_odd()) m = m + BigUint(1);
+  const MontgomeryCtx ctx(m);
+  for (const BigUint& base :
+       {BigUint(), m + BigUint(1), (m << 64) + BigUint(7)}) {
+    const MontgomeryCtx::FixedBaseTable table = ctx.fixed_base_table(base, 64);
+    for (const BigUint& e : {BigUint(), BigUint(5), BigUint(1) << 70}) {
+      EXPECT_EQ(ctx.powmod(table, e), ref::powmod(base, e, m))
+          << "base " << base.to_hex() << " exp " << e.to_hex();
+    }
   }
 }
 

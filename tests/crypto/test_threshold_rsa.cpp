@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "crypto/bignum_reference.hpp"
+#include "crypto/hmac.hpp"
+#include "crypto/sha256.hpp"
+
 namespace hermes::crypto {
 namespace {
 
@@ -13,6 +19,80 @@ const ThresholdRsaKey& test_key() {
     return threshold_rsa_generate(rng, 256, /*players=*/4, /*threshold=*/3);
   }();
   return key;
+}
+
+// Straight-line reference signer and verifier: Shoup's formulas as the
+// header states them, one exponentiation each, on the frozen crypto::ref
+// kernels. The library must match them byte for byte and verdict for
+// verdict, whatever tables it precomputes.
+BigUint ref_mulmod(const BigUint& a, const BigUint& b, const BigUint& n) {
+  return ref::divmod(ref::mul(a, b), n).remainder;
+}
+
+BigUint ref_challenge(std::initializer_list<const BigUint*> elems) {
+  Sha256 h;
+  for (const BigUint* e : elems) {
+    const Bytes b = e->to_bytes_be();
+    Bytes framed;
+    put_varint(framed, b.size());
+    append(framed, b);
+    h.update(framed);
+  }
+  const Digest d = h.finish();
+  return BigUint::from_bytes_be(BytesView(d.data(), d.size()));
+}
+
+ThresholdPartial reference_sign(const ThresholdRsaPublic& pub,
+                                const ThresholdRsaShare& share,
+                                BytesView message) {
+  const BigUint& n = pub.rsa.n;
+  const BigUint x = fdh_encode(message, n);
+  const BigUint delta = factorial_big(pub.players);
+  ThresholdPartial p;
+  p.signer_index = share.index;
+  p.value = ref::powmod(x, ref::mul(delta << 1, share.s), n);
+  const BigUint x_tilde = ref::powmod(x, delta << 2, n);
+  const BigUint x_i_sq = ref_mulmod(p.value, p.value, n);
+  Bytes prf_key = share.s.to_bytes_be();
+  put_varint(prf_key, share.index);
+  Bytes nonce;
+  const std::size_t nonce_bytes = (n.bit_length() + 512 + 7) / 8;
+  for (std::uint32_t ctr = 0; nonce.size() < nonce_bytes; ++ctr) {
+    Bytes block(message.begin(), message.end());
+    put_u32_be(block, ctr);
+    const Digest dg = hmac_sha256(prf_key, block);
+    nonce.insert(nonce.end(), dg.begin(), dg.end());
+  }
+  nonce.resize(nonce_bytes);
+  const BigUint r = BigUint::from_bytes_be(nonce);
+  const BigUint v_r = ref::powmod(pub.v, r, n);
+  const BigUint x_r = ref::powmod(x_tilde, r, n);
+  p.proof_c = ref_challenge({&pub.v, &x_tilde,
+                             &pub.verification_keys[share.index - 1],
+                             &x_i_sq, &v_r, &x_r});
+  p.proof_z = ref::mul(share.s, p.proof_c) + r;
+  return p;
+}
+
+bool reference_verify(const ThresholdRsaPublic& pub, BytesView message,
+                      const ThresholdPartial& p) {
+  const BigUint& n = pub.rsa.n;
+  if (p.signer_index < 1 || p.signer_index > pub.players) return false;
+  if (p.value.is_zero() || p.value >= n) return false;
+  const BigUint x = fdh_encode(message, n);
+  const BigUint x_tilde =
+      ref::powmod(x, factorial_big(pub.players) << 2, n);
+  const BigUint x_i_sq = ref_mulmod(p.value, p.value, n);
+  const BigUint& v_i = pub.verification_keys[p.signer_index - 1];
+  BigUint v_i_inv, x_sq_inv;
+  if (!BigUint::modinv(v_i, n, &v_i_inv)) return false;
+  if (!BigUint::modinv(x_i_sq, n, &x_sq_inv)) return false;
+  const BigUint v_prime = ref_mulmod(ref::powmod(pub.v, p.proof_z, n),
+                                     ref::powmod(v_i_inv, p.proof_c, n), n);
+  const BigUint x_prime = ref_mulmod(ref::powmod(x_tilde, p.proof_z, n),
+                                     ref::powmod(x_sq_inv, p.proof_c, n), n);
+  return ref_challenge({&pub.v, &x_tilde, &v_i, &x_i_sq, &v_prime,
+                        &x_prime}) == p.proof_c;
 }
 
 TEST(FactorialBig, SmallValues) {
@@ -147,6 +227,94 @@ TEST(ThresholdRsa, DecodeRejectsTrailingGarbage) {
   Bytes enc = threshold_partial_sign(key.pub, key.shares[0], to_bytes("x")).encode();
   enc.push_back(0x00);
   EXPECT_FALSE(ThresholdPartial::decode(enc).has_value());
+}
+
+TEST(ThresholdRsa, DecodeRejectsLengthPastTheInput) {
+  // Signer index 1, then a value length of 2^64 - 11: offset + length wraps
+  // to zero, so a check of their sum against the 24-byte input passes.
+  Bytes enc;
+  put_varint(enc, 1);
+  put_varint(enc, ~std::uint64_t{0} - 10);
+  enc.resize(24, 0x01);
+  std::optional<ThresholdPartial> decoded;
+  ASSERT_NO_THROW(decoded = ThresholdPartial::decode(enc));
+  EXPECT_FALSE(decoded.has_value());
+}
+
+// Mutation harness for the partial decoder: every truncation and every
+// single-bit flip of an encoded partial under the 256-bit test key must
+// either be rejected or decode to a partial on which the library's verdict
+// equals the reference verifier's. Nothing may throw.
+TEST(PartialDecoderMutation, TruncationsAndBitFlips) {
+  const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
+  const Bytes msg = to_bytes("mutated partial");
+  const Bytes bytes = threshold_partial_sign(ctx, key.shares[2], msg).encode();
+  const auto expect_consistent = [&](BytesView input, const std::string& what) {
+    std::optional<ThresholdPartial> decoded;
+    ASSERT_NO_THROW(decoded = ThresholdPartial::decode(input)) << what;
+    if (!decoded) return;
+    bool verdict = false;
+    ASSERT_NO_THROW(verdict = threshold_verify_partial(ctx, msg, *decoded))
+        << what;
+    EXPECT_EQ(verdict, reference_verify(key.pub, msg, *decoded)) << what;
+  };
+  expect_consistent(bytes, "unmodified");
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    expect_consistent(BytesView(bytes.data(), len),
+                      "length " + std::to_string(len));
+  }
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    Bytes flipped = bytes;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    expect_consistent(flipped, "bit " + std::to_string(bit));
+  }
+}
+
+TEST(ThresholdRsaReference, EncodedPartialsByteIdentical) {
+  const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
+  for (const char* text : {"", "tx 1", "a longer transaction payload"}) {
+    const Bytes msg = to_bytes(text);
+    for (const auto& share : key.shares) {
+      const ThresholdPartial got = threshold_partial_sign(ctx, share, msg);
+      EXPECT_EQ(got.encode(), reference_sign(key.pub, share, msg).encode())
+          << "share " << share.index << " message '" << text << "'";
+      EXPECT_TRUE(reference_verify(key.pub, msg, got));
+    }
+  }
+}
+
+TEST(ThresholdRsaReference, VerdictsAgreeOnForgedPartials) {
+  const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
+  const Bytes msg = to_bytes("forged");
+  const ThresholdPartial good = threshold_partial_sign(ctx, key.shares[1], msg);
+  std::vector<std::pair<std::string, ThresholdPartial>> cases{{"honest", good}};
+  ThresholdPartial p = good;
+  p.value = p.value + BigUint(1);
+  cases.emplace_back("tampered value", p);
+  p = good;
+  p.proof_c = p.proof_c + BigUint(1);
+  cases.emplace_back("tampered proof_c", p);
+  p = good;
+  p.proof_z = p.proof_z + (BigUint(1) << ctx.v_table().max_bits());
+  ASSERT_GT(p.proof_z.bit_length(), ctx.v_table().max_bits());
+  cases.emplace_back("proof_z longer than the table", p);
+  for (const std::size_t index : {0u, 5u}) {
+    p = good;
+    p.signer_index = index;
+    cases.emplace_back("signer index " + std::to_string(index), p);
+  }
+  for (const auto& [what, partial] : cases) {
+    const bool verdict = threshold_verify_partial(ctx, msg, partial);
+    EXPECT_EQ(verdict, reference_verify(key.pub, msg, partial)) << what;
+    EXPECT_EQ(verdict, what == "honest") << what;
+    const std::vector<ThresholdPartial> one{partial};
+    const std::vector<std::uint8_t> batched =
+        threshold_verify_partials(ctx, msg, one);
+    EXPECT_EQ(batched, std::vector<std::uint8_t>{verdict}) << what;
+  }
 }
 
 TEST(ThresholdRsaContextCache, ColdVsWarmCombineByteIdentical) {

@@ -69,7 +69,7 @@ TEST(EpochPipeline, HysteresisAbsorbsSmallDeltasIncrementally) {
 TEST(EpochPipeline, MidAnnealChurnInvalidatesAndRetriesWithBackoff) {
   static_assert(EpochPipeline::kAnnealMs == 250.0);
   static_assert(EpochPipeline::kRetryBackoff == 2.0);
-  static_assert(EpochPipeline::kRetryMaxMs == 2000.0);
+  static_assert(EpochPipeline::kMaxRetries == 3);
   Harness h;
   EpochPipeline p = h.make();
   p.on_membership_change({1, false});
@@ -94,7 +94,7 @@ TEST(EpochPipeline, MidAnnealChurnInvalidatesAndRetriesWithBackoff) {
   h.fire();
   EXPECT_EQ(p.invalidations(), 3u);
   ASSERT_EQ(h.scheduled.size(), 1u);
-  EXPECT_EQ(h.scheduled[0].first, 2000.0);  // backoff^3, at kRetryMaxMs
+  EXPECT_EQ(h.scheduled[0].first, 2000.0);  // backoff^3, the longest retry
 
   h.fire();  // quiet this time: the pipelined epoch lands
   EXPECT_FALSE(p.annealing());

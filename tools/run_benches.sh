@@ -13,13 +13,16 @@
 # The crypto suite (bench_crypto) writes BENCH_crypto.json: bignum kernel
 # curves (mul/sqr vs operand size), Montgomery modexp vs the frozen pre-PR
 # reference kernel — the headline modexp_2048_speedup_vs_legacy ratio is
-# computed from the same run — plus threshold-RSA sign/verify/combine
-# throughput at 1024-bit keys.
+# computed from the same run, as is fixed_base_1024_speedup (fixed-base
+# table vs sliding window at a 1,537-bit exponent) — plus threshold-RSA
+# sign/verify/combine throughput at 1024-bit keys.
 #
 # The end-to-end suite (e2ebench/run.py, which builds its own Release
 # binary) writes BENCH_e2e.json: per workload, the median, quartiles and
 # sample count of every metric over ten repetitions, the traced per-layer
-# metrics, and the commit and host they were measured on.
+# metrics, and the commit and host they were measured on. The previous
+# BENCH_e2e.json's commit and per-workload medians stay in it as the
+# "baseline" block.
 #
 # Usage: tools/run_benches.sh [--quick]
 #                             [--only overlay|sim|workload|crypto|e2e]
@@ -244,7 +247,7 @@ run_crypto() {
   # always measured within a single process run.
   local filter='.'
   if [[ $QUICK -eq 1 ]]; then
-    filter='BM_ModExp(Legacy)?/2048|BM_MulNew/32|BM_SqrNew/32|BM_Threshold|BM_RsaFdh'
+    filter='BM_ModExp(Legacy)?/2048|BM_ModExp/1024/1537|BM_FixedBasePow|BM_MulNew/32|BM_SqrNew/32|BM_Threshold|BM_RsaFdh'
   fi
   # Threshold and RSA-FDH rows at 1024 bits, the key size of the
   # real-crypto e2e workload; bench_crypto records it in the JSON context.
@@ -256,8 +259,8 @@ run_crypto() {
     --benchmark_out="$tmp" \
     --benchmark_out_format=json
 
-  local speedup
-  speedup="$(python3 - "$tmp" <<'PY'
+  local ratios speedup fixed_base
+  ratios="$(python3 - "$tmp" <<'PY'
 import json, sys
 
 d = json.load(open(sys.argv[1]))
@@ -270,11 +273,15 @@ def real_time(name):
             direct = b["real_time"]
     return direct
 
-new = real_time("BM_ModExp/2048")
-legacy = real_time("BM_ModExpLegacy/2048")
-print(f"{legacy / new:.2f}" if new and legacy else "null")
+def ratio(slow, fast):
+    a, b = real_time(slow), real_time(fast)
+    return f"{a / b:.2f}" if a and b else "null"
+
+print(ratio("BM_ModExpLegacy/2048", "BM_ModExp/2048"),
+      ratio("BM_ModExp/1024/1537", "BM_FixedBasePow/1024"))
 PY
 )"
+  read -r speedup fixed_base <<< "$ratios"
 
   # Baseline: seed revision kernels (32-bit limb schoolbook multiply,
   # bit-at-a-time square-and-multiply powmod) — frozen verbatim in
@@ -283,14 +290,15 @@ PY
   cat > "$out" <<EOF
 {
   "baseline_schoolbook_kernels": {
-    "note": "pre-PR seed kernels live on as crypto::ref (bignum_reference.cpp) and run as BM_MulLegacy/BM_ModExpLegacy in this same report",
-    "modexp_2048_speedup_vs_legacy": $speedup
+    "note": "pre-PR seed kernels live on as crypto::ref (bignum_reference.cpp) and run as BM_MulLegacy/BM_ModExpLegacy in this same report; fixed_base_1024_speedup is BM_ModExp/1024/1537 over BM_FixedBasePow/1024, the sliding window against the fixed-base table on the same inputs",
+    "modexp_2048_speedup_vs_legacy": $speedup,
+    "fixed_base_1024_speedup": $fixed_base
   },
   "current": $(cat "$tmp")
 }
 EOF
   rm -f "$tmp"
-  echo "wrote $out (modexp 2048 speedup vs legacy: ${speedup}x)"
+  echo "wrote $out (modexp 2048 speedup vs legacy: ${speedup}x, fixed-base 1024: ${fixed_base}x)"
 }
 
 run_e2e() {
@@ -301,6 +309,21 @@ import json, os, statistics, subprocess, sys
 
 root, out = sys.argv[1], sys.argv[2]
 suite = json.load(open(os.path.join(root, "e2ebench", "out", "suite.json")))
+
+# The report this run replaces becomes the baseline: its commit and the
+# median of every metric per workload.
+baseline = None
+if os.path.exists(out):
+    previous = json.load(open(out))
+    baseline = {
+        "note": "the previous BENCH_e2e.json: its commit and per-workload "
+                "medians",
+        "commit": previous.get("commit"),
+        "workloads": {
+            name: {k: m["median"] for k, m in w["metrics"].items()}
+            for name, w in previous.get("workloads", {}).items()
+        },
+    }
 
 def stats(values):
     if any(v is None for v in values):
@@ -338,6 +361,8 @@ report = {
     "seed": suite["seed"],
     "workloads": workloads,
 }
+if baseline is not None:
+    report["baseline"] = baseline
 with open(out, "w") as f:
     json.dump(report, f, indent=1)
     f.write("\n")
