@@ -15,6 +15,8 @@
 //   - fixed-base exponentiation from a precomputed table against the
 //     windowed path on the same 1024-bit modulus and 1,537-bit exponent
 //     (the v^z of a threshold-RSA proof check);
+//   - the 512-bit safe-prime search of threshold keygen, with its
+//     candidate and Miller-Rabin call counts;
 //   - threshold RSA: partial sign, single + batched proof verification,
 //     combine with warm vs cold Lagrange/Montgomery caches, RSA-FDH
 //     sign/verify. Key size via --rsa-bits (default 512 so the trusted
@@ -190,6 +192,32 @@ void BM_MulModDivmod(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MulModDivmod)->Arg(1024)->Arg(2048);
+
+// --- safe-prime keygen -------------------------------------------------------
+
+// The trusted dealer's safe-prime search at 512 bits, the size of each prime
+// of a 1024-bit threshold key: one prime per seed of a fixed list per
+// iteration. The counters are exact per-prime means over the list:
+// candidates drawn and Miller-Rabin calls made. run_benches.sh records
+// mr_calls as safe_prime_512_mr_calls.
+void BM_SafePrime(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6};
+  crypto::SafePrimeCounts counts;
+  std::size_t primes = 0;
+  for (auto _ : state) {
+    for (const std::uint64_t seed : kSeeds) {
+      Rng rng(seed);
+      benchmark::DoNotOptimize(crypto::random_safe_prime(rng, bits, &counts));
+      ++primes;
+    }
+  }
+  state.counters["candidates"] =
+      static_cast<double>(counts.candidates) / static_cast<double>(primes);
+  state.counters["mr_calls"] =
+      static_cast<double>(counts.mr_calls) / static_cast<double>(primes);
+}
+BENCHMARK(BM_SafePrime)->Arg(512)->Unit(benchmark::kMillisecond);
 
 // --- threshold RSA ----------------------------------------------------------
 

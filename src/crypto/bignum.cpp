@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "crypto/sha256.hpp"
 #include "support/assert.hpp"
 
 namespace hermes::crypto {
@@ -73,6 +74,32 @@ std::size_t trimmed_size(const Limb* p, std::size_t n) {
   while (n > 0 && p[n - 1] == 0) --n;
   return n;
 }
+
+constexpr std::size_t kSsoLimbs = LimbBuf::kInlineLimbs;
+
+// Zeroed limb scratch for one call: inline while n <= N, where each caller
+// sizes N for operands at the SSO bound (kSsoLimbs), one heap block above it.
+template <std::size_t N>
+class ScratchLimbs {
+ public:
+  explicit ScratchLimbs(std::size_t n) {
+    if (n > N) {
+      heap_ = std::make_unique<Limb[]>(n);
+      data_ = heap_.get();
+    } else {
+      std::fill(inline_, inline_ + n, Limb{0});
+    }
+  }
+  ScratchLimbs(const ScratchLimbs&) = delete;
+  ScratchLimbs& operator=(const ScratchLimbs&) = delete;
+
+  Limb* data() { return data_; }
+
+ private:
+  Limb inline_[N];
+  std::unique_ptr<Limb[]> heap_;
+  Limb* data_ = inline_;
+};
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HERMES_BIGNUM_ADX 1
@@ -582,7 +609,10 @@ BigUintDivMod BigUint::divmod(const BigUint& a, const BigUint& b) {
 
   // Normalize: v = b << s (top bit of v[n-1] set), u = a << s with one
   // extra high limb.
-  std::vector<Limb> v(n), u(a.limbs_.size() + 1, 0);
+  ScratchLimbs<kSsoLimbs> v_buf(n);
+  ScratchLimbs<2 * kSsoLimbs + 1> u_buf(a.limbs_.size() + 1);
+  Limb* v = v_buf.data();
+  Limb* u = u_buf.data();
   for (std::size_t i = n; i-- > 0;) {
     v[i] = b.limbs_[i] << s;
     if (s && i > 0) v[i] |= b.limbs_[i - 1] >> (64 - s);
@@ -798,7 +828,9 @@ MontgomeryCtx::MontgomeryCtx(const BigUint& n) : n_(n), k_(n.limbs_.size()) {
   for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;  // inv = n0^{-1} mod 2^64
   n_prime_ = ~inv + 1;                              // -n0^{-1} mod 2^64
   // R^2 mod n, for conversion into Montgomery form.
-  r2_ = (BigUint(1) << (128 * k_)) % n;
+  const BigUint r2 = (BigUint(1) << (128 * k_)) % n;
+  r2_.assign(k_, 0);
+  std::copy(r2.limbs_.begin(), r2.limbs_.end(), r2_.begin());
 }
 
 // out = a * b * R^{-1} mod n. a, b, out are k_-limb arrays (out must not
@@ -847,41 +879,43 @@ void MontgomeryCtx::mont_mul(const Limb* __restrict a, const Limb* __restrict b,
   mont_cond_sub(nl, k_, acc, out);
 }
 
-// scratch: 2k_ limbs (padded operand plus staged r2); the multiply
-// accumulator is allocated locally.
+// scratch: 3k_+2 limbs (k_ for the padded operand, 2k_+2 accumulator).
 void MontgomeryCtx::to_mont(const BigUint& x, Limb* out, Limb* scratch) const {
   HERMES_DCHECK(x.limbs_.size() <= k_);
   Limb* pad = scratch;
-  Limb* acc = scratch + k_;
-  std::fill(pad, pad + k_, Limb{0});
-  std::copy(x.limbs_.begin(), x.limbs_.end(), pad);
-  Limb* r2pad = acc;  // reuse the accumulator slot to stage r2 first
-  std::fill(r2pad, r2pad + k_, Limb{0});
-  std::copy(r2_.limbs_.begin(), r2_.limbs_.end(), r2pad);
-  std::vector<Limb> acc2(2 * k_ + 2);
-  mont_mul(pad, r2pad, out, acc2.data());
+  std::fill(std::copy(x.limbs_.begin(), x.limbs_.end(), pad), pad + k_,
+            Limb{0});
+  mont_mul(pad, r2_.data(), out, scratch + k_);
 }
 
-// scratch: 3k_+2 limbs (k_ for the staged operand, 2k_+2 accumulator).
+// scratch: 3k_+2 limbs (k_ for the staged operand, 2k_+2 accumulator). The
+// product lands in the result's own limbs, inline up to the SSO bound.
 BigUint MontgomeryCtx::from_mont(const Limb* x, Limb* scratch) const {
   Limb* one = scratch;
-  Limb* acc = scratch + k_;
   std::fill(one, one + k_, Limb{0});
   one[0] = 1;
-  std::vector<Limb> out(k_);
-  mont_mul(x, one, out.data(), acc);
-  return BigUint::from_limbs(out);
+  BigUint out;
+  out.limbs_.resize(k_);
+  mont_mul(x, one, out.limbs_.data(), scratch + k_);
+  out.trim();
+  return out;
 }
 
 BigUint MontgomeryCtx::mulmod(const BigUint& a, const BigUint& b) const {
   if (a.is_zero() || b.is_zero()) return BigUint();
   if (a.limbs_.size() > k_) return mulmod(a % n_, b);
   if (b.limbs_.size() > k_) return mulmod(a, b % n_);
-  std::vector<Limb> scratch(2 * k_ + 2), am(k_), bpad(k_, 0), out(k_);
-  to_mont(a, am.data(), scratch.data());  // am = a*R mod n, fully reduced
-  std::copy(b.limbs_.begin(), b.limbs_.end(), bpad.begin());
-  mont_mul(am.data(), bpad.data(), out.data(), scratch.data());
-  return BigUint::from_limbs(out);
+  ScratchLimbs<3 * kSsoLimbs + 2> scratch(3 * k_ + 2);
+  ScratchLimbs<2 * kSsoLimbs> operands(2 * k_);
+  Limb* am = operands.data();
+  Limb* bpad = am + k_;
+  to_mont(a, am, scratch.data());  // am = a*R mod n, fully reduced
+  std::copy(b.limbs_.begin(), b.limbs_.end(), bpad);
+  BigUint out;
+  out.limbs_.resize(k_);
+  mont_mul(am, bpad, out.limbs_.data(), scratch.data());
+  out.trim();
+  return out;
 }
 
 BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
@@ -891,16 +925,17 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
   if (reduced.is_zero()) return BigUint();
 
   const std::size_t ebits = exp.bit_length();
-  std::vector<Limb> scratch(3 * k_ + 2);
-  std::vector<Limb> acc(k_), tmp(k_);
-  Limb* cur = acc.data();
-  Limb* spare = tmp.data();
+  ScratchLimbs<3 * kSsoLimbs + 2> scratch_buf(3 * k_ + 2);
+  ScratchLimbs<2 * kSsoLimbs> accs(2 * k_);
+  Limb* const scratch = scratch_buf.data();
+  Limb* cur = accs.data();
+  Limb* spare = cur + k_;
   const auto mont_step = [&](const Limb* other) {
-    mont_mul(cur, other, spare, scratch.data());
+    mont_mul(cur, other, spare, scratch);
     std::swap(cur, spare);
   };
   const auto mont_square = [&] {
-    mont_sqr(n_.limbs_.data(), k_, n_prime_, cur, spare, scratch.data());
+    mont_sqr(n_.limbs_.data(), k_, n_prime_, cur, spare, scratch);
     std::swap(cur, spare);
   };
 
@@ -908,30 +943,30 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
     // Short exponents (e = 65537, the 2*Delta and 4*Delta of threshold RSA):
     // an odd-power table costs more than it saves. Start from the base
     // itself, which the top bit contributes.
-    std::vector<Limb> b(k_);
-    to_mont(reduced, b.data(), scratch.data());
-    std::copy(b.begin(), b.end(), cur);
+    ScratchLimbs<kSsoLimbs> b(k_);
+    to_mont(reduced, b.data(), scratch);
+    std::copy(b.data(), b.data() + k_, cur);
     for (std::size_t i = ebits - 1; i-- > 0;) {
       mont_square();
       if (exp.bit(i)) mont_step(b.data());
     }
-    return from_mont(cur, scratch.data());
+    return from_mont(cur, scratch);
   }
 
   // Window width: 2^(w-1) precomputed odd powers against ebits/w fewer
   // multiplies; crossover points follow the usual table-vs-exponent balance.
   const std::size_t w = ebits >= 768 ? 5 : ebits >= 160 ? 4 : 3;
   const std::size_t table_size = std::size_t{1} << (w - 1);
-  std::vector<Limb> table(table_size * k_);
-  std::vector<Limb> b2(k_);
+  // The odd powers, then base^2.
+  ScratchLimbs<17 * kSsoLimbs> powers((table_size + 1) * k_);
+  Limb* const table = powers.data();
+  Limb* const b2 = table + table_size * k_;
 
   // table[i] = base^(2i+1) in Montgomery form.
-  to_mont(reduced, table.data(), scratch.data());
-  mont_sqr(n_.limbs_.data(), k_, n_prime_, table.data(), b2.data(),
-           scratch.data());
+  to_mont(reduced, table, scratch);
+  mont_sqr(n_.limbs_.data(), k_, n_prime_, table, b2, scratch);
   for (std::size_t i = 1; i < table_size; ++i) {
-    mont_mul(table.data() + (i - 1) * k_, b2.data(), table.data() + i * k_,
-             scratch.data());
+    mont_mul(table + (i - 1) * k_, b2, table + i * k_, scratch);
   }
 
   // Left-to-right sliding scan: squarings for every bit, one table multiply
@@ -952,7 +987,7 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
       window = (window << 1) | (exp.bit(j) ? 1 : 0);
       if (j == l - 1 || j == 0) break;
     }
-    const Limb* entry = table.data() + ((window - 1) >> 1) * k_;
+    const Limb* entry = table + ((window - 1) >> 1) * k_;
     if (started) {
       for (std::size_t j = 0; j < i - l + 1; ++j) mont_square();
       mont_step(entry);
@@ -962,7 +997,7 @@ BigUint MontgomeryCtx::powmod(const BigUint& base, const BigUint& exp) const {
     }
     i = l - 1;
   }
-  return from_mont(cur, scratch.data());
+  return from_mont(cur, scratch);
 }
 
 MontgomeryCtx::FixedBaseTable MontgomeryCtx::fixed_base_table(
@@ -972,7 +1007,8 @@ MontgomeryCtx::FixedBaseTable MontgomeryCtx::fixed_base_table(
   t.digits_ = std::max<std::size_t>(
       1, (max_bits + kFixedBaseDigitBits - 1) / kFixedBaseDigitBits);
   t.powers_.resize(t.digits_ * k_);
-  std::vector<Limb> scratch(3 * k_ + 2), tmp(k_);
+  ScratchLimbs<3 * kSsoLimbs + 2> scratch(3 * k_ + 2);
+  ScratchLimbs<kSsoLimbs> tmp(k_);
   to_mont(t.base_, t.powers_.data(), scratch.data());
   // powers_[j] = powers_[j-1]^(2^6): six squarings ping-ponging between tmp
   // and the entry, so (six being even) the last one lands in the entry.
@@ -1022,15 +1058,18 @@ BigUint MontgomeryCtx::powmod(const FixedBaseTable& table,
   // d, then A *= B. Each g_j then enters A exactly d times, so
   // A = prod_j g_j^(digit j) = base^exp. A product with a still-empty
   // accumulator is a copy.
-  std::vector<Limb> scratch(3 * k_ + 2), a(k_), b(k_), spare(k_);
+  ScratchLimbs<3 * kSsoLimbs + 2> scratch(3 * k_ + 2);
+  ScratchLimbs<3 * kSsoLimbs> accs(3 * k_);
+  Limb* a = accs.data();
+  Limb* b = a + k_;
+  Limb* spare = b + k_;
   bool a_set = false, b_set = false;
-  const auto accumulate = [&](std::vector<Limb>& into, bool& set,
-                              const Limb* factor) {
+  const auto accumulate = [&](Limb*& into, bool& set, const Limb* factor) {
     if (set) {
-      mont_mul(into.data(), factor, spare.data(), scratch.data());
-      into.swap(spare);
+      mont_mul(into, factor, spare, scratch.data());
+      std::swap(into, spare);
     } else {
-      std::copy(factor, factor + k_, into.begin());
+      std::copy(factor, factor + k_, into);
       set = true;
     }
   };
@@ -1039,9 +1078,9 @@ BigUint MontgomeryCtx::powmod(const FixedBaseTable& table,
     for (; next != order.end() && digit[*next] == d; ++next) {
       accumulate(b, b_set, table.powers_.data() + *next * k_);
     }
-    if (b_set) accumulate(a, a_set, b.data());
+    if (b_set) accumulate(a, a_set, b);
   }
-  return from_mont(a.data(), scratch.data());
+  return from_mont(a, scratch.data());
 }
 
 BigUint BigUint::powmod(const BigUint& base, const BigUint& exp, const BigUint& m) {
@@ -1081,22 +1120,91 @@ bool BigUint::modinv(const BigUint& a, const BigUint& m, BigUint* out) {
 }
 
 namespace {
-constexpr std::uint32_t kSmallPrimes[] = {
-    2,   3,   5,   7,   11,  13,  17,  19,  23,  29,  31,  37,  41,  43,
-    47,  53,  59,  61,  67,  71,  73,  79,  83,  89,  97,  101, 103, 107,
-    109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-    191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
+
+// The odd primes below kSieveBound, cut into runs whose product fits a limb.
+// A number's residue mod a run's product takes one pass over its limbs, and
+// each prime's residue is one word remainder of that.
+struct SieveTable {
+  struct Run {
+    Limb product = 1;
+    std::size_t begin = 0, end = 0;  // into primes
+  };
+  std::vector<std::uint32_t> primes;
+  std::vector<Run> runs;
+};
+
+const SieveTable& sieve_table() {
+  static const SieveTable table = [] {
+    SieveTable t;
+    std::vector<bool> composite(kSieveBound, false);
+    for (std::uint32_t i = 3; i < kSieveBound; i += 2) {
+      if (composite[i]) continue;
+      t.primes.push_back(i);
+      for (std::uint32_t j = i * i; j < kSieveBound; j += 2 * i) {
+        composite[j] = true;
+      }
+    }
+    for (std::size_t i = 0; i < t.primes.size();) {
+      SieveTable::Run run{1, i, i};
+      while (run.end < t.primes.size() &&
+             run.product <= ~Limb{0} / t.primes[run.end]) {
+        run.product *= t.primes[run.end++];
+      }
+      t.runs.push_back(run);
+      i = run.end;
+    }
+    return t;
+  }();
+  return table;
 }
 
-bool BigUint::is_probable_prime(const BigUint& n, Rng& rng, int rounds) {
-  if (n < BigUint(2)) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    const BigUint bp(p);
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+// Calls hit(p, n mod p) for each table prime p, smallest first, until it
+// returns true; returns whether one did. Small primes reject most numbers,
+// so a run's residue is computed only when the sieve reaches it.
+template <typename Hit>
+bool any_table_residue(const BigUint& n, Hit hit) {
+  const SieveTable& t = sieve_table();
+  for (const SieveTable::Run& run : t.runs) {
+    Limb r = 0;
+    for (std::size_t i = n.limb_count(); i-- > 0;) {
+      r = static_cast<Limb>(((static_cast<DLimb>(r) << 64) | n.limb(i)) %
+                            run.product);
+    }
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      const std::uint32_t p = t.primes[i];
+      if (hit(p, static_cast<std::uint32_t>(r % p))) return true;
+    }
   }
-  // n is odd (2 was trial-divided): share one Montgomery context across all
-  // rounds and the squaring chains.
+  return false;
+}
+
+}  // namespace
+
+bool safe_prime_sieve_rejects(const BigUint& q) {
+  // Only a q below the bound can be a table prime p, or (p - 1)/2 for one.
+  const bool small = q.limb_count() <= 1 && q.to_u64() < kSieveBound;
+  return any_table_residue(q, [&](std::uint32_t p, std::uint32_t r) {
+    if (r == 0) return !small || q.to_u64() != p;
+    return r == (p - 1) / 2 && (!small || 2 * q.to_u64() + 1 != p);
+  });
+}
+
+bool BigUint::is_probable_prime(const BigUint& n, Rng& witnesses, int rounds) {
+  if (n < BigUint(2)) return false;
+  if (!n.is_odd()) return n == BigUint(2);
+  const bool small = n.limbs_.size() == 1 && n.limbs_[0] < kSieveBound;
+  if (any_table_residue(n, [&](std::uint32_t p, std::uint32_t r) {
+        return r == 0 && (!small || n.limbs_[0] != p);
+      })) {
+    return false;
+  }
+  // No prime up to kSieveBound divides n, so below its square n is prime.
+  if (n.limbs_.size() == 1 &&
+      n.limbs_[0] < Limb{kSieveBound} * kSieveBound) {
+    return true;
+  }
+  // n is odd: share one Montgomery context across all rounds and the
+  // squaring chains.
   const MontgomeryCtx ctx(n);
   // Write n-1 = d * 2^r.
   const BigUint n_minus_1 = n - BigUint(1);
@@ -1109,7 +1217,7 @@ bool BigUint::is_probable_prime(const BigUint& n, Rng& rng, int rounds) {
   const BigUint two(2);
   const BigUint n_minus_3 = n - BigUint(3);
   for (int round = 0; round < rounds; ++round) {
-    const BigUint a = random_below(rng, n_minus_3) + two;  // in [2, n-2]
+    const BigUint a = random_below(witnesses, n_minus_3) + two;  // [2, n-2]
     BigUint x = ctx.powmod(a, d);
     if (x == BigUint(1) || x == n_minus_1) continue;
     bool composite = true;
@@ -1125,12 +1233,18 @@ bool BigUint::is_probable_prime(const BigUint& n, Rng& rng, int rounds) {
   return true;
 }
 
-BigUint BigUint::random_prime(Rng& rng, std::size_t bits, int mr_rounds) {
+Rng BigUint::witness_stream(const BigUint& n) {
+  const Bytes bytes = n.to_bytes_be();
+  return Rng(digest_prefix_u64(sha256(BytesView(bytes.data(), bytes.size()))));
+}
+
+BigUint BigUint::random_prime(Rng& rng, std::size_t bits) {
   HERMES_REQUIRE(bits >= 8);
   for (;;) {
     BigUint candidate = random_bits(rng, bits);
     if (!candidate.is_odd()) candidate = candidate + BigUint(1);
-    if (is_probable_prime(candidate, rng, mr_rounds)) return candidate;
+    Rng witnesses = witness_stream(candidate);
+    if (is_probable_prime(candidate, witnesses)) return candidate;
   }
 }
 

@@ -11,9 +11,13 @@ Bytes mgf1_sha256(BytesView seed, std::size_t len) {
   while (out.size() < len) {
     Sha256 h;
     h.update(seed);
-    Bytes ctr;
-    put_u32_be(ctr, counter++);
-    h.update(ctr);
+    const std::uint8_t ctr[4] = {
+        static_cast<std::uint8_t>(counter >> 24),
+        static_cast<std::uint8_t>(counter >> 16),
+        static_cast<std::uint8_t>(counter >> 8),
+        static_cast<std::uint8_t>(counter)};
+    ++counter;
+    h.update(BytesView(ctr, sizeof ctr));
     const Digest d = h.finish();
     out.insert(out.end(), d.begin(), d.end());
   }
@@ -28,18 +32,32 @@ BigUint fdh_encode(BytesView message, const BigUint& n) {
   return BigUint::from_bytes_be(expanded) % n;
 }
 
-BigUint random_safe_prime(Rng& rng, std::size_t bits) {
+BigUint random_safe_prime(Rng& rng, std::size_t bits,
+                          SafePrimeCounts* counts) {
   HERMES_REQUIRE(bits >= 16);
+  SafePrimeCounts local;
+  SafePrimeCounts& c = counts != nullptr ? *counts : local;
   for (;;) {
-    // Search for p' prime with 2p'+1 also prime. Few cheap MR rounds on the
-    // candidate first; full confidence testing only when both sides pass.
-    const BigUint p_prime = BigUint::random_prime(rng, bits - 1, 8);
-    const BigUint p = (p_prime << 1) + BigUint(1);
-    if (!BigUint::is_probable_prime(p, rng, 8)) continue;
-    if (BigUint::is_probable_prime(p_prime, rng, 24) &&
-        BigUint::is_probable_prime(p, rng, 24)) {
-      return p;
-    }
+    // One draw per candidate q. The sieve skips only numbers with a small
+    // factor, and each number's 8 screening and 24 confirming rounds are
+    // the first 32 bases of its own witness stream, so the result is the
+    // first q in the draw stream with q and 2q + 1 prime, whatever the
+    // sieve bound.
+    BigUint q = BigUint::random_bits(rng, bits - 1);
+    if (!q.is_odd()) q = q + BigUint(1);
+    ++c.candidates;
+    if (safe_prime_sieve_rejects(q)) continue;
+    const BigUint p = (q << 1) + BigUint(1);
+    Rng q_witnesses = BigUint::witness_stream(q);
+    ++c.mr_calls;
+    if (!BigUint::is_probable_prime(q, q_witnesses, 8)) continue;
+    Rng p_witnesses = BigUint::witness_stream(p);
+    ++c.mr_calls;
+    if (!BigUint::is_probable_prime(p, p_witnesses, 8)) continue;
+    ++c.mr_calls;
+    if (!BigUint::is_probable_prime(q, q_witnesses, 24)) continue;
+    ++c.mr_calls;
+    if (BigUint::is_probable_prime(p, p_witnesses, 24)) return p;
   }
 }
 

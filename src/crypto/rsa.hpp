@@ -54,7 +54,19 @@ Bytes rsa_sign(const RsaKeyPair& key, BytesView message,
 bool rsa_verify(const RsaPublicKey& pub, BytesView message, BytesView signature,
                 const MontgomeryCtx& mont);
 
-// Safe-prime search helper (exposed for tests).
-BigUint random_safe_prime(Rng& rng, std::size_t bits);
+// Work done by random_safe_prime, added up over the calls that share it:
+// candidates q drawn, and is_probable_prime calls made.
+struct SafePrimeCounts {
+  std::size_t candidates = 0;
+  std::size_t mr_calls = 0;
+};
+
+// Safe prime p = 2q + 1 of exactly `bits` bits (bits >= 16): the first odd q
+// among rng's random_bits(bits - 1) draws for which q and 2q + 1 pass
+// is_probable_prime with their witness streams. The combined sieve skips
+// candidates with a small factor first; rng draws only candidates. Exposed
+// for tests and the safe-prime benchmark, which reads `counts`.
+BigUint random_safe_prime(Rng& rng, std::size_t bits,
+                          SafePrimeCounts* counts = nullptr);
 
 }  // namespace hermes::crypto

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "support/rng.hpp"
 
 namespace hermes::crypto {
@@ -178,6 +183,72 @@ TEST(Erasure, RandomizedPropertySweep) {
     const auto decoded = code.decode(shards);
     ASSERT_TRUE(decoded.has_value()) << "round " << round;
     EXPECT_EQ(*decoded, payload) << "round " << round;
+  }
+}
+
+// Mutation harness for the erasure decoder over a 5-data, 2-parity code:
+// every truncation and every bit flip of each shard, and each shard's index
+// rewritten past the code or onto another shard's. Each mutant is decoded
+// in the whole shard set and in a five-shard set that cannot do without it.
+// decode returns nullopt or at most the bytes the data shards hold, and
+// never throws; a mangled parity shard beside all five data shards still
+// decodes to the payload.
+TEST(ErasureDecoderMutation, TruncationsBitFlipsAndIndices) {
+  const ErasureCode code(5, 2);
+  Rng rng(12);
+  const Bytes payload = random_payload(rng, 60);
+  const std::vector<Shard> shards = code.encode(payload);
+  ASSERT_EQ(shards.size(), 7u);
+  const std::size_t shard_size = shards[0].bytes.size();
+
+  const auto decode_bounded = [&](const std::vector<Shard>& set,
+                                  const std::string& what) {
+    std::optional<Bytes> decoded;
+    EXPECT_NO_THROW(decoded = code.decode(set)) << what;
+    if (decoded) {
+      EXPECT_LE(decoded->size() + 8, 5 * shard_size) << what;
+    }
+    return decoded;
+  };
+  const auto check = [&](std::size_t target, const Shard& mutant,
+                         bool bytes_only, const std::string& what) {
+    std::vector<Shard> all = shards;
+    all[target] = mutant;
+    const auto decoded = decode_bounded(all, what + ", all seven");
+    if (bytes_only && target >= 5) {
+      EXPECT_EQ(decoded, std::optional<Bytes>(payload)) << what;
+    }
+    std::vector<Shard> five;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      if (i != target && i != (target + 1) % shards.size()) {
+        five.push_back(shards[i]);
+      }
+    }
+    five.push_back(mutant);
+    decode_bounded(five, what + ", five");
+  };
+
+  for (std::size_t target = 0; target < shards.size(); ++target) {
+    const std::string shard = "shard " + std::to_string(target);
+    for (std::size_t len = 0; len < shard_size; ++len) {
+      Shard mutant = shards[target];
+      mutant.bytes.resize(len);
+      check(target, mutant, true, shard + " length " + std::to_string(len));
+    }
+    for (std::size_t bit = 0; bit < shard_size * 8; ++bit) {
+      Shard mutant = shards[target];
+      mutant.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      check(target, mutant, true, shard + " bit " + std::to_string(bit));
+    }
+    std::vector<std::size_t> indices = {7, 8, 255, 256, SIZE_MAX};
+    for (std::size_t other = 0; other < shards.size(); ++other) {
+      if (other != target) indices.push_back(other);
+    }
+    for (const std::size_t index : indices) {
+      Shard mutant = shards[target];
+      mutant.index = index;
+      check(target, mutant, false, shard + " index " + std::to_string(index));
+    }
   }
 }
 

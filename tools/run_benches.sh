@@ -15,7 +15,9 @@
 # reference kernel — the headline modexp_2048_speedup_vs_legacy ratio is
 # computed from the same run, as is fixed_base_1024_speedup (fixed-base
 # table vs sliding window at a 1,537-bit exponent) — plus threshold-RSA
-# sign/verify/combine throughput at 1024-bit keys.
+# sign/verify/combine throughput at 1024-bit keys and the 512-bit safe-prime
+# search, whose mean Miller-Rabin calls per prime (an exact count) it
+# records as safe_prime_512_mr_calls.
 #
 # The end-to-end suite (e2ebench/run.py, which builds its own Release
 # binary) writes BENCH_e2e.json: per workload, the median, quartiles and
@@ -247,7 +249,7 @@ run_crypto() {
   # always measured within a single process run.
   local filter='.'
   if [[ $QUICK -eq 1 ]]; then
-    filter='BM_ModExp(Legacy)?/2048|BM_ModExp/1024/1537|BM_FixedBasePow|BM_MulNew/32|BM_SqrNew/32|BM_Threshold|BM_RsaFdh'
+    filter='BM_ModExp(Legacy)?/2048|BM_ModExp/1024/1537|BM_FixedBasePow|BM_MulNew/32|BM_SqrNew/32|BM_SafePrime|BM_Threshold|BM_RsaFdh'
   fi
   # Threshold and RSA-FDH rows at 1024 bits, the key size of the
   # real-crypto e2e workload; bench_crypto records it in the JSON context.
@@ -259,29 +261,31 @@ run_crypto() {
     --benchmark_out="$tmp" \
     --benchmark_out_format=json
 
-  local ratios speedup fixed_base
+  local ratios speedup fixed_base mr_calls
   ratios="$(python3 - "$tmp" <<'PY'
 import json, sys
 
 d = json.load(open(sys.argv[1]))
-def real_time(name):
+def field(name, key):
     direct = None
     for b in d.get("benchmarks", []):
         if b["name"] == name + "_median":
-            return b["real_time"]
+            return b.get(key)
         if b["name"] == name:
-            direct = b["real_time"]
+            direct = b.get(key)
     return direct
 
 def ratio(slow, fast):
-    a, b = real_time(slow), real_time(fast)
+    a, b = field(slow, "real_time"), field(fast, "real_time")
     return f"{a / b:.2f}" if a and b else "null"
 
+mr_calls = field("BM_SafePrime/512", "mr_calls")
 print(ratio("BM_ModExpLegacy/2048", "BM_ModExp/2048"),
-      ratio("BM_ModExp/1024/1537", "BM_FixedBasePow/1024"))
+      ratio("BM_ModExp/1024/1537", "BM_FixedBasePow/1024"),
+      f"{mr_calls:.1f}" if mr_calls is not None else "null")
 PY
 )"
-  read -r speedup fixed_base <<< "$ratios"
+  read -r speedup fixed_base mr_calls <<< "$ratios"
 
   # Baseline: seed revision kernels (32-bit limb schoolbook multiply,
   # bit-at-a-time square-and-multiply powmod) — frozen verbatim in
@@ -290,15 +294,16 @@ PY
   cat > "$out" <<EOF
 {
   "baseline_schoolbook_kernels": {
-    "note": "pre-PR seed kernels live on as crypto::ref (bignum_reference.cpp) and run as BM_MulLegacy/BM_ModExpLegacy in this same report; fixed_base_1024_speedup is BM_ModExp/1024/1537 over BM_FixedBasePow/1024, the sliding window against the fixed-base table on the same inputs",
+    "note": "pre-PR seed kernels live on as crypto::ref (bignum_reference.cpp) and run as BM_MulLegacy/BM_ModExpLegacy in this same report; fixed_base_1024_speedup is BM_ModExp/1024/1537 over BM_FixedBasePow/1024, the sliding window against the fixed-base table on the same inputs; safe_prime_512_mr_calls is BM_SafePrime/512's mean is_probable_prime calls per safe prime, an exact count",
     "modexp_2048_speedup_vs_legacy": $speedup,
-    "fixed_base_1024_speedup": $fixed_base
+    "fixed_base_1024_speedup": $fixed_base,
+    "safe_prime_512_mr_calls": $mr_calls
   },
   "current": $(cat "$tmp")
 }
 EOF
   rm -f "$tmp"
-  echo "wrote $out (modexp 2048 speedup vs legacy: ${speedup}x, fixed-base 1024: ${fixed_base}x)"
+  echo "wrote $out (modexp 2048 speedup vs legacy: ${speedup}x, fixed-base 1024: ${fixed_base}x, safe-prime 512 MR calls: ${mr_calls})"
 }
 
 run_e2e() {
