@@ -123,6 +123,29 @@ TEST(SafePrime, MatchesSievelessSearchAndDrawsOnlyCandidates) {
   }
 }
 
+TEST(SafePrime, CountsAreCandidatesAndTestCalls) {
+  // Replays the draw stream: a candidate past the sieve costs one call, two
+  // when q is prime, and the accepted one two more to confirm.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    SafePrimeCounts counts;
+    const BigUint p = random_safe_prime(rng, 96, &counts);
+    Rng replay(seed);
+    Rng witnesses(seed);
+    std::size_t calls = 2;
+    for (std::size_t i = 0; i < counts.candidates; ++i) {
+      BigUint q = BigUint::random_bits(replay, 95);
+      if (!q.is_odd()) q = q + BigUint(1);
+      if (safe_prime_sieve_rejects(q)) continue;
+      calls += BigUint::is_probable_prime(q, witnesses) ? 2 : 1;
+      if (i + 1 == counts.candidates) {
+        EXPECT_EQ((q << 1) + BigUint(1), p);
+      }
+    }
+    EXPECT_EQ(counts.mr_calls, calls) << "seed " << seed;
+  }
+}
+
 TEST(SafePrime, CountsAddUpAcrossCalls) {
   Rng shared(9);
   SafePrimeCounts total;
@@ -198,7 +221,9 @@ TEST(MillerRabin, RejectsStrongPseudoprimesAndCarmichaelNumbers) {
       // k = 2876, whose factors 17257, 34513 and 51769 are all past the
       // table.
       BigUint(561), BigUint(41041), BigUint(825265),
-      BigUint(17257ULL * 34513ULL * 51769ULL)};
+      BigUint(17257ULL * 34513ULL * 51769ULL),
+      // The least composite with no factor below kSieveBound: 16411^2.
+      BigUint(16411ULL * 16411ULL)};
   for (const BigUint& n : composites) {
     Rng own = BigUint::witness_stream(n);
     EXPECT_FALSE(BigUint::is_probable_prime(n, own)) << n.to_hex();
