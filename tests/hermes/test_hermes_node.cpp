@@ -259,7 +259,8 @@ TEST(HermesNode, EndToEndWithRealThresholdRsa) {
   // The full protocol over genuine Shoup threshold RSA: committee members
   // produce real partial signatures with Fiat-Shamir proofs, the sender
   // combines them into an RSA-FDH certificate, and every receiver verifies
-  // it. Slow (safe-prime keygen), so one compact scenario.
+  // it. One compact scenario covers the path; its 256-bit safe-prime keygen
+  // takes a few milliseconds.
   HermesConfig config = fast_config(1, 3);
   config.use_real_threshold_crypto = true;
   config.real_threshold_rsa_bits = 256;
