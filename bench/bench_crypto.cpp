@@ -8,8 +8,8 @@
 // BM_ModExpLegacy is the headline pair the ≥5x modexp-2048 claim rests on.
 //
 // Sections:
-//   - mul/sqr kernel curves vs operand size (new Karatsuba/schoolbook split
-//     and the squaring specialization vs the legacy schoolbook);
+//   - multiplication curves vs operand size (64-bit schoolbook vs the legacy
+//     32-bit schoolbook);
 //   - modexp at 512/1024/2048-bit odd moduli (windowed Montgomery vs
 //     legacy), plus mulmod through a warm MontgomeryCtx vs divmod;
 //   - fixed-base exponentiation from a precomputed table against the
@@ -18,11 +18,11 @@
 //   - the 512-bit safe-prime search of threshold keygen, with its
 //     candidate and Miller-Rabin call counts;
 //   - threshold RSA: partial sign, single + batched proof verification,
-//     combine with warm vs cold Lagrange/Montgomery caches, RSA-FDH
-//     sign/verify. Key size via --rsa-bits (default 512 so the trusted
-//     dealer's safe-prime search stays fast; run_benches.sh passes 1024,
-//     the size the real-crypto workload uses). The JSON context records
-//     it as "rsa_bits".
+//     combine on a warm context, and the RSA-FDH verification of the
+//     combined signature. Key size via --rsa-bits (default 512 so the
+//     trusted dealer's safe-prime search stays fast; run_benches.sh passes
+//     1024, the size the real-crypto workload uses). The JSON context
+//     records it as "rsa_bits".
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -75,17 +75,6 @@ void BM_MulLegacy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MulLegacy)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_SqrNew(benchmark::State& state) {
-  const auto limbs = static_cast<std::size_t>(state.range(0));
-  Rng rng(0xA11CE);
-  const BigUint a = random_limbs(rng, limbs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigUint::sqr(a));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SqrNew)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // --- modular exponentiation -------------------------------------------------
 
@@ -296,40 +285,18 @@ void BM_ThresholdCombineWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_ThresholdCombineWarm)->Unit(benchmark::kMicrosecond);
 
-// Combine through a freshly built context each call: pays the R^2 division,
-// Bezout gcd and Lagrange recomputation — the epoch-cold path.
-void BM_ThresholdCombineCold(benchmark::State& state) {
+// RSA-FDH verification of a combined threshold signature: the certificate
+// check every relay makes.
+void BM_RsaFdhVerify(benchmark::State& state) {
   const ThresholdFixture& f = threshold_fixture();
+  const auto sig = crypto::threshold_combine(*f.ctx, f.message, f.partials);
+  if (!sig) {
+    state.SkipWithError("combine failed");
+    return;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        crypto::threshold_combine(f.key.pub, f.message, f.partials));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ThresholdCombineCold)->Unit(benchmark::kMicrosecond);
-
-void BM_RsaFdhSign(benchmark::State& state) {
-  Rng rng(0x5157);
-  const crypto::RsaKeyPair key =
-      crypto::rsa_generate(rng, g_rsa_bits, /*safe_primes=*/false);
-  const MontgomeryCtx mont(key.pub.n);
-  const Bytes msg = to_bytes("bench.rsa.message");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::rsa_sign(key, msg, mont));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RsaFdhSign)->Unit(benchmark::kMicrosecond);
-
-void BM_RsaFdhVerify(benchmark::State& state) {
-  Rng rng(0x5157);
-  const crypto::RsaKeyPair key =
-      crypto::rsa_generate(rng, g_rsa_bits, /*safe_primes=*/false);
-  const MontgomeryCtx mont(key.pub.n);
-  const Bytes msg = to_bytes("bench.rsa.message");
-  const Bytes sig = crypto::rsa_sign(key, msg, mont);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::rsa_verify(key.pub, msg, sig, mont));
+        crypto::threshold_verify(*f.ctx, f.message, *sig));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -338,7 +305,7 @@ BENCHMARK(BM_RsaFdhVerify)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 // Custom main mirroring bench_sim_engine: --benchmark_* flags pass through;
-// --rsa-bits B sets the threshold/RSA key size (default 512). Kernel curves
+// --rsa-bits B sets the threshold key size (default 512). Kernel curves
 // (mul/modexp) run at fixed sizes regardless.
 int main(int argc, char** argv) {
   std::vector<char*> filtered{argv[0]};

@@ -1,19 +1,17 @@
 // Section VIII-A micro-benchmarks (google-benchmark): overlay construction
 // cost (the paper reports < 15 s for k = 10 overlays at N = 10,000) and the
-// cryptographic primitives on HERMES's critical path.
+// hashing and simulated threshold signatures on HERMES's critical path
+// (bench_crypto times the real threshold RSA).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "crypto/sim_signer.hpp"
-#include "crypto/threshold_rsa.hpp"
 #include "overlay/builder.hpp"
 #include "overlay/encoding.hpp"
 
@@ -33,8 +31,7 @@ void BM_RobustTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RobustTreeBuild)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
-void BM_OverlaySetBuildK10(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+void run_overlay_set_k10(benchmark::State& state, std::size_t n) {
   const net::Topology topo = bench::make_bench_topology(n, 42);
   overlay::BuilderParams params;
   params.f = 1;
@@ -44,6 +41,10 @@ void BM_OverlaySetBuildK10(benchmark::State& state) {
     Rng rng(7);
     benchmark::DoNotOptimize(overlay::build_overlay_set(topo.graph, params, rng));
   }
+}
+
+void BM_OverlaySetBuildK10(benchmark::State& state) {
+  run_overlay_set_k10(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_OverlaySetBuildK10)->Arg(100)->Arg(200)->Unit(benchmark::kMillisecond);
 
@@ -63,31 +64,6 @@ void BM_SimulatedAnnealingPass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedAnnealingPass)->Unit(benchmark::kMillisecond);
-
-// Serial vs parallel candidate evaluation at a fixed batch size; Arg is the
-// worker count. The annealed overlay is bit-identical across all Args.
-void BM_SimulatedAnnealingWorkers(benchmark::State& state) {
-  const std::size_t n = 200;
-  const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::RankTable ranks(n, 0.0);
-  const overlay::Overlay tree =
-      overlay::build_robust_tree(topo.graph, 1, ranks);
-  overlay::AnnealingParams params =
-      bench::bench_hermes_config().builder.annealing;
-  params.batch_size = 8;
-  params.workers = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(params.workers > 1 ? params.workers - 1 : 0);
-  for (auto _ : state) {
-    Rng rng(9);
-    benchmark::DoNotOptimize(
-        overlay::anneal(tree, topo.graph, ranks, params, rng, &pool));
-  }
-}
-BENCHMARK(BM_SimulatedAnnealingWorkers)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_OverlayEncode(benchmark::State& state) {
   const std::size_t n = 200;
@@ -123,51 +99,6 @@ void BM_SimThresholdRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SimThresholdRoundTrip);
 
-void BM_ThresholdRsaPartialSign(benchmark::State& state) {
-  Rng rng(31337);
-  static const crypto::ThresholdRsaKey key =
-      crypto::threshold_rsa_generate(rng, 256, 4, 3);
-  const Bytes msg = to_bytes("seed material");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crypto::threshold_partial_sign(key.pub, key.shares[0], msg));
-  }
-}
-BENCHMARK(BM_ThresholdRsaPartialSign)->Unit(benchmark::kMillisecond);
-
-void BM_ThresholdRsaCombine(benchmark::State& state) {
-  Rng rng(31337);
-  static const crypto::ThresholdRsaKey key =
-      crypto::threshold_rsa_generate(rng, 256, 4, 3);
-  const Bytes msg = to_bytes("seed material");
-  std::vector<crypto::ThresholdPartial> partials;
-  for (std::size_t i = 0; i < 3; ++i) {
-    partials.push_back(
-        crypto::threshold_partial_sign(key.pub, key.shares[i], msg));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::threshold_combine(key.pub, msg, partials));
-  }
-}
-BENCHMARK(BM_ThresholdRsaCombine)->Unit(benchmark::kMillisecond);
-
-// Paper-scale construction: registered only when --nodes is passed, so CI
-// runs stay at the friendly defaults while `--nodes 2000` / `--nodes 5000`
-// reproduce the Section VIII-A scaling point on demand.
-void BM_OverlaySetBuildK10AtNodes(benchmark::State& state, std::size_t n) {
-  const net::Topology topo = bench::make_bench_topology(n, 42);
-  overlay::BuilderParams params;
-  params.f = 1;
-  params.k = 10;
-  params.annealing = bench::bench_hermes_config().builder.annealing;
-  params.annealing.batch_size = 8;
-  params.annealing.workers = std::max(1u, std::thread::hardware_concurrency());
-  for (auto _ : state) {
-    Rng rng(7);
-    benchmark::DoNotOptimize(overlay::build_overlay_set(topo.graph, params, rng));
-  }
-}
-
 }  // namespace
 
 // Custom main: tolerate the shared sweep flags (--reps/--txs/...) that the
@@ -189,11 +120,14 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Paper-scale construction: registered only when --nodes is passed, so CI
+  // runs stay at the friendly defaults while `--nodes 2000` / `--nodes 5000`
+  // reproduce the Section VIII-A scaling point on demand.
   if (custom_nodes > 0) {
     benchmark::RegisterBenchmark(
         ("BM_OverlaySetBuildK10/" + std::to_string(custom_nodes)).c_str(),
         [custom_nodes](benchmark::State& state) {
-          BM_OverlaySetBuildK10AtNodes(state, custom_nodes);
+          run_overlay_set_k10(state, custom_nodes);
         })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);

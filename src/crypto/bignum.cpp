@@ -70,11 +70,6 @@ void LimbBuf::push_back(Limb v) {
 
 namespace {
 
-std::size_t trimmed_size(const Limb* p, std::size_t n) {
-  while (n > 0 && p[n - 1] == 0) --n;
-  return n;
-}
-
 constexpr std::size_t kSsoLimbs = LimbBuf::kInlineLimbs;
 
 // Zeroed limb scratch for one call: inline while n <= N, where each caller
@@ -250,94 +245,6 @@ std::size_t add_limbs(const Limb* a, std::size_t an, const Limb* b,
     return n + 1;
   }
   return n;
-}
-
-// a -= b in place; requires value(a) >= value(b).
-void sub_limbs_in_place(Limb* a, std::size_t an, const Limb* b,
-                        std::size_t bn) {
-  bn = trimmed_size(b, bn);
-  HERMES_DCHECK(bn <= an);
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < an; ++i) {
-    const Limb bi = i < bn ? b[i] : 0;
-    const Limb d = a[i] - bi;
-    Limb next = a[i] < bi ? 1 : 0;
-    const Limb d2 = d - borrow;
-    if (d < borrow) next = 1;
-    a[i] = d2;
-    borrow = next;
-    if (i >= bn && borrow == 0) break;
-  }
-  HERMES_DCHECK(borrow == 0);
-}
-
-// r[off ..] += z, carry-propagating inside r[0 .. rn).
-void add_at(Limb* r, [[maybe_unused]] std::size_t rn, std::size_t off,
-            const Limb* z, std::size_t zn) {
-  DLimb carry = 0;
-  std::size_t i = 0;
-  for (; i < zn; ++i) {
-    const DLimb cur = r[off + i] + static_cast<DLimb>(z[i]) + carry;
-    r[off + i] = static_cast<Limb>(cur);
-    carry = cur >> 64;
-  }
-  while (carry) {
-    HERMES_DCHECK(off + i < rn);
-    const DLimb cur = r[off + i] + carry;
-    r[off + i] = static_cast<Limb>(cur);
-    carry = cur >> 64;
-    ++i;
-  }
-}
-
-// r[0 .. an+bn) = a * b (r zero-initialized): Karatsuba above the limb
-// threshold, schoolbook below. Handles unbalanced operands by letting the
-// high part of the shorter one be empty (z2 = 0 degenerates gracefully).
-void mul_rec(const Limb* a, std::size_t an, const Limb* b, std::size_t bn,
-             Limb* r) {
-  if (an == 0 || bn == 0) return;
-  if (std::min(an, bn) < kKaratsubaThresholdLimbs) {
-    mul_basecase(a, an, b, bn, r);
-    return;
-  }
-  const std::size_t h = (std::max(an, bn) + 1) / 2;
-  const std::size_t a0n = std::min(an, h), a1n = an - a0n;
-  const std::size_t b0n = std::min(bn, h), b1n = bn - b0n;
-
-  // z0 = a0*b0 at offset 0; z2 = a1*b1 at offset 2h (regions are disjoint).
-  mul_rec(a, a0n, b, b0n, r);
-  if (a1n > 0 && b1n > 0) mul_rec(a + a0n, a1n, b + b0n, b1n, r + 2 * h);
-
-  // z1 = (a0+a1)*(b0+b1) - z0 - z2, added at offset h.
-  std::vector<Limb> sa(std::max(a0n, a1n) + 1), sb(std::max(b0n, b1n) + 1);
-  const std::size_t san = add_limbs(a, a0n, a + a0n, a1n, sa.data());
-  const std::size_t sbn = add_limbs(b, b0n, b + b0n, b1n, sb.data());
-  std::vector<Limb> z1(san + sbn, 0);
-  mul_rec(sa.data(), san, sb.data(), sbn, z1.data());
-  sub_limbs_in_place(z1.data(), z1.size(), r, a0n + b0n);
-  if (a1n > 0 && b1n > 0) {
-    sub_limbs_in_place(z1.data(), z1.size(), r + 2 * h, a1n + b1n);
-  }
-  add_at(r, an + bn, h, z1.data(), trimmed_size(z1.data(), z1.size()));
-}
-
-// r[0 .. 2n) = a^2 (r zero-initialized), Karatsuba split on the square.
-void sqr_rec(const Limb* a, std::size_t n, Limb* r) {
-  if (n == 0) return;
-  if (n < kKaratsubaThresholdLimbs) {
-    sqr_basecase(a, n, r);
-    return;
-  }
-  const std::size_t h = (n + 1) / 2;
-  const std::size_t a0n = h, a1n = n - h;
-  sqr_rec(a, a0n, r);
-  sqr_rec(a + h, a1n, r + 2 * h);
-  // Middle term 2*a0*a1 added twice (cheaper than materializing the shift).
-  std::vector<Limb> mid(a0n + a1n, 0);
-  mul_rec(a, a0n, a + h, a1n, mid.data());
-  const std::size_t midn = trimmed_size(mid.data(), mid.size());
-  add_at(r, 2 * n, h, mid.data(), midn);
-  add_at(r, 2 * n, h, mid.data(), midn);
 }
 
 }  // namespace
@@ -531,17 +438,8 @@ BigUint BigUint::operator*(const BigUint& o) const {
   if (is_zero() || o.is_zero()) return BigUint();
   BigUint out;
   out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
-  mul_rec(limbs_.data(), limbs_.size(), o.limbs_.data(), o.limbs_.size(),
-          out.limbs_.data());
-  out.trim();
-  return out;
-}
-
-BigUint BigUint::sqr(const BigUint& x) {
-  if (x.is_zero()) return BigUint();
-  BigUint out;
-  out.limbs_.assign(2 * x.limbs_.size(), 0);
-  sqr_rec(x.limbs_.data(), x.limbs_.size(), out.limbs_.data());
+  mul_basecase(limbs_.data(), limbs_.size(), o.limbs_.data(), o.limbs_.size(),
+               out.limbs_.data());
   out.trim();
   return out;
 }
@@ -1084,23 +982,10 @@ BigUint MontgomeryCtx::powmod(const FixedBaseTable& table,
 }
 
 BigUint BigUint::powmod(const BigUint& base, const BigUint& exp, const BigUint& m) {
-  HERMES_REQUIRE(!m.is_zero());
+  HERMES_REQUIRE(m.is_odd());
   if (m == BigUint(1)) return BigUint();
-  if (exp.is_zero()) return BigUint(1) % m;
-
-  if (m.is_odd()) {
-    const MontgomeryCtx ctx(m);
-    return ctx.powmod(base, exp);
-  }
-
-  BigUint result(1);
-  BigUint b = base % m;
-  const std::size_t bits = exp.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = mulmod(result, result, m);
-    if (exp.bit(i)) result = mulmod(result, b, m);
-  }
-  return result;
+  if (exp.is_zero()) return BigUint(1);
+  return MontgomeryCtx(m).powmod(base, exp);
 }
 
 BigUint BigUint::gcd(BigUint a, BigUint b) {
@@ -1158,51 +1043,36 @@ const SieveTable& sieve_table() {
   return table;
 }
 
-// Calls hit(p, n mod p) for each table prime p, smallest first, until it
-// returns true; returns whether one did. Small primes reject most numbers,
-// so a run's residue is computed only when the sieve reaches it.
-template <typename Hit>
-bool any_table_residue(const BigUint& n, Hit hit) {
-  const SieveTable& t = sieve_table();
-  for (const SieveTable::Run& run : t.runs) {
-    Limb r = 0;
-    for (std::size_t i = n.limb_count(); i-- > 0;) {
-      r = static_cast<Limb>(((static_cast<DLimb>(r) << 64) | n.limb(i)) %
-                            run.product);
-    }
-    for (std::size_t i = run.begin; i < run.end; ++i) {
-      const std::uint32_t p = t.primes[i];
-      if (hit(p, static_cast<std::uint32_t>(r % p))) return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 bool safe_prime_sieve_rejects(const BigUint& q) {
   // Only a q below the bound can be a table prime p, or (p - 1)/2 for one.
   const bool small = q.limb_count() <= 1 && q.to_u64() < kSieveBound;
-  return any_table_residue(q, [&](std::uint32_t p, std::uint32_t r) {
-    if (r == 0) return !small || q.to_u64() != p;
-    return r == (p - 1) / 2 && (!small || 2 * q.to_u64() + 1 != p);
-  });
+  const SieveTable& t = sieve_table();
+  for (const SieveTable::Run& run : t.runs) {
+    // Small primes reject most numbers, so a run's residue is computed only
+    // when the sieve reaches it.
+    Limb run_residue = 0;
+    for (std::size_t i = q.limb_count(); i-- > 0;) {
+      run_residue = static_cast<Limb>(
+          ((static_cast<DLimb>(run_residue) << 64) | q.limb(i)) % run.product);
+    }
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      const std::uint32_t p = t.primes[i];
+      const auto r = static_cast<std::uint32_t>(run_residue % p);
+      if (r == 0) {
+        if (!small || q.to_u64() != p) return true;
+      } else if (r == (p - 1) / 2 && (!small || 2 * q.to_u64() + 1 != p)) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 bool BigUint::is_probable_prime(const BigUint& n, Rng& witnesses, int rounds) {
-  if (n < BigUint(2)) return false;
-  if (!n.is_odd()) return n == BigUint(2);
-  const bool small = n.limbs_.size() == 1 && n.limbs_[0] < kSieveBound;
-  if (any_table_residue(n, [&](std::uint32_t p, std::uint32_t r) {
-        return r == 0 && (!small || n.limbs_[0] != p);
-      })) {
-    return false;
-  }
-  // No prime up to kSieveBound divides n, so below its square n is prime.
-  if (n.limbs_.size() == 1 &&
-      n.limbs_[0] < Limb{kSieveBound} * kSieveBound) {
-    return true;
-  }
+  if (n < BigUint(4)) return n >= BigUint(2);
+  if (!n.is_odd()) return false;
   // n is odd: share one Montgomery context across all rounds and the
   // squaring chains.
   const MontgomeryCtx ctx(n);
@@ -1236,16 +1106,6 @@ bool BigUint::is_probable_prime(const BigUint& n, Rng& witnesses, int rounds) {
 Rng BigUint::witness_stream(const BigUint& n) {
   const Bytes bytes = n.to_bytes_be();
   return Rng(digest_prefix_u64(sha256(BytesView(bytes.data(), bytes.size()))));
-}
-
-BigUint BigUint::random_prime(Rng& rng, std::size_t bits) {
-  HERMES_REQUIRE(bits >= 8);
-  for (;;) {
-    BigUint candidate = random_bits(rng, bits);
-    if (!candidate.is_odd()) candidate = candidate + BigUint(1);
-    Rng witnesses = witness_stream(candidate);
-    if (is_probable_prime(candidate, witnesses)) return candidate;
-  }
 }
 
 // ---------------------------------------------------------------------------

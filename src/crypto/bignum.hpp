@@ -9,17 +9,18 @@
 // Shoup threshold RSA, where coefficients can be negative.
 //
 // Kernels are sized for the RSA hot path:
-//   - multiplication: schoolbook below kKaratsubaThresholdLimbs, Karatsuba
-//     above it, with a dedicated squaring specialization (cross-term sum,
-//     one doubling pass, then the diagonal);
+//   - multiplication: schoolbook, with a dedicated squaring kernel
+//     (cross-term sum, one doubling pass, then the diagonal) inside the
+//     Montgomery products;
 //   - division: Knuth Algorithm D with 128/64-bit trial quotients;
-//   - modular exponentiation: Montgomery CIOS with a sliding odd-power
-//     window (w = 3..5) for odd moduli, plain square-and-multiply for short
-//     exponents, and a fixed-base table for bases reused across calls, via
-//     the reusable MontgomeryCtx below, whose calls keep their scratch on
-//     the stack up to the same 2048-bit bound;
-//   - primality: trial division by the odd primes below kSieveBound, one
-//     pass over the limbs per 64-bit product of them, then Miller-Rabin.
+//   - modular exponentiation (odd moduli only): Montgomery CIOS with a
+//     sliding odd-power window (w = 3..5), plain square-and-multiply for
+//     short exponents, and a fixed-base table for bases reused across
+//     calls, via the reusable MontgomeryCtx below, whose calls keep their
+//     scratch on the stack up to the same 2048-bit bound;
+//   - primality: the safe-prime sieve divides by the odd primes below
+//     kSieveBound, one pass over the limbs per 64-bit product of them, and
+//     Miller-Rabin runs on the numbers it clears.
 //
 // The frozen pre-rewrite kernels (32-bit schoolbook + binary division +
 // bit-at-a-time CIOS) live in crypto/bignum_reference.hpp; the differential
@@ -45,12 +46,6 @@ class MontgomeryCtx;
 // provides __int128.
 using Limb = std::uint64_t;
 using DLimb = unsigned __int128;
-
-// Multiplications at or above this operand size (in limbs) recurse through
-// Karatsuba; below it schoolbook wins. 24 limbs = 1536 bits, tuned so the
-// 2048-bit Montgomery path (which never calls operator*) is unaffected but
-// 4096-bit products (RSA keygen p*q, proof arithmetic) split once.
-inline constexpr std::size_t kKaratsubaThresholdLimbs = 24;
 
 // Small-size-optimized limb storage: values up to kInlineLimbs live in the
 // object itself, larger ones move to a heap block (cf. the libttak SSO
@@ -143,36 +138,28 @@ class BigUint {
   BigUint operator<<(std::size_t bits) const;
   BigUint operator>>(std::size_t bits) const;
 
-  // Squaring specialization (cheaper than x * x).
-  static BigUint sqr(const BigUint& x);
-
   // Quotient and remainder; divisor must be non-zero.
   static BigUintDivMod divmod(const BigUint& a, const BigUint& b);
   BigUint operator/(const BigUint& o) const;
   BigUint operator%(const BigUint& o) const;
 
   static BigUint mulmod(const BigUint& a, const BigUint& b, const BigUint& m);
-  // Modular exponentiation. Odd moduli (every RSA modulus) route through a
-  // MontgomeryCtx (MontgomeryCtx::powmod); even moduli fall back to
-  // square-and-multiply with divmod reduction.
+  // Modular exponentiation through a one-off MontgomeryCtx. m must be odd,
+  // as every RSA modulus is.
   static BigUint powmod(const BigUint& base, const BigUint& exp, const BigUint& m);
   static BigUint gcd(BigUint a, BigUint b);
   // Multiplicative inverse of a mod m; returns false if gcd(a, m) != 1.
   static bool modinv(const BigUint& a, const BigUint& m, BigUint* out);
 
-  // Trial division by every prime below kSieveBound, which alone decides
-  // n < kSieveBound^2, then Miller-Rabin with `rounds` bases drawn from
-  // `witnesses`. Key generation passes witness_stream(n), which makes the
-  // verdict a function of n alone.
+  // Miller-Rabin with `rounds` bases drawn from `witnesses`. It does no
+  // trial division: key generation runs it on numbers the safe-prime sieve
+  // cleared, and passes witness_stream(n), which makes the verdict a
+  // function of n alone.
   static bool is_probable_prime(const BigUint& n, Rng& witnesses,
                                 int rounds = 24);
   // Miller-Rabin bases for n: an Rng seeded by the first eight bytes of
   // SHA-256 over n's big-endian bytes.
   static Rng witness_stream(const BigUint& n);
-  // Random prime with exactly `bits` bits: the first odd random_bits draw
-  // that passes 24 rounds from its witness stream. The rng draws only
-  // candidates.
-  static BigUint random_prime(Rng& rng, std::size_t bits);
 
  private:
   friend class MontgomeryCtx;
@@ -186,11 +173,10 @@ struct BigUintDivMod {
   BigUint remainder;
 };
 
-// is_probable_prime trial-divides by, and the safe-prime sieve tests, every
-// odd prime below this bound (1,899 primes). Of the bounds 251 to 65536
-// that BM_SafePrime/512 timed, 4096 and 16384 were the fastest, within noise
-// of each other; 16384 makes 23% fewer Miller-Rabin calls. No prime found
-// depends on it.
+// The safe-prime sieve tests every odd prime below this bound (1,899
+// primes). Of the bounds 251 to 65536 that BM_SafePrime/512 timed, 4096 and
+// 16384 were the fastest, within noise of each other; 16384 makes 23% fewer
+// Miller-Rabin calls. No prime found depends on it.
 inline constexpr std::uint32_t kSieveBound = 16384;
 
 // Combined sieve for safe primes (Wiener, "Safe Prime Generation with a

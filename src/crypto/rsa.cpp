@@ -61,45 +61,6 @@ BigUint random_safe_prime(Rng& rng, std::size_t bits,
   }
 }
 
-RsaKeyPair rsa_generate(Rng& rng, std::size_t bits, bool safe_primes) {
-  HERMES_REQUIRE(bits >= 128);
-  const std::size_t half = bits / 2;
-  const BigUint e(65537);
-  for (;;) {
-    const BigUint p = safe_primes ? random_safe_prime(rng, half)
-                                  : BigUint::random_prime(rng, half);
-    const BigUint q = safe_primes ? random_safe_prime(rng, bits - half)
-                                  : BigUint::random_prime(rng, bits - half);
-    if (p == q) continue;
-    const BigUint n = p * q;
-    const BigUint phi = (p - BigUint(1)) * (q - BigUint(1));
-    BigUint d;
-    if (!BigUint::modinv(e, phi, &d)) continue;
-    RsaKeyPair key;
-    key.pub = RsaPublicKey{n, e};
-    key.d = d;
-    key.p = p;
-    key.q = q;
-    return key;
-  }
-}
-
-Bytes rsa_sign(const RsaKeyPair& key, BytesView message) {
-  return rsa_sign(key, message, MontgomeryCtx(key.pub.n));
-}
-
-bool rsa_verify(const RsaPublicKey& pub, BytesView message, BytesView signature) {
-  return rsa_verify(pub, message, signature, MontgomeryCtx(pub.n));
-}
-
-Bytes rsa_sign(const RsaKeyPair& key, BytesView message,
-               const MontgomeryCtx& mont) {
-  HERMES_DCHECK(mont.modulus() == key.pub.n);
-  const BigUint h = fdh_encode(message, key.pub.n);
-  const BigUint s = mont.powmod(h, key.d);
-  return s.to_bytes_be_padded(key.pub.modulus_bytes());
-}
-
 bool rsa_verify(const RsaPublicKey& pub, BytesView message, BytesView signature,
                 const MontgomeryCtx& mont) {
   HERMES_DCHECK(mont.modulus() == pub.n);

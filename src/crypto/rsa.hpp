@@ -1,12 +1,11 @@
-// Plain RSA with full-domain hashing (FDH), built on the local bignum.
+// RSA with full-domain hashing (FDH), built on the local bignum: the
+// verification of a combined threshold signature (crypto/threshold_rsa.hpp),
+// which every relay runs on every certificate, and the safe-prime search of
+// the threshold dealer.
 //
-// Per-node signing in the protocols uses the `Signer` interface
-// (crypto/signer.hpp); this RSA implementation is the "real" backend, while
-// SimSigner (HMAC) is the fast backend for large simulated networks.
-//
-// Key generation can produce *safe* primes (p = 2p' + 1 with p' prime),
-// which the Shoup threshold scheme requires so that the share modulus
-// m = p'q' is odd and coprime to the Lagrange factorials.
+// Safe primes (p = 2p' + 1 with p' prime) are what the Shoup threshold
+// scheme requires, so that the share modulus m = p'q' is odd and coprime to
+// the Lagrange factorials.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +23,6 @@ struct RsaPublicKey {
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 };
 
-struct RsaKeyPair {
-  RsaPublicKey pub;
-  BigUint d;
-  BigUint p;
-  BigUint q;
-};
-
 // MGF1-SHA256 expansion of `seed` to `len` output bytes (PKCS#1).
 Bytes mgf1_sha256(BytesView seed, std::size_t len);
 
@@ -38,24 +30,14 @@ Bytes mgf1_sha256(BytesView seed, std::size_t len);
 // width, reduced mod n.
 BigUint fdh_encode(BytesView message, const BigUint& n);
 
-// Generates an RSA key with modulus of `bits` bits. When `safe_primes` is
-// set, p and q are safe primes (slower; needed for threshold sharing).
-RsaKeyPair rsa_generate(Rng& rng, std::size_t bits, bool safe_primes = false);
-
-// Signature s = FDH(m)^d mod n, fixed-width big-endian encoding.
-Bytes rsa_sign(const RsaKeyPair& key, BytesView message);
-bool rsa_verify(const RsaPublicKey& pub, BytesView message, BytesView signature);
-
-// Hot-path variants taking a caller-held Montgomery context for the key's
-// modulus, skipping the per-call R^2 division. `mont.modulus()` must equal
-// the key's n.
-Bytes rsa_sign(const RsaKeyPair& key, BytesView message,
-               const MontgomeryCtx& mont);
+// Checks s^e = FDH(m) mod n for the fixed-width big-endian signature s,
+// through a caller-held Montgomery context for the key's modulus.
+// `mont.modulus()` must equal the key's n.
 bool rsa_verify(const RsaPublicKey& pub, BytesView message, BytesView signature,
                 const MontgomeryCtx& mont);
 
 // Work done by random_safe_prime, added up over the calls that share it:
-// candidates q drawn, and is_probable_prime calls made.
+// candidates q drawn, and Miller-Rabin calls made.
 struct SafePrimeCounts {
   std::size_t candidates = 0;
   std::size_t mr_calls = 0;
@@ -63,9 +45,10 @@ struct SafePrimeCounts {
 
 // Safe prime p = 2q + 1 of exactly `bits` bits (bits >= 16): the first odd q
 // among rng's random_bits(bits - 1) draws for which q and 2q + 1 pass
-// is_probable_prime with their witness streams. The combined sieve skips
-// candidates with a small factor first; rng draws only candidates. Exposed
-// for tests and the safe-prime benchmark, which reads `counts`.
+// Miller-Rabin with their witness streams. The combined sieve, the one
+// trial division, skips candidates with a small factor first; rng draws
+// only candidates. Exposed for tests and the safe-prime benchmark, which
+// reads `counts`.
 BigUint random_safe_prime(Rng& rng, std::size_t bits,
                           SafePrimeCounts* counts = nullptr);
 

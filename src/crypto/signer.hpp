@@ -1,14 +1,17 @@
-// Abstract signing interfaces the protocol layer is written against.
+// The threshold-signature interface the protocol layer is written against.
 //
-// Two backends exist for each interface:
-//   - real asymmetric crypto (RSA-FDH / Shoup threshold RSA), used by the
-//     unit tests and available to benches via --real-crypto;
-//   - deterministic HMAC-based simulation crypto (SimSigner /
-//     SimThresholdScheme), used for large-N simulation runs where the
-//     protocol-visible properties (determinism, uniqueness, threshold
-//     counting, verifiability by key holders) matter but public-key cost
-//     would distort simulated-time measurements. The paper's own evaluation
-//     is a simulation with the same character.
+// Two backends implement it:
+//   - real Shoup threshold RSA (RsaThresholdScheme), whose combined
+//     signatures verify as RSA-FDH; the real-crypto workload and the unit
+//     tests run it;
+//   - deterministic HMAC-based simulation crypto (SimThresholdScheme), used
+//     for large-N simulation runs where the protocol-visible properties
+//     (determinism, uniqueness, threshold counting, verifiability by key
+//     holders) matter but public-key cost would distort simulated-time
+//     measurements. The paper's own evaluation is a simulation with the
+//     same character.
+// Per-node signatures (reports, departures, witnesses, votes) use SimSigner
+// (crypto/sim_signer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -20,15 +23,6 @@
 #include "support/bytes.hpp"
 
 namespace hermes::crypto {
-
-class Signer {
- public:
-  virtual ~Signer() = default;
-  virtual Bytes sign(BytesView message) const = 0;
-  virtual bool verify(BytesView message, BytesView signature) const = 0;
-  // Stable identifier for the key (e.g. hash of the public key).
-  virtual Bytes key_id() const = 0;
-};
 
 struct PartialSignature {
   std::size_t signer_index = 0;  // 1-based

@@ -35,10 +35,6 @@ bool SimSigner::verify(BytesView message, BytesView signature) const {
          std::equal(expected.begin(), expected.end(), signature.begin());
 }
 
-Bytes SimSigner::key_id() const {
-  return digest_to_bytes(sha256(key_));
-}
-
 // ---------------------------------------------------------------------------
 // SimThresholdScheme
 
@@ -83,24 +79,6 @@ bool SimThresholdScheme::verify_combined(BytesView message,
   const Bytes expected = digest_to_bytes(hmac_sha256(group_key_, message));
   return expected.size() == signature.size() &&
          std::equal(expected.begin(), expected.end(), signature.begin());
-}
-
-// ---------------------------------------------------------------------------
-// RsaSigner
-
-RsaSigner::RsaSigner(RsaKeyPair key)
-    : key_(std::move(key)), mont_(key_.pub.n) {}
-
-Bytes RsaSigner::sign(BytesView message) const {
-  return rsa_sign(key_, message, mont_);
-}
-
-bool RsaSigner::verify(BytesView message, BytesView signature) const {
-  return rsa_verify(key_.pub, message, signature, mont_);
-}
-
-Bytes RsaSigner::key_id() const {
-  return digest_to_bytes(sha256(key_.pub.n.to_bytes_be()));
 }
 
 // ---------------------------------------------------------------------------

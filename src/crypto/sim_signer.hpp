@@ -1,9 +1,9 @@
-// HMAC-based simulation crypto backends (see signer.hpp for rationale).
+// HMAC-based simulation crypto backends (see signer.hpp for rationale) and
+// the real threshold-RSA backend of the ThresholdScheme interface.
 #pragma once
 
 #include <memory>
 
-#include "crypto/rsa.hpp"
 #include "crypto/signer.hpp"
 #include "crypto/threshold_rsa.hpp"
 #include "support/rng.hpp"
@@ -12,14 +12,15 @@ namespace hermes::crypto {
 
 // Symmetric-key "signature": HMAC(key, msg). Verifiable by anyone holding
 // the key, which in a simulation is every honest component. 32-byte sigs.
-class SimSigner final : public Signer {
+// HERMES signs its violation and departure reports, join witnesses and
+// view-change votes with it.
+class SimSigner {
  public:
   explicit SimSigner(Bytes key);
   static SimSigner derive(BytesView master, std::uint64_t node_id);
 
-  Bytes sign(BytesView message) const override;
-  bool verify(BytesView message, BytesView signature) const override;
-  Bytes key_id() const override;
+  Bytes sign(BytesView message) const;
+  bool verify(BytesView message, BytesView signature) const;
 
  private:
   Bytes key_;
@@ -47,20 +48,6 @@ class SimThresholdScheme final : public ThresholdScheme {
   Bytes group_key_;
   std::size_t players_;
   std::size_t threshold_;
-};
-
-// Real RSA-FDH Signer backend. Holds a Montgomery context for the modulus
-// so per-signature work is division-free.
-class RsaSigner final : public Signer {
- public:
-  explicit RsaSigner(RsaKeyPair key);
-  Bytes sign(BytesView message) const override;
-  bool verify(BytesView message, BytesView signature) const override;
-  Bytes key_id() const override;
-
- private:
-  RsaKeyPair key_;
-  MontgomeryCtx mont_;  // for key_.pub.n
 };
 
 // Real Shoup threshold RSA backend. Holds all shares (the simulator plays

@@ -149,13 +149,20 @@ ThresholdRsaKey threshold_rsa_generate(Rng& rng, std::size_t bits,
                                        std::size_t players,
                                        std::size_t threshold) {
   HERMES_REQUIRE(players >= threshold && threshold >= 1);
-  const RsaKeyPair rsa = rsa_generate(rng, bits, /*safe_primes=*/true);
-  const BigUint p_prime = (rsa.p - BigUint(1)) >> 1;
-  const BigUint q_prime = (rsa.q - BigUint(1)) >> 1;
-  const BigUint m = p_prime * q_prime;
+  HERMES_REQUIRE(bits >= 128);
+  // Two distinct safe primes p = 2p' + 1 and q = 2q' + 1; a repeated prime
+  // is drawn again.
+  BigUint p;
+  BigUint q;
+  do {
+    p = random_safe_prime(rng, bits / 2);
+    q = random_safe_prime(rng, bits - bits / 2);
+  } while (p == q);
+  const RsaPublicKey rsa{p * q, BigUint(65537)};
+  const BigUint m = ((p - BigUint(1)) >> 1) * ((q - BigUint(1)) >> 1);
 
   BigUint d;
-  const bool inv_ok = BigUint::modinv(rsa.pub.e, m, &d);
+  const bool inv_ok = BigUint::modinv(rsa.e, m, &d);
   HERMES_REQUIRE(inv_ok);  // e = 65537 is prime and far below p', q'
 
   // Random polynomial f over Z_m with f(0) = d.
@@ -167,13 +174,13 @@ ThresholdRsaKey threshold_rsa_generate(Rng& rng, std::size_t bits,
   }
 
   ThresholdRsaKey key;
-  key.pub.rsa = rsa.pub;
+  key.pub.rsa = rsa;
   key.pub.players = players;
   key.pub.threshold = threshold;
 
   // v must generate the squares subgroup; a random square does w.h.p.
-  const BigUint r = BigUint::random_below(rng, rsa.pub.n);
-  key.pub.v = BigUint::mulmod(r, r, rsa.pub.n);
+  const BigUint r = BigUint::random_below(rng, rsa.n);
+  key.pub.v = BigUint::mulmod(r, r, rsa.n);
 
   key.shares.reserve(players);
   key.pub.verification_keys.reserve(players);
@@ -186,7 +193,7 @@ ThresholdRsaKey threshold_rsa_generate(Rng& rng, std::size_t bits,
     }
     key.shares.push_back(ThresholdRsaShare{i, s});
     key.pub.verification_keys.push_back(
-        BigUint::powmod(key.pub.v, s, rsa.pub.n));
+        BigUint::powmod(key.pub.v, s, rsa.n));
   }
   return key;
 }
@@ -343,37 +350,9 @@ std::optional<Bytes> threshold_combine(const ThresholdRsaContext& ctx,
   return sig;
 }
 
-// ---------------------------------------------------------------------------
-// Transient-context wrappers (the cache-cold path).
-
-ThresholdPartial threshold_partial_sign(const ThresholdRsaPublic& pub,
-                                        const ThresholdRsaShare& share,
-                                        BytesView message) {
-  const ThresholdRsaContext ctx(pub);
-  return threshold_partial_sign(ctx, share, message);
-}
-
-bool threshold_verify_partial(const ThresholdRsaPublic& pub, BytesView message,
-                              const ThresholdPartial& partial) {
-  const ThresholdRsaContext ctx(pub);
-  return threshold_verify_partial(ctx, message, partial);
-}
-
-std::optional<Bytes> threshold_combine(const ThresholdRsaPublic& pub,
-                                       BytesView message,
-                                       std::span<const ThresholdPartial> partials) {
-  const ThresholdRsaContext ctx(pub);
-  return threshold_combine(ctx, message, partials);
-}
-
 bool threshold_verify(const ThresholdRsaContext& ctx, BytesView message,
                       BytesView signature) {
   return rsa_verify(ctx.pub().rsa, message, signature, ctx.mont());
-}
-
-bool threshold_verify(const ThresholdRsaPublic& pub, BytesView message,
-                      BytesView signature) {
-  return rsa_verify(pub.rsa, message, signature);
 }
 
 }  // namespace hermes::crypto

@@ -71,8 +71,9 @@ struct ThresholdRsaKey {
   std::vector<ThresholdRsaShare> shares;
 };
 
-// Trusted-dealer key generation. `bits` is the modulus size; safe primes
-// make this noticeably slower than plain RSA keygen.
+// Trusted-dealer key generation. `bits` (>= 128) is the modulus size; the
+// two safe primes, of bits/2 and bits - bits/2 bits, are drawn in that
+// order from rng.
 ThresholdRsaKey threshold_rsa_generate(Rng& rng, std::size_t bits,
                                        std::size_t players,
                                        std::size_t threshold);
@@ -157,25 +158,10 @@ std::optional<Bytes> threshold_combine(const ThresholdRsaContext& ctx,
                                        BytesView message,
                                        std::span<const ThresholdPartial> partials);
 
-// Transient-context conveniences: build a fresh ThresholdRsaContext per
-// call (the "cache cold" path — one extra division, the v table, one
-// inverse per verification key and Lagrange recomputation). Hot callers
-// hold a context instead.
-ThresholdPartial threshold_partial_sign(const ThresholdRsaPublic& pub,
-                                        const ThresholdRsaShare& share,
-                                        BytesView message);
-bool threshold_verify_partial(const ThresholdRsaPublic& pub, BytesView message,
-                              const ThresholdPartial& partial);
-std::optional<Bytes> threshold_combine(const ThresholdRsaPublic& pub,
-                                       BytesView message,
-                                       std::span<const ThresholdPartial> partials);
-
-// Final signatures verify as ordinary RSA-FDH signatures. The context
-// overload reuses the warm Montgomery state — it is the hot path for
-// dissemination (every relayed message carries a certificate to check).
+// Final signatures verify as ordinary RSA-FDH signatures, on the context's
+// warm Montgomery state — the hot path for dissemination (every relayed
+// message carries a certificate to check).
 bool threshold_verify(const ThresholdRsaContext& ctx, BytesView message,
-                      BytesView signature);
-bool threshold_verify(const ThresholdRsaPublic& pub, BytesView message,
                       BytesView signature);
 
 // Delta = l! as a BigUint (exposed for tests).

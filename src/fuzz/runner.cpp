@@ -34,13 +34,12 @@ HermesConfig hermes_config(const Scenario& s) {
   cfg.enable_epoch_pipeline = s.epoch_pipeline;
   cfg.builder.f = s.f;
   cfg.builder.k = s.k;
-  // Short annealing schedule: enough to exercise the optimizer (including
-  // its worker lanes), cheap enough for thousands of runs per batch.
+  // Short annealing schedule: enough to exercise the optimizer, cheap
+  // enough for thousands of runs per batch.
   cfg.builder.annealing.initial_temperature = 5.0;
   cfg.builder.annealing.min_temperature = 1.0;
   cfg.builder.annealing.cooling_rate = 0.8;
   cfg.builder.annealing.moves_per_temperature = 4;
-  cfg.builder.annealing.workers = s.annealing_workers;
   return cfg;
 }
 

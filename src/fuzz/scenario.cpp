@@ -1,6 +1,7 @@
 #include "fuzz/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,8 +122,9 @@ Scenario generate_scenario(std::uint64_t seed, bool extended) {
     // Route-relayed injection survives only <= f Byzantine relays (f+1
     // disjoint paths), so it is sampled only inside that bound.
     s.direct_injection = s.byzantine.size() > s.f || rng.bernoulli(0.8);
-    const std::uint64_t w = rng.uniform_u64(5);
-    s.annealing_workers = w < 3 ? 1 : (w == 3 ? 2 : 4);
+    // Drawn and ignored: this was the annealing worker count, and every
+    // later draw, hence every seed's scenario, stays where it was.
+    rng.uniform_u64(5);
   }
 
   // Injection schedule: honest senders only (a Byzantine "client" is the
@@ -403,7 +405,6 @@ std::string serialize(const Scenario& s) {
   out << "enable_fallback=" << (s.enable_fallback ? 1 : 0) << "\n";
   out << "enable_acks=" << (s.enable_acks ? 1 : 0) << "\n";
   out << "direct_injection=" << (s.direct_injection ? 1 : 0) << "\n";
-  out << "annealing_workers=" << s.annealing_workers << "\n";
   out << "self_healing=" << (s.self_healing ? 1 : 0) << "\n";
   // The pipeline key is emitted only when on, so historical corpus files
   // round-trip byte-identically.
@@ -476,11 +477,23 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
   Scenario s;
   s.injections.clear();
   bool ok = true;
-  const auto to_u64 = [&ok](const std::string& v) -> std::uint64_t {
-    char* end = nullptr;
-    const std::uint64_t out = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0') ok = false;
+  // Plain decimal digits, at most `max`: a value that does not fit its
+  // field is rejected, never narrowed or saturated.
+  const auto to_u64 =
+      [&ok](const std::string& v,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+    std::uint64_t out = 0;
+    const char* last = v.data() + v.size();
+    const auto [end, ec] = std::from_chars(v.data(), last, out);
+    if (ec != std::errc() || end != last || out > max) ok = false;
     return out;
+  };
+  const auto to_id = [&to_u64](const std::string& v) {
+    return static_cast<net::NodeId>(
+        to_u64(v, std::numeric_limits<net::NodeId>::max()));
+  };
+  const auto to_flag = [&to_u64](const std::string& v) {
+    return to_u64(v, 1) != 0;
   };
   // Every real-valued field is finite and non-negative, as the engine
   // aborts on a negative time or delay; probabilities pass max = 1, where
@@ -506,9 +519,11 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
         if (key == "at") inj.at_ms = to_double(value);
-        else if (key == "sender") inj.sender = static_cast<net::NodeId>(to_u64(value));
-        else if (key == "batch") inj.batch_size = static_cast<std::uint32_t>(to_u64(value));
-        else return std::nullopt;
+        else if (key == "sender") inj.sender = to_id(value);
+        else if (key == "batch") {
+          inj.batch_size =
+              static_cast<std::uint32_t>(to_u64(value, kMaxScenarioBatch));
+        } else return std::nullopt;
       }
       s.injections.push_back(inj);
     } else if (head == "churn") {
@@ -517,17 +532,22 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
         if (key == "at") ev.at_ms = to_double(value);
-        else if (key == "action") ev.recover = (value == "recover");
+        else if (key == "action") {
+          if (value != "crash" && value != "recover") return std::nullopt;
+          ev.recover = value == "recover";
+        }
         else if (key == "nodes") {
           for (const std::string& part : split(value, '|')) {
             if (part.empty()) return std::nullopt;
-            ev.nodes.push_back(static_cast<net::NodeId>(to_u64(part)));
+            ev.nodes.push_back(to_id(part));
           }
-        } else if (key == "epoch") ev.advance_epoch = to_u64(value) != 0;
+        } else if (key == "epoch") ev.advance_epoch = to_flag(value);
         else if (key == "epoch_seed") ev.epoch_seed = to_u64(value);
-        else if (key == "rejoin") ev.rejoin = to_u64(value) != 0;
+        else if (key == "rejoin") ev.rejoin = to_flag(value);
         else return std::nullopt;
       }
+      // serialize cannot write an event with no nodes.
+      if (ev.nodes.empty()) return std::nullopt;
       s.churn.push_back(std::move(ev));
     } else if (head == "partition") {
       PartitionWindow pw;
@@ -545,8 +565,8 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       std::string token, key, value;
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
-        if (key == "a") flap.a = static_cast<net::NodeId>(to_u64(value));
-        else if (key == "b") flap.b = static_cast<net::NodeId>(to_u64(value));
+        if (key == "a") flap.a = to_id(value);
+        else if (key == "b") flap.b = to_id(value);
         else if (key == "start") flap.start_ms = to_double(value);
         else if (key == "end") flap.end_ms = to_double(value);
         else return std::nullopt;
@@ -557,37 +577,36 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       std::string token, key, value;
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
-        if (key == "node") st.node = static_cast<net::NodeId>(to_u64(value));
+        if (key == "node") st.node = to_id(value);
         else if (key == "mult") st.multiplier = to_double(value);
         else return std::nullopt;
       }
       if (st.multiplier == 0.0) return std::nullopt;  // the runner skips it
       s.stragglers.push_back(st);
     } else {
-      std::string key, value;
-      if (!split_kv(head, key, value)) return std::nullopt;
+      std::string key, value, rest;
+      if (!split_kv(head, key, value) || ls >> rest) return std::nullopt;
       if (key == "seed") s.seed = to_u64(value);
-      else if (key == "nodes") s.nodes = to_u64(value);
-      else if (key == "f") s.f = to_u64(value);
-      else if (key == "k") s.k = to_u64(value);
-      else if (key == "min_degree") s.min_degree = to_u64(value);
-      else if (key == "connectivity") s.connectivity = to_u64(value);
+      else if (key == "nodes") s.nodes = to_u64(value, kMaxScenarioNodes);
+      else if (key == "f") s.f = to_u64(value, kMaxScenarioF);
+      else if (key == "k") s.k = to_u64(value, kMaxScenarioOverlays);
+      else if (key == "min_degree") s.min_degree = to_u64(value, kMaxScenarioDegree);
+      else if (key == "connectivity") s.connectivity = to_u64(value, kMaxScenarioDegree);
       else if (key == "locality_bias") s.locality_bias = to_double(value, 1.0);
       else if (key == "protocol") {
         if (value == "hermes") s.protocol = ProtocolKind::kHermes;
         else if (value == "gossip") s.protocol = ProtocolKind::kGossip;
         else return std::nullopt;
-      } else if (key == "blind_blast") s.blind_blast = to_u64(value) != 0;
-      else if (key == "transit_faults") s.transit_faults = to_u64(value) != 0;
+      } else if (key == "blind_blast") s.blind_blast = to_flag(value);
+      else if (key == "transit_faults") s.transit_faults = to_flag(value);
       else if (key == "drop_probability") s.drop_probability = to_double(value, 1.0);
       else if (key == "jitter_stddev_ms") s.jitter_stddev_ms = to_double(value);
       else if (key == "fallback_delay_ms") s.fallback_delay_ms = to_double(value);
-      else if (key == "enable_fallback") s.enable_fallback = to_u64(value) != 0;
-      else if (key == "enable_acks") s.enable_acks = to_u64(value) != 0;
-      else if (key == "direct_injection") s.direct_injection = to_u64(value) != 0;
-      else if (key == "annealing_workers") s.annealing_workers = to_u64(value);
-      else if (key == "self_healing") s.self_healing = to_u64(value) != 0;
-      else if (key == "epoch_pipeline") s.epoch_pipeline = to_u64(value) != 0;
+      else if (key == "enable_fallback") s.enable_fallback = to_flag(value);
+      else if (key == "enable_acks") s.enable_acks = to_flag(value);
+      else if (key == "direct_injection") s.direct_injection = to_flag(value);
+      else if (key == "self_healing") s.self_healing = to_flag(value);
+      else if (key == "epoch_pipeline") s.epoch_pipeline = to_flag(value);
       else if (key == "drain_ms") s.drain_ms = to_double(value);
       else if (key == "load_rate_hz") s.load_rate_hz = to_double(value);
       else if (key == "load_duration_ms") s.load_duration_ms = to_double(value);
@@ -597,7 +616,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       else if (key == "committee") {
         for (const std::string& part : split(value, ',')) {
           if (part.empty()) return std::nullopt;
-          s.committee.push_back(static_cast<net::NodeId>(to_u64(part)));
+          s.committee.push_back(to_id(part));
         }
       } else if (key == "byz") {
         for (const std::string& part : split(value, ',')) {
@@ -606,7 +625,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
           const auto behavior = behavior_from(bits[1]);
           if (!behavior) return std::nullopt;
           ByzAssignment b;
-          b.node = static_cast<net::NodeId>(to_u64(bits[0]));
+          b.node = to_id(bits[0]);
           b.behavior = *behavior;
           s.byzantine.push_back(b);
         }
@@ -620,7 +639,14 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
   // build (no topology below two nodes, no committee at f = 0, no overlay
   // set at k = 0) or would run differently than written (it skips node ids
   // past the last node).
-  if (s.nodes < 2 || s.k == 0 || s.f == 0) {
+  if (s.nodes < 2 || s.k == 0 || s.f == 0 ||
+      s.load_rate_hz * s.load_duration_ms / 1000.0 > kMaxScenarioLoadTxs) {
+    return std::nullopt;
+  }
+  // Load keys are written only with a positive rate, so without one they
+  // would not survive a round trip.
+  if (!s.has_load() && (s.load_duration_ms > 0.0 || s.load_start_ms > 0.0 ||
+                        s.load_seed != 0)) {
     return std::nullopt;
   }
   std::vector<net::NodeId> ids = s.committee;

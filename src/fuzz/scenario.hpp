@@ -25,6 +25,7 @@ enum class ProtocolKind : std::uint8_t { kHermes, kGossip };
 struct ByzAssignment {
   net::NodeId node = 0;
   protocols::Behavior behavior = protocols::Behavior::kDropper;
+  bool operator==(const ByzAssignment&) const = default;
 };
 
 // One client injection: a single transaction, or an erasure-coded batch
@@ -33,6 +34,7 @@ struct Injection {
   double at_ms = 0.0;
   net::NodeId sender = 0;
   std::uint32_t batch_size = 0;
+  bool operator==(const Injection&) const = default;
 };
 
 // Crash or recover a set of nodes, optionally followed by a view change
@@ -47,6 +49,7 @@ struct ChurnEvent {
   bool advance_epoch = false;
   std::uint64_t epoch_seed = 0;
   bool rejoin = false;
+  bool operator==(const ChurnEvent&) const = default;
 };
 
 // Two-sided network split active during [start_ms, end_ms); sides are
@@ -55,6 +58,7 @@ struct PartitionWindow {
   double start_ms = 0.0;
   double end_ms = 0.0;
   std::uint64_t assign_seed = 0;
+  bool operator==(const PartitionWindow&) const = default;
 };
 
 // One physical link silently dropping every message during
@@ -64,6 +68,7 @@ struct LinkFlap {
   net::NodeId b = 0;
   double start_ms = 0.0;
   double end_ms = 0.0;
+  bool operator==(const LinkFlap&) const = default;
 };
 
 // A node whose local processing delay is scaled by `multiplier` for the
@@ -71,7 +76,26 @@ struct LinkFlap {
 struct Straggler {
   net::NodeId node = 0;
   double multiplier = 1.0;
+  bool operator==(const Straggler&) const = default;
 };
+
+// Bounds parse_scenario holds every count in a scenario file to, so a
+// replayed file builds the world it describes instead of aborting or
+// stalling the runner. Each sits far above the generator's ranges (12..48
+// nodes, f <= 2, k <= 4, degree <= 6, batches of 3..6, under 150 load
+// transactions) and above the paper's N = 10,000, the scale `fuzz
+// --paper-scale` is for.
+inline constexpr std::size_t kMaxScenarioNodes = 100000;
+// HERMES codes a batch into 3 data shards and f parity shards, and the
+// erasure code takes at most 255.
+inline constexpr std::size_t kMaxScenarioF = 64;
+inline constexpr std::size_t kMaxScenarioOverlays = 64;
+// min_degree and connectivity: the topology lays about N times this many
+// links.
+inline constexpr std::size_t kMaxScenarioDegree = 64;
+inline constexpr std::uint32_t kMaxScenarioBatch = 1024;
+// Expected sustained-load transactions, load_rate_hz x load_duration_ms.
+inline constexpr double kMaxScenarioLoadTxs = 100000.0;
 
 struct Scenario {
   std::uint64_t seed = 0;
@@ -99,7 +123,6 @@ struct Scenario {
   bool enable_fallback = true;
   bool enable_acks = false;
   bool direct_injection = true;  // false: relay over f+1 disjoint paths
-  std::size_t annealing_workers = 1;
   // Self-healing loop (HermesConfig::enable_self_healing): health ticks,
   // gap pulls, local repair, health-triggered view changes, and join
   // admission (signed requests + f+1 witnesses) for rejoin events.
@@ -140,6 +163,9 @@ struct Scenario {
   bool benign() const;
   // Largest node set simultaneously crashed at any point of the schedule.
   std::size_t max_concurrent_crashes() const;
+  // Field-wise; parse_scenario(serialize(s)) == s for every scenario the
+  // parser accepts.
+  bool operator==(const Scenario&) const = default;
 };
 
 // Deterministic scenario synthesis: the full experiment is a pure function
@@ -153,7 +179,9 @@ Scenario generate_scenario(std::uint64_t seed, bool extended = true);
 // One-line human summary (batch logs, corpus annotations).
 std::string describe(const Scenario& s);
 
-// Text round-trip. parse_scenario returns nullopt on malformed input.
+// Text round-trip. parse_scenario returns nullopt on malformed input, on a
+// value that does not fit its field or exceeds its bound above, and on a
+// scenario the runner cannot build or would run differently than written.
 std::string serialize(const Scenario& s);
 std::optional<Scenario> parse_scenario(const std::string& text);
 

@@ -118,11 +118,6 @@ ShrinkOutcome shrink(const Scenario& failing,
       candidate.enable_acks = false;
       progress |= try_accept(std::move(candidate));
     }
-    if (cur.annealing_workers > 1) {
-      Scenario candidate = cur;
-      candidate.annealing_workers = 1;
-      progress |= try_accept(std::move(candidate));
-    }
     if (cur.drain_ms > 4000.0) {
       Scenario candidate = cur;
       candidate.drain_ms = std::max(4000.0, cur.drain_ms / 2.0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <queue>
 #include <utility>
 
@@ -332,7 +331,7 @@ void IncrementalObjective::flush() {
   // depth, so by the time a node is popped all of its predecessors hold
   // final values and dist_[v] can be recomputed as a full min over them.
   // The (depth, id) pop order also fixes the floating-point accumulation
-  // order of d_latency_sum, making per-move deltas worker-independent.
+  // order of d_latency_sum, so a move's delta depends on the move alone.
   using QEntry = std::pair<std::size_t, NodeId>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
   for (NodeId v : dirty_) pq.emplace(o_.depth(v), v);
@@ -387,17 +386,6 @@ ComponentDelta IncrementalObjective::take_move_delta() {
   return pending_;
 }
 
-void IncrementalObjective::apply(const MoveDelta& delta) {
-  for (const auto& op : delta.ops) {
-    if (op.add) {
-      add_link(op.parent, op.child, op.latency_ms, nullptr);
-    } else {
-      remove_link(op.parent, op.child, nullptr);
-    }
-  }
-  flush();
-}
-
 void IncrementalObjective::revert(const MoveDelta& delta) {
   for (auto it = delta.ops.rbegin(); it != delta.ops.rend(); ++it) {
     if (it->add) {
@@ -431,104 +419,53 @@ Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
 }
 
 Overlay anneal(const Overlay& initial, const net::Graph& g,
-               const RankTable& ranks, const AnnealingParams& params, Rng& rng,
-               ThreadPool* pool) {
+               const RankTable& ranks, const AnnealingParams& params,
+               Rng& rng) {
   const std::size_t n = initial.node_count();
   if (n == 0) return initial;
 
-  const std::size_t batch = std::max<std::size_t>(1, params.batch_size);
-  // More lanes than candidates would idle; candidate results do not depend
-  // on the lane that scored them, so clamping keeps determinism intact.
-  const std::size_t lanes =
-      std::min(std::max<std::size_t>(1, params.workers), batch);
-  std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr && lanes > 1) {
-    own_pool = std::make_unique<ThreadPool>(lanes - 1);
-    pool = own_pool.get();
-  }
-
   const double mean = mean_rank(ranks);
-  // Each lane owns a replica and a search scratch. All replicas replay the
-  // same accepted deltas, so they stay structurally identical and any lane
-  // can score any candidate.
-  struct Lane {
-    IncrementalObjective replica;
-    net::NearestScratch search;
-  };
-  std::vector<std::unique_ptr<Lane>> lane_state;
-  lane_state.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lane_state.push_back(std::make_unique<Lane>(
-        Lane{IncrementalObjective(initial, ranks, params.weights), {}}));
-  }
+  IncrementalObjective state(initial, ranks, params.weights);
+  net::NearestScratch search;
 
-  // The chain's components live outside the replicas and only ever absorb
-  // accepted ComponentDeltas — replica-local float drift from speculative
-  // apply/revert cycles never reaches an acceptance decision.
-  ObjectiveComponents current = lane_state[0]->replica.components();
+  // The chain's components live outside the replica and only ever absorb
+  // accepted ComponentDeltas: the replica's running latency sum drifts in
+  // the last bits over move/revert cycles, and that drift never reaches an
+  // acceptance decision.
+  ObjectiveComponents current = state.components();
   double current_value = current.value(n, params.weights);
   Overlay best = initial;
   double best_value = current_value;
 
-  struct Candidate {
-    MoveDelta delta;
-    ComponentDelta d;
-    double accept_u = 0.0;
-  };
-  std::vector<Candidate> cands(batch);
-  std::vector<Rng> cand_rngs;
-  cand_rngs.reserve(batch);
-
   double t = params.initial_temperature;
   while (t > params.min_temperature) {
     for (std::size_t move = 0; move < params.moves_per_temperature; ++move) {
-      // Per-candidate streams, forked serially in index order: the random
-      // sequence is fixed by the chain rng alone, not by scheduling.
-      cand_rngs.clear();
-      for (std::size_t i = 0; i < batch; ++i) cand_rngs.push_back(rng.fork(i + 1));
-
-      auto eval_lane = [&](std::size_t lane) {
-        IncrementalObjective& rep = lane_state[lane]->replica;
-        net::NearestScratch& search = lane_state[lane]->search;
-        for (std::size_t i = lane; i < batch; i += lanes) {
-          rep.begin_move();
-          MoveDelta d = generate_move(rep, g, ranks, mean, search, cand_rngs[i]);
-          cands[i].d = rep.take_move_delta();
-          cands[i].accept_u = cand_rngs[i].uniform01();
-          rep.revert(d);
-          cands[i].delta = std::move(d);
-        }
-      };
-      if (lanes > 1) {
-        pool->parallel_for(lanes, eval_lane);
-      } else {
-        eval_lane(0);
+      // Each move draws from its own fork of the chain rng.
+      Rng move_rng = rng.fork(1);
+      state.begin_move();
+      const MoveDelta delta =
+          generate_move(state, g, ranks, mean, search, move_rng);
+      const ComponentDelta d = state.take_move_delta();
+      const double accept_u = move_rng.uniform01();
+      if (delta.empty()) continue;
+      ObjectiveComponents next = current;
+      next.edges += d.d_edges;
+      next.latency_sum += d.d_latency_sum;
+      next.unreachable += d.d_unreachable;
+      next.connectivity_deficit += d.d_connectivity;
+      const double next_value = next.value(n, params.weights);
+      const bool accept =
+          next_value < current_value ||
+          std::exp(-(next_value - current_value) / t) > accept_u;
+      if (!accept) {
+        state.revert(delta);
+        continue;
       }
-
-      // Acceptance sweep in candidate order: the first acceptable
-      // candidate is applied, the rest of the batch is discarded
-      // (speculative moves). Purely serial and deterministic.
-      for (std::size_t i = 0; i < batch; ++i) {
-        Candidate& cand = cands[i];
-        if (cand.delta.empty()) continue;
-        ObjectiveComponents next = current;
-        next.edges += cand.d.d_edges;
-        next.latency_sum += cand.d.d_latency_sum;
-        next.unreachable += cand.d.d_unreachable;
-        next.connectivity_deficit += cand.d.d_connectivity;
-        const double next_value = next.value(n, params.weights);
-        const bool accept =
-            next_value < current_value ||
-            std::exp(-(next_value - current_value) / t) > cand.accept_u;
-        if (!accept) continue;
-        current = next;
-        current_value = next_value;
-        for (auto& lane : lane_state) lane->replica.apply(cand.delta);
-        if (current_value < best_value) {
-          best_value = current_value;
-          best = lane_state[0]->replica.overlay();
-        }
-        break;
+      current = next;
+      current_value = next_value;
+      if (current_value < best_value) {
+        best_value = current_value;
+        best = state.overlay();
       }
     }
     t *= params.cooling_rate;

@@ -22,11 +22,9 @@
 // MoveDelta edit lists and an IncrementalObjective that maintains every
 // Eq.-(1) term per link change — O(degree) for the counting terms and a
 // dirty-subtree recompute for dissemination latencies — instead of copying
-// the overlay and rescoring it from scratch. Each annealing round scores a
-// batch of independent candidates, optionally across a ThreadPool; every
-// candidate owns a forked Rng stream and acceptance sweeps candidates in
-// index order, so the result is bit-identical for a fixed seed regardless
-// of worker count.
+// the overlay and rescoring it from scratch. The chain proposes one move
+// per round on one replica and keeps it or reverts it, so the result is a
+// pure function of the seed.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +34,6 @@
 #include "overlay/overlay.hpp"
 #include "overlay/robust_tree.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace hermes::overlay {
 
@@ -54,18 +51,10 @@ struct AnnealingParams {
   double cooling_rate = 0.97;  // alpha in Algorithm 2
   // Annealing rounds per temperature step.
   std::size_t moves_per_temperature = 8;
-  // Independent candidate moves scored per round; the first acceptable one
-  // (in candidate order) is applied. Values > 1 raise per-round acceptance
-  // odds and feed the worker pool with parallel work.
-  std::size_t batch_size = 1;
-  // Parallel evaluation lanes (1 = serial). The annealed overlay is
-  // bit-identical for a fixed seed regardless of this value; it only
-  // controls how candidate scoring is scheduled.
-  std::size_t workers = 1;
   ObjectiveWeights weights;
 };
 
-// One candidate move as an apply/undo edit list. Ops are recorded in the
+// One candidate move as an edit list. Ops are recorded in the
 // order they took effect; revert() walks them backwards, re-inserting
 // removed edges at their recorded adjacency positions so the reverted
 // overlay is bit-identical to the pre-move one (not merely set-equal).
@@ -98,8 +87,7 @@ struct ObjectiveComponents {
 
 // Exact change of the history-independent terms over one move. The latency
 // term is accumulated in a deterministic order (dirty nodes by depth, then
-// id), so for a given move on a given structure the delta is bit-identical
-// no matter which worker lane computed it.
+// id), so for a given move on a given structure the delta is bit-identical.
 struct ComponentDelta {
   std::int64_t d_edges = 0;
   double d_latency_sum = 0.0;
@@ -114,9 +102,7 @@ struct ComponentDelta {
 // increase depth, so a depth-ordered sweep over dirty nodes is exact).
 //
 // The dissemination-latency vector is a pure function of the overlay
-// structure: every replica that applied the same accepted deltas holds
-// value-identical latencies, which is what makes multi-worker annealing
-// deterministic.
+// structure, so a move and its revert leave value-identical latencies.
 class IncrementalObjective {
  public:
   IncrementalObjective(Overlay o, const RankTable& ranks,
@@ -145,9 +131,6 @@ class IncrementalObjective {
   void begin_move();
   ComponentDelta take_move_delta();
 
-  // Replays an accepted delta (all ops must be effective, which holds when
-  // it was generated against an identical structure).
-  void apply(const MoveDelta& delta);
   // Undoes a delta produced by this replica: inverse ops in reverse order.
   void revert(const MoveDelta& delta);
 
@@ -188,12 +171,8 @@ Overlay generate_neighbor(const Overlay& current, const net::Graph& g,
                           Rng& rng);
 
 // Algorithm 2: returns the best overlay found. Deterministic for a fixed
-// seed, independent of params.workers and of the pool passed in. Pass a
-// pool to share its threads across calls (build_overlay_set uses one for
-// all k trees); with pool == nullptr the call spins up its own lanes when
-// params.workers > 1.
+// seed.
 Overlay anneal(const Overlay& initial, const net::Graph& g,
-               const RankTable& ranks, const AnnealingParams& params, Rng& rng,
-               ThreadPool* pool = nullptr);
+               const RankTable& ranks, const AnnealingParams& params, Rng& rng);
 
 }  // namespace hermes::overlay

@@ -1,36 +1,22 @@
 #include "overlay/builder.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 
 #include "overlay/repair.hpp"
-#include "support/thread_pool.hpp"
 
 namespace hermes::overlay {
 
 namespace {
 
-// The worker pool for parallel candidate scoring, shared by all k trees of
-// one build; null when annealing runs on one lane.
-std::unique_ptr<ThreadPool> make_pool(const BuilderParams& params) {
-  if (params.optimize && params.annealing.workers > 1 &&
-      params.annealing.batch_size > 1) {
-    const std::size_t lanes =
-        std::min(params.annealing.workers, params.annealing.batch_size);
-    return std::make_unique<ThreadPool>(lanes - 1);
-  }
-  return nullptr;
-}
-
 // The shared per-tree tail of both build paths: anneal the seed tree and
 // fold its optimized depths into the accumulated rank table.
 void optimize_and_rank(Overlay&& tree, std::size_t l, const net::Graph& g,
                        const BuilderParams& params, const RankTable& before,
-                       OverlaySet& set, Rng& rng, ThreadPool* pool) {
+                       OverlaySet& set, Rng& rng) {
   if (params.optimize) {
     Rng anneal_rng = rng.fork(0x5eedl + l);
-    tree = anneal(tree, g, before, params.annealing, anneal_rng, pool);
+    tree = anneal(tree, g, before, params.annealing, anneal_rng);
     // Re-derive the rank contribution (root proximity, see robust_tree.cpp)
     // from the optimized depths.
     const double max_depth = static_cast<double>(tree.max_depth());
@@ -61,13 +47,10 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
 
-  const auto pool = make_pool(params);
-
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
     Overlay tree = build_robust_tree(g, params.f, set.final_ranks);
-    optimize_and_rank(std::move(tree), l, g, params, before, set, rng,
-                      pool.get());
+    optimize_and_rank(std::move(tree), l, g, params, before, set, rng);
   }
   return set;
 }
@@ -80,8 +63,6 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
   OverlaySet set;
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
-
-  const auto pool = make_pool(params);
 
   for (std::size_t l = 0; l < params.k; ++l) {
     const RankTable before = rank_snapshot(params, set);
@@ -116,8 +97,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
     }
     Overlay tree = seed ? std::move(*seed)
                         : build_robust_tree(g, params.f, set.final_ranks);
-    optimize_and_rank(std::move(tree), l, g, params, before, set, rng,
-                      pool.get());
+    optimize_and_rank(std::move(tree), l, g, params, before, set, rng);
   }
   return set;
 }

@@ -43,7 +43,7 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 // whose surgery fails (local repair or attachment impossible) falls back
 // to the scratch robust-tree build. `churned` must be sorted ascending —
 // the canonical application order that keeps results byte-identical across
-// replicas. Deterministic given the rng seed, independent of worker count.
+// replicas. Deterministic given the rng seed.
 // Passing `costs` (built over the same graph) lets the joins reuse the
 // caller's shortest-path rows across trees and epochs; the physical graph
 // does not change between epochs.

@@ -14,13 +14,6 @@ std::string to_string(BytesView b) {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 }  // namespace
 
 std::string hex_encode(BytesView b) {
@@ -29,26 +22,6 @@ std::string hex_encode(BytesView b) {
   for (std::uint8_t byte : b) {
     out.push_back(kHexDigits[byte >> 4]);
     out.push_back(kHexDigits[byte & 0xf]);
-  }
-  return out;
-}
-
-Bytes hex_decode(std::string_view hex, bool* ok) {
-  if (ok) *ok = true;
-  if (hex.size() % 2 != 0) {
-    if (ok) *ok = false;
-    return {};
-  }
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    int hi = hex_nibble(hex[i]);
-    int lo = hex_nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      if (ok) *ok = false;
-      return {};
-    }
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
   }
   return out;
 }

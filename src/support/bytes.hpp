@@ -16,9 +16,6 @@ Bytes to_bytes(std::string_view s);
 std::string to_string(BytesView b);
 
 std::string hex_encode(BytesView b);
-// Returns empty on odd length or non-hex characters only if `ok` reports it;
-// callers that know the input is valid can ignore `ok`.
-Bytes hex_decode(std::string_view hex, bool* ok = nullptr);
 
 // Big-endian fixed-width integer packing (network byte order).
 void put_u32_be(Bytes& out, std::uint32_t v);

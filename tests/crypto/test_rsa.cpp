@@ -5,13 +5,38 @@
 namespace hermes::crypto {
 namespace {
 
-// Key generation is the slow part; share one key across tests.
-const RsaKeyPair& test_key() {
-  static const RsaKeyPair key = [] {
+// A test-local RSA-FDH signer over two 256-bit safe primes, the kind the
+// threshold dealer draws: s = FDH(m)^d mod n with d = e^-1 mod phi(n).
+// rsa_verify, the check every relay makes, is tested against it. Key
+// generation is the slow part; share one key across tests.
+struct FdhKey {
+  RsaPublicKey pub;
+  BigUint d;
+  BigUint p;
+  BigUint q;
+};
+
+const FdhKey& test_key() {
+  static const FdhKey key = [] {
     Rng rng(2024);
-    return rsa_generate(rng, 512);
+    FdhKey k;
+    k.p = random_safe_prime(rng, 256);
+    k.q = random_safe_prime(rng, 256);
+    k.pub = RsaPublicKey{k.p * k.q, BigUint(65537)};
+    const BigUint phi = (k.p - BigUint(1)) * (k.q - BigUint(1));
+    EXPECT_TRUE(BigUint::modinv(k.pub.e, phi, &k.d));
+    return k;
   }();
   return key;
+}
+
+Bytes rsa_sign(const FdhKey& key, BytesView message) {
+  return BigUint::powmod(fdh_encode(message, key.pub.n), key.d, key.pub.n)
+      .to_bytes_be_padded(key.pub.modulus_bytes());
+}
+
+bool rsa_verify(const RsaPublicKey& pub, BytesView message, BytesView sig) {
+  return rsa_verify(pub, message, sig, MontgomeryCtx(pub.n));
 }
 
 TEST(Mgf1, LengthAndDeterminism) {
@@ -32,7 +57,7 @@ TEST(Mgf1, PrefixConsistency) {
 
 TEST(Rsa, KeyHasExpectedShape) {
   const auto& key = test_key();
-  // Product of two 256-bit primes is 511 or 512 bits.
+  // Product of two 256-bit safe primes is 511 or 512 bits.
   EXPECT_GE(key.pub.n.bit_length(), 511u);
   EXPECT_LE(key.pub.n.bit_length(), 512u);
   EXPECT_EQ(key.pub.e, BigUint(65537));

@@ -29,7 +29,7 @@ TEST(SimSigner, DerivedSignersAreDistinct) {
   const SimSigner b = SimSigner::derive(master, 2);
   const Bytes msg = to_bytes("m");
   EXPECT_NE(a.sign(msg), b.sign(msg));
-  EXPECT_NE(a.key_id(), b.key_id());
+  EXPECT_FALSE(b.verify(msg, a.sign(msg)));
   // Deterministic derivation.
   EXPECT_EQ(SimSigner::derive(master, 1).sign(msg), a.sign(msg));
 }
@@ -114,14 +114,24 @@ TEST(SeedFromSignature, ModKIsRoughlyUniform) {
   }
 }
 
+// The RSA-FDH check of a combined threshold signature, the one every relay
+// makes on a certificate: it holds for the signed message only, on a fresh
+// Montgomery context for the scheme's modulus.
 TEST(RsaSignerBackend, RoundTrip) {
   Rng rng(99);
-  const RsaSigner signer(rsa_generate(rng, 256));
+  const RsaThresholdScheme scheme(threshold_rsa_generate(rng, 256, 4, 3));
   const Bytes msg = to_bytes("m");
-  const Bytes sig = signer.sign(msg);
-  EXPECT_TRUE(signer.verify(msg, sig));
-  EXPECT_FALSE(signer.verify(to_bytes("n"), sig));
-  EXPECT_EQ(signer.key_id().size(), 32u);
+  std::vector<PartialSignature> partials;
+  for (std::size_t i = 1; i <= 3; ++i) {
+    partials.push_back(scheme.partial_sign(i, msg));
+  }
+  const auto sig = scheme.combine(msg, partials);
+  ASSERT_TRUE(sig.has_value());
+  const RsaPublicKey& pub = scheme.public_params().rsa;
+  const MontgomeryCtx mont(pub.n);
+  EXPECT_EQ(sig->size(), pub.modulus_bytes());
+  EXPECT_TRUE(rsa_verify(pub, msg, *sig, mont));
+  EXPECT_FALSE(rsa_verify(pub, to_bytes("n"), *sig, mont));
 }
 
 TEST(RsaThresholdBackend, RoundTripThroughInterface) {

@@ -115,42 +115,47 @@ TEST(ThresholdRsa, KeyShape) {
 
 TEST(ThresholdRsa, PartialSignaturesVerify) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("round 7 tx hash");
   for (const auto& share : key.shares) {
-    const ThresholdPartial p = threshold_partial_sign(key.pub, share, msg);
-    EXPECT_TRUE(threshold_verify_partial(key.pub, msg, p));
+    const ThresholdPartial p = threshold_partial_sign(ctx, share, msg);
+    EXPECT_TRUE(threshold_verify_partial(ctx, msg, p));
   }
 }
 
 TEST(ThresholdRsa, TamperedPartialRejected) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("msg");
-  ThresholdPartial p = threshold_partial_sign(key.pub, key.shares[0], msg);
+  ThresholdPartial p = threshold_partial_sign(ctx, key.shares[0], msg);
   p.value = p.value + BigUint(1);
-  EXPECT_FALSE(threshold_verify_partial(key.pub, msg, p));
+  EXPECT_FALSE(threshold_verify_partial(ctx, msg, p));
 }
 
 TEST(ThresholdRsa, PartialForWrongMessageRejected) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const ThresholdPartial p =
-      threshold_partial_sign(key.pub, key.shares[0], to_bytes("m1"));
-  EXPECT_FALSE(threshold_verify_partial(key.pub, to_bytes("m2"), p));
+      threshold_partial_sign(ctx, key.shares[0], to_bytes("m1"));
+  EXPECT_FALSE(threshold_verify_partial(ctx, to_bytes("m2"), p));
 }
 
 TEST(ThresholdRsa, PartialOutOfRangeIndexRejected) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("msg");
-  ThresholdPartial p = threshold_partial_sign(key.pub, key.shares[0], msg);
+  ThresholdPartial p = threshold_partial_sign(ctx, key.shares[0], msg);
   p.signer_index = 9;
-  EXPECT_FALSE(threshold_verify_partial(key.pub, msg, p));
+  EXPECT_FALSE(threshold_verify_partial(ctx, msg, p));
 }
 
 TEST(ThresholdRsa, CombineAnyThresholdSubset) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("the seed message");
   std::vector<ThresholdPartial> all;
   for (const auto& share : key.shares) {
-    all.push_back(threshold_partial_sign(key.pub, share, msg));
+    all.push_back(threshold_partial_sign(ctx, share, msg));
   }
   // Every 3-subset of the 4 partials combines into a verifying signature.
   std::optional<Bytes> reference;
@@ -159,9 +164,9 @@ TEST(ThresholdRsa, CombineAnyThresholdSubset) {
     for (std::size_t i = 0; i < all.size(); ++i) {
       if (i != skip) subset.push_back(all[i]);
     }
-    const auto sig = threshold_combine(key.pub, msg, subset);
+    const auto sig = threshold_combine(ctx, msg, subset);
     ASSERT_TRUE(sig.has_value()) << "subset skipping " << skip;
-    EXPECT_TRUE(threshold_verify(key.pub, msg, *sig));
+    EXPECT_TRUE(threshold_verify(ctx, msg, *sig));
     if (!reference) {
       reference = sig;
     } else {
@@ -174,57 +179,64 @@ TEST(ThresholdRsa, CombineAnyThresholdSubset) {
 
 TEST(ThresholdRsa, CombineFailsBelowThreshold) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("msg");
   std::vector<ThresholdPartial> two{
-      threshold_partial_sign(key.pub, key.shares[0], msg),
-      threshold_partial_sign(key.pub, key.shares[1], msg)};
-  EXPECT_FALSE(threshold_combine(key.pub, msg, two).has_value());
+      threshold_partial_sign(ctx, key.shares[0], msg),
+      threshold_partial_sign(ctx, key.shares[1], msg)};
+  EXPECT_FALSE(threshold_combine(ctx, msg, two).has_value());
 }
 
 TEST(ThresholdRsa, CombineIgnoresDuplicateIndices) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("msg");
-  const auto p0 = threshold_partial_sign(key.pub, key.shares[0], msg);
+  const auto p0 = threshold_partial_sign(ctx, key.shares[0], msg);
   std::vector<ThresholdPartial> dup{p0, p0, p0};
-  EXPECT_FALSE(threshold_combine(key.pub, msg, dup).has_value());
+  EXPECT_FALSE(threshold_combine(ctx, msg, dup).has_value());
 }
 
 TEST(ThresholdRsa, CombinedSignatureMatchesPlainRsa) {
   // y^e == FDH(m) mod n: verify against the RSA verify path explicitly.
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("cross-check");
   std::vector<ThresholdPartial> subset{
-      threshold_partial_sign(key.pub, key.shares[0], msg),
-      threshold_partial_sign(key.pub, key.shares[2], msg),
-      threshold_partial_sign(key.pub, key.shares[3], msg)};
-  const auto sig = threshold_combine(key.pub, msg, subset);
+      threshold_partial_sign(ctx, key.shares[0], msg),
+      threshold_partial_sign(ctx, key.shares[2], msg),
+      threshold_partial_sign(ctx, key.shares[3], msg)};
+  const auto sig = threshold_combine(ctx, msg, subset);
   ASSERT_TRUE(sig.has_value());
-  EXPECT_TRUE(rsa_verify(key.pub.rsa, msg, *sig));
+  EXPECT_TRUE(
+      rsa_verify(key.pub.rsa, msg, *sig, MontgomeryCtx(key.pub.rsa.n)));
 }
 
 TEST(ThresholdRsa, PartialEncodeDecodeRoundTrip) {
   const auto& key = test_key();
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("wire");
-  const ThresholdPartial p = threshold_partial_sign(key.pub, key.shares[1], msg);
+  const ThresholdPartial p = threshold_partial_sign(ctx, key.shares[1], msg);
   const auto decoded = ThresholdPartial::decode(p.encode());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->signer_index, p.signer_index);
   EXPECT_EQ(decoded->value, p.value);
   EXPECT_EQ(decoded->proof_c, p.proof_c);
   EXPECT_EQ(decoded->proof_z, p.proof_z);
-  EXPECT_TRUE(threshold_verify_partial(key.pub, msg, *decoded));
+  EXPECT_TRUE(threshold_verify_partial(ctx, msg, *decoded));
 }
 
 TEST(ThresholdRsa, DecodeRejectsTruncation) {
   const auto& key = test_key();
-  Bytes enc = threshold_partial_sign(key.pub, key.shares[0], to_bytes("x")).encode();
+  const ThresholdRsaContext ctx(key.pub);
+  Bytes enc = threshold_partial_sign(ctx, key.shares[0], to_bytes("x")).encode();
   enc.pop_back();
   EXPECT_FALSE(ThresholdPartial::decode(enc).has_value());
 }
 
 TEST(ThresholdRsa, DecodeRejectsTrailingGarbage) {
   const auto& key = test_key();
-  Bytes enc = threshold_partial_sign(key.pub, key.shares[0], to_bytes("x")).encode();
+  const ThresholdRsaContext ctx(key.pub);
+  Bytes enc = threshold_partial_sign(ctx, key.shares[0], to_bytes("x")).encode();
   enc.push_back(0x00);
   EXPECT_FALSE(ThresholdPartial::decode(enc).has_value());
 }
@@ -320,7 +332,7 @@ TEST(ThresholdRsaReference, VerdictsAgreeOnForgedPartials) {
 TEST(ThresholdRsaContextCache, ColdVsWarmCombineByteIdentical) {
   // Same context, same subset: the first combine computes the Lagrange
   // coefficient set, the second hits the cache. Both byte streams — and
-  // the transient-context (always-cold) path — must be identical.
+  // a second, fresh context's — must be identical.
   const auto& key = test_key();
   const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("epoch 3 seed");
@@ -336,9 +348,10 @@ TEST(ThresholdRsaContextCache, ColdVsWarmCombineByteIdentical) {
   ASSERT_TRUE(warm.has_value());
   EXPECT_EQ(ctx.lagrange_cache_size(), 1u);
   EXPECT_EQ(*cold, *warm);
-  const auto transient = threshold_combine(key.pub, msg, subset);
-  ASSERT_TRUE(transient.has_value());
-  EXPECT_EQ(*cold, *transient);
+  const ThresholdRsaContext fresh(key.pub);
+  const auto other = threshold_combine(fresh, msg, subset);
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(*cold, *other);
 }
 
 TEST(ThresholdRsaContextCache, DistinctSubsetsAcrossViewChange) {
@@ -453,15 +466,16 @@ TEST(ThresholdRsa, LargerCommittee) {
   Rng rng(555);
   const ThresholdRsaKey key =
       threshold_rsa_generate(rng, 256, /*players=*/7, /*threshold=*/5);
+  const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("f2 committee");
   std::vector<ThresholdPartial> partials;
   for (std::size_t i : {0u, 2u, 3u, 5u, 6u}) {
-    partials.push_back(threshold_partial_sign(key.pub, key.shares[i], msg));
-    EXPECT_TRUE(threshold_verify_partial(key.pub, msg, partials.back()));
+    partials.push_back(threshold_partial_sign(ctx, key.shares[i], msg));
+    EXPECT_TRUE(threshold_verify_partial(ctx, msg, partials.back()));
   }
-  const auto sig = threshold_combine(key.pub, msg, partials);
+  const auto sig = threshold_combine(ctx, msg, partials);
   ASSERT_TRUE(sig.has_value());
-  EXPECT_TRUE(threshold_verify(key.pub, msg, *sig));
+  EXPECT_TRUE(threshold_verify(ctx, msg, *sig));
 }
 
 }  // namespace

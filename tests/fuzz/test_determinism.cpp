@@ -1,7 +1,6 @@
-// Cross-run and cross-worker trace determinism: a scenario is a pure
-// function of its struct, and the annealing worker count is a throughput
-// knob, never an output knob — the full simulated message trace must be
-// byte-identical either way.
+// Cross-run trace determinism: a scenario is a pure function of its
+// struct, so the full simulated message trace must be byte-identical from
+// run to run.
 #include <gtest/gtest.h>
 
 #include "fuzz/runner.hpp"
@@ -32,17 +31,6 @@ TEST(Determinism, SameScenarioYieldsIdenticalTrace) {
   EXPECT_GT(a.sends, 0u);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.sends, b.sends);
-}
-
-TEST(Determinism, WorkerCountDoesNotChangeTrace) {
-  Scenario one = base_scenario();
-  one.annealing_workers = 1;
-  Scenario four = base_scenario();
-  four.annealing_workers = 4;
-  const RunResult a = run_scenario(one);
-  const RunResult b = run_scenario(four);
-  EXPECT_EQ(a.trace_hash, b.trace_hash)
-      << "annealing worker count leaked into the simulation trace";
 }
 
 TEST(Determinism, GeneratedSeedsReplayIdentically) {

@@ -41,7 +41,6 @@ Scenario messy_hermes() {
   s.drop_probability = 0.05;
   s.jitter_stddev_ms = 4.0;
   s.enable_acks = true;
-  s.annealing_workers = 4;
   ChurnEvent crash;
   crash.at_ms = 400.0;
   crash.nodes = {11};
@@ -179,7 +178,6 @@ TEST(Invariants, ShrinkConvergesToMinimalScenario) {
   EXPECT_EQ(out.minimal.drop_probability, 0.0);
   EXPECT_EQ(out.minimal.jitter_stddev_ms, 0.0);
   EXPECT_EQ(out.minimal.injections.size(), 1u);
-  EXPECT_EQ(out.minimal.annealing_workers, 1u);
 
   // And the minimal scenario still fails the same way.
   const RunResult again = run_scenario(out.minimal, opts);

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 namespace hermes::fuzz {
 namespace {
@@ -104,6 +106,128 @@ TEST(Scenario, ParseRejectsMalformedInput) {
        }) {
     EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
   }
+}
+
+// Counts the runner builds from stop at their named bounds, and an id or
+// size that does not fit its field is rejected instead of narrowed: before
+// these checks k = 2^62 parsed and then aborted the run in
+// vector::reserve, connectivity = 2^62 stalled the topology's ring chords,
+// f = 253 aborted the first batch's erasure code, and sender = 2^32 + 2
+// replayed as sender = 2.
+TEST(Scenario, ParseRejectsValuesPastTheirBoundsOrTypes) {
+  const std::string head = "hermes-fuzz-scenario v1\nnodes=10\n";
+  for (const char* body : {
+           "k=4611686018427387904\n",
+           "nodes=4611686018427387904\n",
+           "nodes=100001\n",
+           "k=65\n",
+           "f=65\nnodes=400\n",
+           "min_degree=65\n",
+           "connectivity=65\n",
+           "connectivity=4611686018427387904\n",
+           "inject at=5 sender=2 batch=1025\n",
+           "inject at=5 sender=2 batch=4294967299\n",
+           "load_rate_hz=1000000\nload_duration_ms=1000000\n",
+           // Ids past NodeId: each would narrow to an id below 10.
+           "inject at=5 sender=4294967298 batch=0\n",
+           "committee=0,1,2,4294967299\n",
+           "byz=4294967298:dropper\n",
+           "churn at=5 action=crash nodes=4294967299 epoch=0 epoch_seed=1\n",
+           "flap a=4294967297 b=2 start=1 end=2\n",
+           "straggler node=4294967297 mult=2\n",
+           // Past uint64, signed, or a flag other than 0 and 1.
+           "seed=18446744073709551616\n",
+           "seed=-1\n",
+           "seed=+5\n",
+           "enable_acks=2\n",
+           "churn at=5 action=crash nodes=3 epoch=2 epoch_seed=1\n",
+           // Not an action, a second key on one line, and what serialize
+           // cannot write back: load keys without a rate, a churn event
+           // with no nodes.
+           "churn at=5 action=recovr nodes=3 epoch=0 epoch_seed=1\n",
+           "k=3 f=2\n",
+           "load_duration_ms=100\n",
+           "churn at=5 action=crash epoch=1 epoch_seed=1\n",
+       }) {
+    EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
+  }
+  // Each bound itself still parses.
+  for (const char* body : {
+           "nodes=100000\n",
+           "k=64\n",
+           "f=64\nnodes=193\n",
+           "min_degree=64\nconnectivity=64\n",
+           "inject at=5 sender=2 batch=1024\n",
+           "load_rate_hz=100\nload_duration_ms=1000000\n",
+       }) {
+    EXPECT_TRUE(parse_scenario(head + body).has_value()) << body;
+  }
+}
+
+// Decoder harness: every truncation and every bit flip of one serialized
+// extended scenario with load, rejoin churn, a partition, flaps,
+// stragglers and a batch injection. Each input either fails to parse or
+// parses to a scenario that survives a round trip unchanged and holds its
+// counts and ids within the bounds; none throws.
+TEST(ScenarioParserMutation, TruncationsAndBitFlips) {
+  Scenario s = generate_scenario(3);
+  ASSERT_TRUE(s.hermes() && s.has_load() && !s.link_flaps.empty() &&
+              !s.stragglers.empty());
+  s.injections.push_back(Injection{600.0, 8, 4});
+  s.churn.push_back(ChurnEvent{5000.0, false, {12, 18}, false, 9, false});
+  s.churn.push_back(ChurnEvent{7000.0, true, {12, 18}, false, 10, true});
+  s.partitions.push_back(PartitionWindow{100.0, 900.0, 77});
+  s.epoch_pipeline = true;
+  const std::string text = serialize(s);
+  ASSERT_EQ(parse_scenario(text), s);
+
+  std::size_t parsed = 0;
+  const auto check = [&parsed](const std::string& input,
+                               const std::string& what) {
+    std::optional<Scenario> got;
+    ASSERT_NO_THROW(got = parse_scenario(input)) << what;
+    if (!got) return;
+    ++parsed;
+    EXPECT_EQ(parse_scenario(serialize(*got)), got) << what;
+    EXPECT_LE(got->nodes, kMaxScenarioNodes) << what;
+    EXPECT_LE(got->f, kMaxScenarioF) << what;
+    EXPECT_LE(got->k, kMaxScenarioOverlays) << what;
+    EXPECT_LE(got->min_degree, kMaxScenarioDegree) << what;
+    EXPECT_LE(got->connectivity, kMaxScenarioDegree) << what;
+    EXPECT_LE(got->load_rate_hz * got->load_duration_ms / 1000.0,
+              kMaxScenarioLoadTxs)
+        << what;
+    std::vector<net::NodeId> ids = got->committee;
+    for (const ByzAssignment& b : got->byzantine) ids.push_back(b.node);
+    for (const Injection& inj : got->injections) {
+      EXPECT_LE(inj.batch_size, kMaxScenarioBatch) << what;
+      ids.push_back(inj.sender);
+    }
+    for (const ChurnEvent& ev : got->churn) {
+      ids.insert(ids.end(), ev.nodes.begin(), ev.nodes.end());
+    }
+    for (const LinkFlap& flap : got->link_flaps) {
+      ids.push_back(flap.a);
+      ids.push_back(flap.b);
+    }
+    for (const Straggler& st : got->stragglers) ids.push_back(st.node);
+    for (const net::NodeId v : ids) EXPECT_LT(v, got->nodes) << what;
+  };
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    check(text.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      check(flipped, "byte " + std::to_string(i) + " bit " +
+                         std::to_string(bit));
+    }
+  }
+  // Both verdicts occur: about one input in seven parses, most of them
+  // truncations past the header and flips of one digit into another.
+  EXPECT_GT(parsed, text.size());
+  EXPECT_LT(parsed, 2 * text.size());
 }
 
 // The ring chords alone make the topology t-connected, so a minimum

@@ -7,7 +7,6 @@
 
 #include "net/topology.hpp"
 #include "overlay/builder.hpp"
-#include "support/thread_pool.hpp"
 
 namespace hermes::overlay {
 namespace {
@@ -339,56 +338,6 @@ TEST(Anneal, PrunesEdgesFromDenseBicliqueTree) {
   const Overlay optimized = anneal(tree, g, ranks, params, rng);
   EXPECT_LT(optimized.edge_count(), tree.edge_count());
   EXPECT_TRUE(optimized.is_valid());
-}
-
-TEST(Anneal, BitIdenticalAcrossWorkerCounts) {
-  // Candidate Rng streams are forked per candidate index and acceptance
-  // sweeps candidates in order, so the worker count only changes how the
-  // batch is scheduled — never the result.
-  AnnealFixture s = make_setup(60, 1);
-  AnnealingParams params = fast_params();
-  params.batch_size = 4;
-
-  std::vector<Overlay> results;
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    params.workers = workers;
-    Rng rng(11);
-    results.push_back(anneal(s.tree, s.topo.graph, s.ranks, params, rng));
-  }
-  for (std::size_t w = 1; w < results.size(); ++w) {
-    ASSERT_EQ(results[0].edge_count(), results[w].edge_count());
-    ASSERT_EQ(results[0].entry_points(), results[w].entry_points());
-    for (net::NodeId v = 0; v < results[0].node_count(); ++v) {
-      ASSERT_EQ(results[0].successors(v), results[w].successors(v))
-          << "node " << v << " differs between 1 and " << (w == 1 ? 2 : 4)
-          << " workers";
-      for (net::NodeId c : results[0].successors(v)) {
-        ASSERT_EQ(results[0].link_latency(v, c), results[w].link_latency(v, c));
-      }
-    }
-  }
-}
-
-TEST(Anneal, SharedPoolMatchesOwnLanes) {
-  // build_overlay_set hands anneal() one pool for all k trees; a shared
-  // pool (larger than the lane count here) must not change the result vs.
-  // the lanes the call spins up itself.
-  AnnealFixture s = make_setup();
-  AnnealingParams params = fast_params();
-  params.batch_size = 3;
-  params.workers = 2;
-  Rng r1(13), r2(13);
-  const Overlay own = anneal(s.tree, s.topo.graph, s.ranks, params, r1);
-  ThreadPool pool(3);
-  const Overlay shared =
-      anneal(s.tree, s.topo.graph, s.ranks, params, r2, &pool);
-  ASSERT_EQ(own.edge_count(), shared.edge_count());
-  for (net::NodeId v = 0; v < own.node_count(); ++v) {
-    ASSERT_EQ(own.successors(v), shared.successors(v));
-    for (net::NodeId c : own.successors(v)) {
-      ASSERT_EQ(own.link_latency(v, c), shared.link_latency(v, c));
-    }
-  }
 }
 
 TEST(Anneal, DeterministicGivenSeed) {

@@ -415,7 +415,7 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--paper-scale") {
       const auto v = parse_u64(value);
-      if (!v || *v < 10) return usage();
+      if (!v || *v < 10 || *v > kMaxScenarioNodes) return usage();
       paper_scale_nodes = *v;
       ++i;
     } else if (arg == "--replay-file") {
