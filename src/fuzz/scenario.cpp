@@ -559,6 +559,9 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
         else if (key == "assign_seed") pw.assign_seed = to_u64(value);
         else return std::nullopt;
       }
+      // The runner heals at end and splits at start, so a reversed window
+      // would split the network for the rest of the run.
+      if (pw.end_ms <= pw.start_ms) return std::nullopt;
       s.partitions.push_back(pw);
     } else if (head == "flap") {
       LinkFlap flap;
@@ -571,6 +574,8 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
         else if (key == "end") flap.end_ms = to_double(value);
         else return std::nullopt;
       }
+      // The runner skips a flap of no link or of no time.
+      if (flap.a == flap.b || flap.end_ms <= flap.start_ms) return std::nullopt;
       s.link_flaps.push_back(flap);
     } else if (head == "straggler") {
       Straggler st;

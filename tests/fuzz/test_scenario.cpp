@@ -148,6 +148,12 @@ TEST(Scenario, ParseRejectsValuesPastTheirBoundsOrTypes) {
            "k=3 f=2\n",
            "load_duration_ms=100\n",
            "churn at=5 action=crash epoch=1 epoch_seed=1\n",
+           // Windows the runner would not run as written: a reversed
+           // partition never heals, and a flap of no link or of no time
+           // is skipped.
+           "partition start=500 end=100 assign_seed=7\n",
+           "flap a=2 b=2 start=1 end=2\n",
+           "flap a=1 b=2 start=2 end=2\n",
        }) {
     EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
   }
