@@ -642,8 +642,8 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
   }
   // Well-formed lines can still describe a scenario the runner cannot
   // build (no topology below two nodes, no committee at f = 0, no overlay
-  // set at k = 0) or would run differently than written (it skips node ids
-  // past the last node).
+  // set at k = 0, more load than its bound) or would run differently than
+  // written (it skips node ids past the last node).
   if (s.nodes < 2 || s.k == 0 || s.f == 0 ||
       s.load_rate_hz * s.load_duration_ms / 1000.0 > kMaxScenarioLoadTxs) {
     return std::nullopt;

@@ -446,7 +446,6 @@ Overlay anneal(const Overlay& initial, const net::Graph& g,
       const MoveDelta delta =
           generate_move(state, g, ranks, mean, search, move_rng);
       const ComponentDelta d = state.take_move_delta();
-      const double accept_u = move_rng.uniform01();
       if (delta.empty()) continue;
       ObjectiveComponents next = current;
       next.edges += d.d_edges;
@@ -456,7 +455,7 @@ Overlay anneal(const Overlay& initial, const net::Graph& g,
       const double next_value = next.value(n, params.weights);
       const bool accept =
           next_value < current_value ||
-          std::exp(-(next_value - current_value) / t) > accept_u;
+          std::exp(-(next_value - current_value) / t) > move_rng.uniform01();
       if (!accept) {
         state.revert(delta);
         continue;
