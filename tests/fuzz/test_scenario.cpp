@@ -49,6 +49,8 @@ TEST(Scenario, ParseRejectsMalformedInput) {
   EXPECT_FALSE(
       parse_scenario("hermes-fuzz-scenario v1\nnodes=abc\n").has_value());
   EXPECT_FALSE(
+      parse_scenario("hermes-fuzz-scenario v1\nnodes=12abc\n").has_value());
+  EXPECT_FALSE(
       parse_scenario("hermes-fuzz-scenario v1\nunknown_key=3\n").has_value());
   // Not a key: self-healing alone admits rejoining nodes.
   EXPECT_FALSE(parse_scenario("hermes-fuzz-scenario v1\njoin_admission=1\n")
