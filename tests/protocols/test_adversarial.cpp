@@ -27,7 +27,9 @@ TEST(OrderingJudge, DefaultUsesArrivalOrder) {
     const auto& node = w.ctx->node(v);
     const std::size_t pa = node.ordering_position(a);
     const std::size_t pb = node.ordering_position(b);
-    if (pa != SIZE_MAX && pb != SIZE_MAX) EXPECT_LT(pa, pb);
+    if (pa != SIZE_MAX && pb != SIZE_MAX) {
+      EXPECT_LT(pa, pb);
+    }
   }
 }
 

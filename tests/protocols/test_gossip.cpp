@@ -96,7 +96,7 @@ TEST(Gossip, OnlyFirstObserverAttacks) {
   w.ctx->attack_enabled = true;
   w.start();
   const net::NodeId sender = w.ctx->random_honest(w.ctx->rng);
-  const Transaction victim = inject_tx(*w.ctx, sender);
+  inject_tx(*w.ctx, sender);
   w.run_ms(4000);
   // Exactly one adversarial tx per victim despite many front-runners.
   EXPECT_EQ(w.ctx->adversarial_of.size(), 1u);
