@@ -497,7 +497,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
   };
   // Every real-valued field is finite and non-negative, as the engine
   // aborts on a negative time or delay; probabilities pass max = 1, where
-  // the runner would clamp them.
+  // the runner would clamp them, and times kMaxScenarioTimeMs.
   const auto to_double =
       [&ok](const std::string& v,
             double max = std::numeric_limits<double>::max()) -> double {
@@ -506,6 +506,9 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
     if (end == v.c_str() || *end != '\0') ok = false;
     if (!(out >= 0.0 && out <= max)) ok = false;
     return out;
+  };
+  const auto to_ms = [&to_double](const std::string& v) {
+    return to_double(v, kMaxScenarioTimeMs);
   };
 
   while (std::getline(in, line)) {
@@ -518,7 +521,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       std::string token, key, value;
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
-        if (key == "at") inj.at_ms = to_double(value);
+        if (key == "at") inj.at_ms = to_ms(value);
         else if (key == "sender") inj.sender = to_id(value);
         else if (key == "batch") {
           inj.batch_size =
@@ -531,7 +534,7 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       std::string token, key, value;
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
-        if (key == "at") ev.at_ms = to_double(value);
+        if (key == "at") ev.at_ms = to_ms(value);
         else if (key == "action") {
           if (value != "crash" && value != "recover") return std::nullopt;
           ev.recover = value == "recover";
@@ -554,8 +557,8 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       std::string token, key, value;
       while (ls >> token) {
         if (!split_kv(token, key, value)) return std::nullopt;
-        if (key == "start") pw.start_ms = to_double(value);
-        else if (key == "end") pw.end_ms = to_double(value);
+        if (key == "start") pw.start_ms = to_ms(value);
+        else if (key == "end") pw.end_ms = to_ms(value);
         else if (key == "assign_seed") pw.assign_seed = to_u64(value);
         else return std::nullopt;
       }
@@ -570,8 +573,8 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
         if (!split_kv(token, key, value)) return std::nullopt;
         if (key == "a") flap.a = to_id(value);
         else if (key == "b") flap.b = to_id(value);
-        else if (key == "start") flap.start_ms = to_double(value);
-        else if (key == "end") flap.end_ms = to_double(value);
+        else if (key == "start") flap.start_ms = to_ms(value);
+        else if (key == "end") flap.end_ms = to_ms(value);
         else return std::nullopt;
       }
       // The runner skips a flap of no link or of no time.
@@ -605,17 +608,17 @@ std::optional<Scenario> parse_scenario(const std::string& text) {
       } else if (key == "blind_blast") s.blind_blast = to_flag(value);
       else if (key == "transit_faults") s.transit_faults = to_flag(value);
       else if (key == "drop_probability") s.drop_probability = to_double(value, 1.0);
-      else if (key == "jitter_stddev_ms") s.jitter_stddev_ms = to_double(value);
-      else if (key == "fallback_delay_ms") s.fallback_delay_ms = to_double(value);
+      else if (key == "jitter_stddev_ms") s.jitter_stddev_ms = to_ms(value);
+      else if (key == "fallback_delay_ms") s.fallback_delay_ms = to_ms(value);
       else if (key == "enable_fallback") s.enable_fallback = to_flag(value);
       else if (key == "enable_acks") s.enable_acks = to_flag(value);
       else if (key == "direct_injection") s.direct_injection = to_flag(value);
       else if (key == "self_healing") s.self_healing = to_flag(value);
       else if (key == "epoch_pipeline") s.epoch_pipeline = to_flag(value);
-      else if (key == "drain_ms") s.drain_ms = to_double(value);
+      else if (key == "drain_ms") s.drain_ms = to_ms(value);
       else if (key == "load_rate_hz") s.load_rate_hz = to_double(value);
-      else if (key == "load_duration_ms") s.load_duration_ms = to_double(value);
-      else if (key == "load_start_ms") s.load_start_ms = to_double(value);
+      else if (key == "load_duration_ms") s.load_duration_ms = to_ms(value);
+      else if (key == "load_start_ms") s.load_start_ms = to_ms(value);
       else if (key == "load_seed") s.load_seed = to_u64(value);
       else if (key == "mempool_capacity") s.mempool_capacity = to_u64(value);
       else if (key == "committee") {

@@ -156,6 +156,20 @@ TEST(Scenario, ParseRejectsValuesPastTheirBoundsOrTypes) {
            "partition start=500 end=100 assign_seed=7\n",
            "flap a=2 b=2 start=1 end=2\n",
            "flap a=1 b=2 start=2 end=2\n",
+           // Times past kMaxScenarioTimeMs, each of which a self-healing
+           // run would tick through.
+           "drain_ms=1000000000\n",
+           "drain_ms=1000000.5\n",
+           "fallback_delay_ms=1000001\n",
+           "jitter_stddev_ms=1000001\n",
+           "inject at=1000001 sender=2 batch=0\n",
+           "churn at=1000001 action=crash nodes=3 epoch=0 epoch_seed=1\n",
+           "partition start=5 end=1000001 assign_seed=7\n",
+           "partition start=1000001 end=1000002 assign_seed=7\n",
+           "flap a=1 b=2 start=1 end=1000001\n",
+           "flap a=1 b=2 start=1000001 end=1000002\n",
+           "load_rate_hz=0.001\nload_duration_ms=1000001\n",
+           "load_rate_hz=1\nload_duration_ms=100\nload_start_ms=1000001\n",
        }) {
     EXPECT_FALSE(parse_scenario(head + body).has_value()) << body;
   }
@@ -167,6 +181,13 @@ TEST(Scenario, ParseRejectsValuesPastTheirBoundsOrTypes) {
            "min_degree=64\nconnectivity=64\n",
            "inject at=5 sender=2 batch=1024\n",
            "load_rate_hz=100\nload_duration_ms=1000000\n",
+           "drain_ms=1000000\nfallback_delay_ms=1000000\n",
+           "jitter_stddev_ms=1000000\n",
+           "inject at=1000000 sender=2 batch=0\n",
+           "churn at=1000000 action=crash nodes=3 epoch=0 epoch_seed=1\n",
+           "partition start=999999 end=1000000 assign_seed=7\n",
+           "flap a=1 b=2 start=999999 end=1000000\n",
+           "load_rate_hz=1\nload_duration_ms=100\nload_start_ms=1000000\n",
        }) {
     EXPECT_TRUE(parse_scenario(head + body).has_value()) << body;
   }
@@ -176,7 +197,7 @@ TEST(Scenario, ParseRejectsValuesPastTheirBoundsOrTypes) {
 // extended scenario with load, rejoin churn, a partition, flaps,
 // stragglers and a batch injection. Each input either fails to parse or
 // parses to a scenario that survives a round trip unchanged and holds its
-// counts and ids within the bounds; none throws.
+// counts, ids and times within the bounds; none throws.
 TEST(ScenarioParserMutation, TruncationsAndBitFlips) {
   Scenario s = generate_scenario(3);
   ASSERT_TRUE(s.hermes() && s.has_load() && !s.link_flaps.empty() &&
@@ -205,6 +226,20 @@ TEST(ScenarioParserMutation, TruncationsAndBitFlips) {
     EXPECT_LE(got->load_rate_hz * got->load_duration_ms / 1000.0,
               kMaxScenarioLoadTxs)
         << what;
+    std::vector<double> times = {got->drain_ms, got->fallback_delay_ms,
+                                 got->jitter_stddev_ms, got->load_duration_ms,
+                                 got->load_start_ms};
+    for (const Injection& inj : got->injections) times.push_back(inj.at_ms);
+    for (const ChurnEvent& ev : got->churn) times.push_back(ev.at_ms);
+    for (const PartitionWindow& pw : got->partitions) {
+      times.push_back(pw.start_ms);
+      times.push_back(pw.end_ms);
+    }
+    for (const LinkFlap& flap : got->link_flaps) {
+      times.push_back(flap.start_ms);
+      times.push_back(flap.end_ms);
+    }
+    for (const double t : times) EXPECT_LE(t, kMaxScenarioTimeMs) << what;
     std::vector<net::NodeId> ids = got->committee;
     for (const ByzAssignment& b : got->byzantine) ids.push_back(b.node);
     for (const Injection& inj : got->injections) {
