@@ -695,15 +695,11 @@ void HermesNode::fallback_tick() {
           fallback_tick_ + kFallbackTicksPerDelay, due.tx_id, due.round + 1});
     }
   }
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (!body->tx_ids.empty() && !nbrs.empty()) {
-    // Every sampled neighbor receives the same immutable digest.
-    const std::size_t fanout = std::min(kFallbackFanout, nbrs.size());
-    const std::size_t wire = id_list_wire(body->tx_ids.size());
-    for (std::size_t i : rng_.sample_indices(nbrs.size(), fanout)) {
-      send_to(nbrs[i].to, kMsgFallbackOffer, wire, body);
-    }
-    fallback_pushes_ += fanout * body->tx_ids.size();
+  if (!body->tx_ids.empty()) {
+    const std::size_t ids = body->tx_ids.size();
+    fallback_pushes_ += ids * send_to_sample(rng_, kFallbackFanout, id(),
+                                             kMsgFallbackOffer,
+                                             id_list_wire(ids), body);
   }
   if (fallback_due_.empty()) return;
   ctx_.engine.schedule(
@@ -851,14 +847,12 @@ void HermesNode::pull_gaps(sim::SimTime now_ms) {
   if (!shared_->config.enable_fallback) return;
   const auto gaps = monitor_.stale_gaps(now_ms);
   if (gaps.empty()) return;
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (nbrs.empty()) return;
+  if (ctx_.topology.graph.neighbors(id()).empty()) return;
   for (const auto& gap : gaps) {
     auto& last = last_pull_ms_.try_emplace(gap.origin, -1e300).first->second;
     if (now_ms - last < kGapPullAfterMs) continue;
     last = now_ms;
     monitor_.note_gap_pull();
-    const std::size_t fanout = std::min(kFallbackFanout, nbrs.size());
     std::size_t asked = 0;
     for (std::uint64_t seq = gap.next_seq;
          seq <= gap.max_seen && asked < 8; ++seq) {
@@ -867,9 +861,8 @@ void HermesNode::pull_gaps(sim::SimTime now_ms) {
       ++asked;
       auto body = std::make_shared<FallbackRequestBody>();
       body->tx_ids.push_back(tx_id);
-      for (std::size_t i : rng_.sample_indices(nbrs.size(), fanout)) {
-        send_to(nbrs[i].to, kMsgFallbackRequest, id_list_wire(1), body);
-      }
+      send_to_sample(rng_, kFallbackFanout, id(), kMsgFallbackRequest,
+                     id_list_wire(1), body);
     }
   }
 }
@@ -1286,12 +1279,7 @@ bool HermesNode::accept_evidence(EvidenceTally& tally, net::NodeId subject,
 
 void HermesNode::gossip(std::uint32_t type, std::size_t wire,
                         std::shared_ptr<const sim::MessageBody> body) {
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (nbrs.empty()) return;
-  const std::size_t fanout = std::min(kReportFanout, nbrs.size());
-  for (std::size_t i : rng_.sample_indices(nbrs.size(), fanout)) {
-    send_to(nbrs[i].to, type, wire, body);
-  }
+  send_to_sample(rng_, kReportFanout, id(), type, wire, body);
 }
 
 std::size_t HermesNode::acks_received(std::uint64_t tx_id) const {

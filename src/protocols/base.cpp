@@ -65,6 +65,20 @@ bool ProtocolNode::deliver_tx(const Transaction& tx) {
   return true;
 }
 
+std::size_t ProtocolNode::send_to_sample(
+    Rng& rng, std::size_t count, net::NodeId except, std::uint32_t type,
+    std::size_t wire, const std::shared_ptr<const sim::MessageBody>& body) {
+  const auto& nbrs = ctx_.topology.graph.neighbors(id());
+  std::size_t sent = 0;
+  for (std::size_t i :
+       rng.sample_indices(nbrs.size(), std::min(count, nbrs.size()))) {
+    if (nbrs[i].to == except) continue;
+    send_to(nbrs[i].to, type, wire, body);
+    ++sent;
+  }
+  return sent;
+}
+
 void ProtocolNode::maybe_front_run(const Transaction& victim) {
   if (!ctx_.attack_enabled) return;
   if (behavior() != Behavior::kFrontRunner) return;

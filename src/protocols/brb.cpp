@@ -2,15 +2,22 @@
 
 namespace hermes::protocols {
 
+namespace {
+// Echo, Ready and Fetch carry only the transaction id.
+std::shared_ptr<const BrbVoteBody> vote_body(std::uint64_t tx_id) {
+  auto body = std::make_shared<BrbVoteBody>();
+  body->tx_id = tx_id;
+  return body;
+}
+}  // namespace
+
 BrbNode::BrbNode(ExperimentContext& ctx, net::NodeId id)
     : ProtocolNode(ctx, id), rng_(ctx.rng.fork(0xb4bULL + id)) {}
 
-void BrbNode::broadcast_vote(std::uint32_t type, std::uint64_t tx_id) {
+void BrbNode::broadcast(std::uint32_t type, std::size_t wire,
+                        const std::shared_ptr<const sim::MessageBody>& body) {
   for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
-    if (v == id()) continue;
-    auto body = std::make_shared<BrbVoteBody>();
-    body->tx_id = tx_id;
-    send_to(v, type, 16, std::move(body));
+    if (v != id()) send_to(v, type, wire, body);
   }
 }
 
@@ -20,13 +27,8 @@ void BrbNode::submit(const Transaction& tx) {
   inst.have_payload = true;
   inst.echoed = true;
   inst.echoes.insert(id());
-  for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
-    if (v == id()) continue;
-    auto body = std::make_shared<TxBody>();
-    body->tx = tx;
-    send_to(v, kMsgSend, tx.payload_bytes, std::move(body));
-  }
-  broadcast_vote(kMsgEcho, tx.id);
+  broadcast(kMsgSend, tx.payload_bytes, make_tx_body(tx));
+  broadcast(kMsgEcho, 16, vote_body(tx.id));
   maybe_progress(tx.id, inst);
 }
 
@@ -36,7 +38,7 @@ void BrbNode::maybe_progress(std::uint64_t tx_id, Instance& inst) {
       (inst.echoes.size() >= 2 * f + 1 || inst.readies.size() >= f + 1)) {
     inst.readied = true;
     inst.readies.insert(id());
-    if (relays()) broadcast_vote(kMsgReady, tx_id);
+    if (relays()) broadcast(kMsgReady, 16, vote_body(tx_id));
   }
   if (!inst.delivered && inst.readies.size() >= 2 * f + 1) {
     inst.delivered = true;
@@ -44,12 +46,11 @@ void BrbNode::maybe_progress(std::uint64_t tx_id, Instance& inst) {
     if (!inst.have_payload) {
       // Deliverable but payload missing: pull from nodes that echoed
       // (at least 2f+1 echoed, so f+1 of them are honest and hold it).
+      const auto fetch = vote_body(tx_id);
       std::size_t asked = 0;
       for (net::NodeId v : inst.echoes) {
         if (v == id()) continue;
-        auto body = std::make_shared<BrbVoteBody>();
-        body->tx_id = tx_id;
-        send_to(v, kMsgFetch, 16, std::move(body));
+        send_to(v, kMsgFetch, 16, fetch);
         if (++asked > f) break;  // f+1 requests reach an honest holder
       }
     }
@@ -66,7 +67,7 @@ void BrbNode::on_message(const sim::Message& msg) {
       if (fresh && !inst.echoed && relays_tx(tx)) {
         inst.echoed = true;
         inst.echoes.insert(id());
-        broadcast_vote(kMsgEcho, tx.id);
+        broadcast(kMsgEcho, 16, vote_body(tx.id));
       }
       maybe_progress(tx.id, inst);
       return;
@@ -89,9 +90,7 @@ void BrbNode::on_message(const sim::Message& msg) {
       if (!relays()) return;
       const std::uint64_t tx_id = msg.as<BrbVoteBody>().tx_id;
       if (const auto tx = pool_.get(tx_id)) {
-        auto body = std::make_shared<TxBody>();
-        body->tx = *tx;
-        send_to(msg.src, kMsgSend, tx->payload_bytes, std::move(body));
+        send_to(msg.src, kMsgSend, tx->payload_bytes, make_tx_body(*tx));
       }
       return;
     }

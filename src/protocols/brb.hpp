@@ -57,7 +57,9 @@ class BrbNode final : public ProtocolNode {
 
   // floor((n-1)/3): the most Byzantine nodes Bracha's quorums tolerate.
   std::size_t f_max() const { return (ctx_.node_count() - 1) / 3; }
-  void broadcast_vote(std::uint32_t type, std::uint64_t tx_id);
+  // Sends one shared `body` to every other node.
+  void broadcast(std::uint32_t type, std::size_t wire,
+                 const std::shared_ptr<const sim::MessageBody>& body);
   void maybe_progress(std::uint64_t tx_id, Instance& inst);
 
   Rng rng_;

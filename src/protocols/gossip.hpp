@@ -15,6 +15,13 @@ struct TxBody final : sim::Body<TxBody> {
   Transaction tx;
 };
 
+// The one body every copy of a broadcast of `tx` shares.
+inline std::shared_ptr<const TxBody> make_tx_body(const Transaction& tx) {
+  auto body = std::make_shared<TxBody>();
+  body->tx = tx;
+  return body;
+}
+
 class GossipNode : public ProtocolNode {
  public:
   GossipNode(ExperimentContext& ctx, net::NodeId id, GossipParams params);
@@ -31,10 +38,19 @@ class GossipNode : public ProtocolNode {
   static constexpr std::size_t kAdversaryExtraLinks = 32;
 
  protected:
-  // Sends tx to up to `count` random neighbors, excluding `except`.
-  void forward_to_neighbors(const Transaction& tx, std::size_t count,
+  // LØ relays its transactions over this gossip with its own rng fork.
+  GossipNode(ExperimentContext& ctx, net::NodeId id, GossipParams params,
+             Rng rng);
+
+  // Sends the transaction `body` to `count` random neighbors, excluding
+  // `except`. Once `count` reaches the degree, every neighbor gets it in
+  // adjacency order with no draw.
+  void forward_to_neighbors(const std::shared_ptr<const sim::MessageBody>& body,
+                            std::size_t wire, std::size_t count,
                             net::NodeId except);
-  void send_tx(net::NodeId dst, const Transaction& tx);
+  // Adversarial fast path: one body to every neighbor and to `extra_links`
+  // random far nodes over ad-hoc links.
+  void blast(const Transaction& tx, std::size_t extra_links);
 
   GossipParams params_;
   Rng rng_;

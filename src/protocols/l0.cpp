@@ -9,7 +9,8 @@ std::size_t digest_wire_bytes(std::size_t entries) { return 16 + entries * 4; }
 }  // namespace
 
 L0Node::L0Node(ExperimentContext& ctx, net::NodeId id)
-    : ProtocolNode(ctx, id), rng_(ctx.rng.fork(0x10ULL + id)) {}
+    : GossipNode(ctx, id, GossipParams{kTxFanout},
+                 ctx.rng.fork(0x10ULL + id)) {}
 
 void L0Node::on_start() { schedule_reconciliation(); }
 
@@ -46,79 +47,45 @@ void L0Node::schedule_reconciliation() {
   });
 }
 
-void L0Node::send_tx(net::NodeId dst, const Transaction& tx) {
-  auto body = std::make_shared<TxBody>();
-  body->tx = tx;
-  send_to(dst, kMsgTx, tx.payload_bytes, std::move(body));
+void L0Node::commit(const Transaction& tx) {
+  auto body = std::make_shared<CommitBody>();
+  body->commitment = mempool::Commitment{tx.hash()};
+  pool_.add_commitment(body->commitment);
+  gossip_commitment(body, id());
 }
 
-void L0Node::gossip_tx(const Transaction& tx, std::size_t fanout,
-                       net::NodeId except) {
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (nbrs.empty()) return;
-  if (fanout >= nbrs.size()) {
-    for (const auto& e : nbrs) {
-      if (e.to != except) send_tx(e.to, tx);
-    }
-    return;
-  }
-  for (std::size_t i : rng_.sample_indices(nbrs.size(), fanout)) {
-    if (nbrs[i].to != except) send_tx(nbrs[i].to, tx);
-  }
-}
-
-void L0Node::gossip_commitment(const mempool::Commitment& c, std::size_t fanout,
-                               net::NodeId except) {
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (nbrs.empty()) return;
-  const std::size_t count = std::min(fanout, nbrs.size());
-  for (std::size_t i : rng_.sample_indices(nbrs.size(), count)) {
-    if (nbrs[i].to == except) continue;
-    auto body = std::make_shared<CommitBody>();
-    body->commitment = c;
-    send_to(nbrs[i].to, kMsgCommit, sizeof(crypto::Digest) + 8, std::move(body));
-  }
+void L0Node::gossip_commitment(
+    const std::shared_ptr<const sim::MessageBody>& body, net::NodeId except) {
+  send_to_sample(rng_, kCommitFanout, except, kMsgCommit,
+                 sizeof(crypto::Digest) + 8, body);
 }
 
 void L0Node::submit(const Transaction& tx) {
   deliver_tx(tx);
   // Commit-before-reveal: the commitment precedes the body so witnesses can
   // later audit ordering claims.
-  const mempool::Commitment c{tx.hash()};
-  pool_.add_commitment(c);
-  gossip_commitment(c, kCommitFanout, id());
-  gossip_tx(tx, kTxFanout, id());
+  commit(tx);
+  forward_to_neighbors(make_tx_body(tx), tx.payload_bytes, kTxFanout, id());
 }
 
 void L0Node::fast_submit(const Transaction& tx) {
   // The adversary still has to commit (witnesses would catch an uncommitted
   // transaction), then blasts the body over ad-hoc links.
-  const mempool::Commitment c{tx.hash()};
-  pool_.add_commitment(c);
-  gossip_commitment(c, kCommitFanout, id());
-  gossip_tx(tx, ctx_.topology.graph.degree(id()), id());
-  for (std::size_t i = 0; i < kAdversaryExtraLinks; ++i) {
-    const net::NodeId dst =
-        static_cast<net::NodeId>(rng_.uniform_u64(ctx_.node_count()));
-    if (dst != id()) send_tx(dst, tx);
-  }
+  commit(tx);
+  blast(tx, kAdversaryExtraLinks);
 }
 
 void L0Node::on_message(const sim::Message& msg) {
   switch (msg.type) {
-    case kMsgTx: {
-      const Transaction& tx = msg.as<TxBody>().tx;
-      if (!deliver_tx(tx)) return;
-      if (!relays_tx(tx)) return;
-      gossip_tx(tx, kTxFanout, msg.src);
+    case kMsgTx:
+      GossipNode::on_message(msg);
       return;
-    }
     case kMsgCommit: {
       const auto& c = msg.as<CommitBody>().commitment;
       if (pool_.has_commitment(c.tx_hash)) return;
       pool_.add_commitment(c);
       if (!relays()) return;
-      gossip_commitment(c, kCommitFanout, msg.src);
+      gossip_commitment(msg.body, msg.src);
       return;
     }
     case kMsgDigest: {
@@ -129,7 +96,7 @@ void L0Node::on_message(const sim::Message& msg) {
       std::size_t pushed = 0;
       for (std::uint64_t id_missing : missing) {
         if (const auto tx = pool_.get(id_missing)) {
-          send_tx(msg.src, *tx);
+          send_to(msg.src, kMsgTx, tx->payload_bytes, make_tx_body(*tx));
           if (++pushed >= 32) break;  // bound per-round repair burst
         }
       }
@@ -151,7 +118,9 @@ void L0Node::on_message(const sim::Message& msg) {
     case kMsgTxRequest: {
       if (!relays()) return;
       for (std::uint64_t id_wanted : msg.as<TxRequestBody>().tx_ids) {
-        if (const auto tx = pool_.get(id_wanted)) send_tx(msg.src, *tx);
+        if (const auto tx = pool_.get(id_wanted)) {
+          send_to(msg.src, kMsgTx, tx->payload_bytes, make_tx_body(*tx));
+        }
       }
       return;
     }

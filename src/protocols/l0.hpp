@@ -27,7 +27,9 @@ struct TxRequestBody final : sim::Body<TxRequestBody> {
   std::vector<std::uint64_t> tx_ids;
 };
 
-class L0Node final : public ProtocolNode {
+// LØ's transactions travel over GossipNode's relay (its kMsgTx, at
+// kTxFanout, on LØ's own rng); the commitments and reconciliation are LØ's.
+class L0Node final : public GossipNode {
  public:
   L0Node(ExperimentContext& ctx, net::NodeId id);
 
@@ -48,7 +50,6 @@ class L0Node final : public ProtocolNode {
     return apos == SIZE_MAX ? SIZE_MAX : apos + (std::size_t{1} << 20);
   }
 
-  static constexpr std::uint32_t kMsgTx = 1;
   static constexpr std::uint32_t kMsgCommit = 2;
   static constexpr std::uint32_t kMsgDigest = 3;
   static constexpr std::uint32_t kMsgTxRequest = 4;
@@ -66,13 +67,12 @@ class L0Node final : public ProtocolNode {
   std::size_t reconciliations_started() const { return recon_rounds_; }
 
  private:
-  void gossip_tx(const Transaction& tx, std::size_t fanout, net::NodeId except);
-  void gossip_commitment(const mempool::Commitment& c, std::size_t fanout,
+  // Records tx's commitment and gossips it ahead of the body.
+  void commit(const Transaction& tx);
+  void gossip_commitment(const std::shared_ptr<const sim::MessageBody>& body,
                          net::NodeId except);
   void schedule_reconciliation();
-  void send_tx(net::NodeId dst, const Transaction& tx);
 
-  Rng rng_;
   std::size_t recon_rounds_ = 0;
   std::size_t last_recon_size_ = 0;
   std::size_t idle_skips_ = 0;

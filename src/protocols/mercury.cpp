@@ -110,13 +110,12 @@ void MercuryNode::schedule_vcs_tick() {
       if (relays()) {
         // hermeslint: allow(tag-exhaustive) signal-only body: receivers bill bandwidth on arrival and never read a payload
         struct VcsBody final : sim::Body<VcsBody> {};
+        const auto body = std::make_shared<const VcsBody>();
         for (net::NodeId p : dir_->intra_peers[id()]) {
-          send_to(p, kMsgVcsUpdate, kVcsUpdateBytes,
-                  std::make_shared<VcsBody>());
+          send_to(p, kMsgVcsUpdate, kVcsUpdateBytes, body);
         }
         for (net::NodeId g : dir_->gateways[id()]) {
-          send_to(g, kMsgVcsUpdate, kVcsUpdateBytes,
-                  std::make_shared<VcsBody>());
+          send_to(g, kMsgVcsUpdate, kVcsUpdateBytes, body);
         }
       }
       ctx_.engine.schedule(kVcsUpdateIntervalMs,
@@ -126,24 +125,22 @@ void MercuryNode::schedule_vcs_tick() {
   });
 }
 
-void MercuryNode::send_tx(net::NodeId dst, const Transaction& tx,
-                          std::uint32_t type) {
-  auto body = std::make_shared<TxBody>();
-  body->tx = tx;
-  send_to(dst, type, tx.payload_bytes, std::move(body));
-}
-
-void MercuryNode::intra_fanout(const Transaction& tx, net::NodeId except) {
+void MercuryNode::intra_fanout(
+    const std::shared_ptr<const sim::MessageBody>& body, std::size_t wire,
+    net::NodeId except) {
   for (net::NodeId p : dir_->intra_peers[id()]) {
-    if (p != except) send_tx(p, tx, kMsgTx);
+    if (p != except) send_to(p, kMsgTx, wire, body);
   }
 }
 
 void MercuryNode::outburst(const Transaction& tx) {
   // Early outburst: gateways first (they unlock whole clusters), then the
-  // local cluster peers.
-  for (net::NodeId g : dir_->gateways[id()]) send_tx(g, tx, kMsgGatewayTx);
-  intra_fanout(tx, id());
+  // local cluster peers, all sharing one body.
+  const auto body = make_tx_body(tx);
+  for (net::NodeId g : dir_->gateways[id()]) {
+    send_to(g, kMsgGatewayTx, tx.payload_bytes, body);
+  }
+  intra_fanout(body, tx.payload_bytes, id());
 }
 
 void MercuryNode::submit(const Transaction& tx) {
@@ -162,14 +159,14 @@ void MercuryNode::on_message(const sim::Message& msg) {
   const Transaction& tx = msg.as<TxBody>().tx;
   const bool fresh = deliver_tx(tx);
   if (!fresh || !relays_tx(tx)) return;
-  intra_fanout(tx, msg.src);
+  intra_fanout(msg.body, tx.payload_bytes, msg.src);
   if (msg.type == kMsgGatewayTx) {
     // We are a gateway for this transaction: besides fanning out in our
     // cluster, relay to our own gateways. With D_max - D_cluster gateways
     // per node, clusters beyond the sender's direct reach are covered in a
     // second inter-cluster hop (deduplication stops the recursion).
     for (net::NodeId g : dir_->gateways[id()]) {
-      if (g != msg.src) send_tx(g, tx, kMsgGatewayTx);
+      if (g != msg.src) send_to(g, kMsgGatewayTx, tx.payload_bytes, msg.body);
     }
   }
 }

@@ -57,9 +57,10 @@ class MercuryNode final : public ProtocolNode {
   static constexpr std::size_t kVcsUpdateBytes = 64;
 
  private:
-  void send_tx(net::NodeId dst, const Transaction& tx, std::uint32_t type);
   void outburst(const Transaction& tx);
-  void intra_fanout(const Transaction& tx, net::NodeId except);
+  // Sends the transaction `body` to this node's cluster peers but `except`.
+  void intra_fanout(const std::shared_ptr<const sim::MessageBody>& body,
+                    std::size_t wire, net::NodeId except);
   void schedule_vcs_tick();
 
   std::shared_ptr<const MercuryDirectory> dir_;

@@ -20,36 +20,11 @@ void NarwhalNode::record_certificate(std::uint64_t tx_id) {
 
 void NarwhalNode::broadcast_tx(const Transaction& tx) {
   // Broadcast over the connected topology (the paper's setup): the batch
-  // floods the physical graph, every node forwarding its first copy to all
-  // neighbors. Byzantine relays simply sit on it, which is what produces
-  // Narwhal's robustness curve in Figure 5b.
-  flood_neighbors_tx(tx, id());
-}
-
-void NarwhalNode::flood_neighbors_tx(const Transaction& tx,
-                                     net::NodeId except) {
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (nbrs.empty()) return;
-  const std::size_t count = std::min(kFloodFanout, nbrs.size());
-  for (std::size_t i : rng_.sample_indices(nbrs.size(), count)) {
-    if (nbrs[i].to == except) continue;
-    auto body = std::make_shared<TxBody>();
-    body->tx = tx;
-    send_to(nbrs[i].to, kMsgTx, tx.payload_bytes, std::move(body));
-  }
-}
-
-void NarwhalNode::flood_neighbors_cert(const CertBody& cert,
-                                       net::NodeId except) {
-  const auto& nbrs = ctx_.topology.graph.neighbors(id());
-  if (nbrs.empty()) return;
-  const std::size_t cert_wire = 48 + quorum() * 36;
-  const std::size_t count = std::min(kFloodFanout, nbrs.size());
-  for (std::size_t i : rng_.sample_indices(nbrs.size(), count)) {
-    if (nbrs[i].to == except) continue;
-    auto body = std::make_shared<CertBody>(cert);
-    send_to(nbrs[i].to, kMsgCert, cert_wire, std::move(body));
-  }
+  // floods the physical graph, every node forwarding its first copy to
+  // kFloodFanout sampled neighbors. Byzantine relays simply sit on it,
+  // which is what produces Narwhal's robustness curve in Figure 5b.
+  send_to_sample(rng_, kFloodFanout, id(), kMsgTx, tx.payload_bytes,
+                 make_tx_body(tx));
 }
 
 void NarwhalNode::submit(const Transaction& tx) {
@@ -87,11 +62,8 @@ void NarwhalNode::retransmit_unacked(const Transaction& tx, int round) {
     }
     rng_.shuffle(non_ackers);
     if (non_ackers.size() > needed) non_ackers.resize(needed);
-    for (net::NodeId v : non_ackers) {
-      auto body = std::make_shared<TxBody>();
-      body->tx = tx;
-      send_to(v, kMsgTx, tx.payload_bytes, std::move(body));
-    }
+    const auto body = make_tx_body(tx);
+    for (net::NodeId v : non_ackers) send_to(v, kMsgTx, tx.payload_bytes, body);
     retransmit_unacked(tx, round + 1);
   });
 }
@@ -108,12 +80,12 @@ void NarwhalNode::request_repair(std::uint64_t tx_id,
   constexpr int kMaxRounds = 3;
   if (round >= kMaxRounds || pool_.seen(tx_id)) return;
   rng_.shuffle(signers);
+  auto fetch = std::make_shared<FetchBody>();
+  fetch->tx_id = tx_id;
   std::size_t asked = 0;
   for (net::NodeId s : signers) {
     if (s == id()) continue;
-    auto fetch = std::make_shared<FetchBody>();
-    fetch->tx_id = tx_id;
-    send_to(s, kMsgFetch, 48, std::move(fetch));
+    send_to(s, kMsgFetch, 48, fetch);
     if (++asked >= kRepairRequests) break;
   }
   ctx_.engine.schedule(kRepairTimeoutMs, [this, tx_id, signers, round] {
@@ -130,7 +102,10 @@ void NarwhalNode::on_message(const sim::Message& msg) {
       // the attacker itself sit on the victim's batch — block order is
       // decided by certificates here, so co-conspirators gain nothing from
       // detectable relay censorship.
-      if (fresh && relays() && !is_my_victim(tx)) flood_neighbors_tx(tx, msg.src);
+      if (fresh && relays() && !is_my_victim(tx)) {
+        send_to_sample(rng_, kFloodFanout, msg.src, kMsgTx, tx.payload_bytes,
+                       msg.body);
+      }
       // Ack to the batch creator. Byzantine droppers DO ack: acking is
       // cheap and gets them listed as certificate signers, whose fetches
       // they then refuse to serve. The front-running attacker withholds
@@ -155,17 +130,14 @@ void NarwhalNode::on_message(const sim::Message& msg) {
         ++certs_formed_;
         record_certificate(tx_id);
         // Broadcast the availability certificate with a signer sample large
-        // enough for repair.
-        std::vector<net::NodeId> sample = signers;
-        if (sample.size() > 16) sample.resize(16);
-        // A real availability certificate carries 2f+1 signatures; that
-        // quorum-sized payload (not the repair sample) is what dominates
-        // Narwhal's wire cost as n grows (Figure 3b). Certificates flood
-        // the topology like the batches do.
-        CertBody cert;
-        cert.tx_id = tx_id;
-        cert.signers = sample;
-        flood_neighbors_cert(cert, id());
+        // enough for repair. Certificates flood the topology like the
+        // batches do.
+        auto cert = std::make_shared<CertBody>();
+        cert->tx_id = tx_id;
+        cert->signers = signers;
+        if (cert->signers.size() > 16) cert->signers.resize(16);
+        send_to_sample(rng_, kFloodFanout, id(), kMsgCert, cert_wire_bytes(),
+                       cert);
       }
       return;
     }
@@ -173,7 +145,10 @@ void NarwhalNode::on_message(const sim::Message& msg) {
       const auto& cert = msg.as<CertBody>();
       const bool fresh = cert_position_.count(cert.tx_id) == 0;
       record_certificate(cert.tx_id);
-      if (fresh && relays()) flood_neighbors_cert(cert, msg.src);
+      if (fresh && relays()) {
+        send_to_sample(rng_, kFloodFanout, msg.src, kMsgCert,
+                       cert_wire_bytes(), msg.body);
+      }
       if (pool_.seen(cert.tx_id)) return;
       // Hole: the flood missed us but the certificate proves availability.
       // Pull from signers, re-trying fresh ones until the payload lands.
@@ -184,9 +159,7 @@ void NarwhalNode::on_message(const sim::Message& msg) {
       if (!relays()) return;  // byzantine: refuse to serve
       const std::uint64_t tx_id = msg.as<FetchBody>().tx_id;
       if (const auto tx = pool_.get(tx_id)) {
-        auto body = std::make_shared<TxBody>();
-        body->tx = *tx;
-        send_to(msg.src, kMsgTx, tx->payload_bytes, std::move(body));
+        send_to(msg.src, kMsgTx, tx->payload_bytes, make_tx_body(*tx));
       }
       return;
     }

@@ -6,24 +6,22 @@ SimpleTreeNode::SimpleTreeNode(ExperimentContext& ctx, net::NodeId id,
                                std::shared_ptr<const overlay::Overlay> tree)
     : ProtocolNode(ctx, id), tree_(std::move(tree)) {}
 
-void SimpleTreeNode::forward(const Transaction& tx) {
+void SimpleTreeNode::forward(const std::shared_ptr<const sim::MessageBody>& body,
+                             std::size_t wire) {
   for (net::NodeId succ : tree_->successors(id())) {
-    auto body = std::make_shared<TxBody>();
-    body->tx = tx;
-    send_to(succ, kMsgTx, tx.payload_bytes, std::move(body));
+    send_to(succ, kMsgTx, wire, body);
   }
 }
 
 void SimpleTreeNode::submit(const Transaction& tx) {
   deliver_tx(tx);
+  const auto body = make_tx_body(tx);
   for (net::NodeId entry : tree_->entry_points()) {
     if (entry == id()) {
-      forward(tx);
-      continue;
+      forward(body, tx.payload_bytes);
+    } else {
+      send_to(entry, kMsgTx, tx.payload_bytes, body);
     }
-    auto body = std::make_shared<TxBody>();
-    body->tx = tx;
-    send_to(entry, kMsgTx, tx.payload_bytes, std::move(body));
   }
 }
 
@@ -32,7 +30,7 @@ void SimpleTreeNode::on_message(const sim::Message& msg) {
   const Transaction& tx = msg.as<TxBody>().tx;
   if (!deliver_tx(tx)) return;
   if (!relays_tx(tx)) return;
-  forward(tx);
+  forward(msg.body, tx.payload_bytes);
 }
 
 std::unique_ptr<ProtocolNode> SimpleTreeProtocol::make_node(

@@ -23,7 +23,9 @@ class SimpleTreeNode final : public ProtocolNode {
   static constexpr std::uint32_t kMsgTx = 1;
 
  private:
-  void forward(const Transaction& tx);
+  // Sends the transaction `body` to this node's tree successors.
+  void forward(const std::shared_ptr<const sim::MessageBody>& body,
+               std::size_t wire);
   std::shared_ptr<const overlay::Overlay> tree_;
 };
 

@@ -3,7 +3,9 @@
 // engine worker counts {1, 2, 4} must produce the byte-identical send
 // trace AND the identical attacker-economics report. This extends the
 // fuzz corpus contract (tests/fuzz/test_workers_determinism.cpp) to the
-// workload engine: parallelism may only change wall-clock time.
+// workload engine: parallelism may only change wall-clock time. It covers
+// the four protocols bench_workload runs, so the tsan preset checks every
+// message body their lanes share.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +15,8 @@
 
 #include "crypto/sha256.hpp"
 #include "hermes/hermes_node.hpp"
+#include "protocols/l0.hpp"
+#include "protocols/mercury.hpp"
 #include "protocols/narwhal.hpp"
 #include "support/bytes.hpp"
 #include "workload/driver.hpp"
@@ -127,6 +131,14 @@ TEST_F(WorkloadWorkers, HermesLoadedTraceAndEconomicsIdentical) {
 
 TEST_F(WorkloadWorkers, NarwhalLoadedTraceAndEconomicsIdentical) {
   check([] { return std::make_unique<protocols::NarwhalProtocol>(); }, 2027);
+}
+
+TEST_F(WorkloadWorkers, L0LoadedTraceAndEconomicsIdentical) {
+  check([] { return std::make_unique<protocols::L0Protocol>(); }, 2028);
+}
+
+TEST_F(WorkloadWorkers, MercuryLoadedTraceAndEconomicsIdentical) {
+  check([] { return std::make_unique<protocols::MercuryProtocol>(); }, 2029);
 }
 
 }  // namespace
