@@ -1166,7 +1166,11 @@ bool BigInt::operator==(const BigInt& o) const {
 }
 
 std::string BigInt::to_string_hex() const {
-  return (neg_ ? "-" : "") + mag_.to_hex();
+  // Appended, not `"-" + hex`: g++ 12 at -O3 misreads that as an
+  // overlapping copy (-Wrestrict).
+  std::string out = neg_ ? "-" : "";
+  out += mag_.to_hex();
+  return out;
 }
 
 BigUint BigInt::mod_positive(const BigUint& m) const {

@@ -111,7 +111,9 @@ TEST(Rsa, SafePrimeIsSafe) {
 TEST(Rsa, FdhEncodeBelowModulus) {
   const auto& key = test_key();
   for (int i = 0; i < 10; ++i) {
-    Bytes msg = to_bytes("m" + std::to_string(i));
+    std::string text = "m";
+    text += std::to_string(i);
+    Bytes msg = to_bytes(text);
     EXPECT_LT(fdh_encode(msg, key.pub.n), key.pub.n);
   }
 }

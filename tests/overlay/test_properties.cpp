@@ -151,9 +151,13 @@ TEST_P(OverlayPipelineProperty, RanksArePositiveAndBounded) {
 }
 
 std::string grid_name(const ::testing::TestParamInfo<Params>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
-         std::to_string(std::get<1>(info.param)) + "_k" +
-         std::to_string(std::get<2>(info.param));
+  std::string name = "n";
+  name += std::to_string(std::get<0>(info.param));
+  name += "_f";
+  name += std::to_string(std::get<1>(info.param));
+  name += "_k";
+  name += std::to_string(std::get<2>(info.param));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, OverlayPipelineProperty,

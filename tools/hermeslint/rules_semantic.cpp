@@ -122,12 +122,14 @@ void check_lock_discipline(const Index& idx, std::vector<Finding>* out) {
       if (fn.body_idents.count(gf.field) == 0) continue;
       if (fn.locked_mutexes.count(gf.mutex) != 0) continue;
       if (fn.required_mutexes.count(gf.mutex) != 0) continue;
-      out->push_back(
-          {fn.file, fn.line, kLockDiscipline,
-           "'" + qualified(fn) + "' accesses '" + gf.cls + "::" + gf.field +
-               "' (HERMES_GUARDED_BY '" + gf.mutex +
-               "') without locking it; take a lock_guard/unique_lock or "
-               "annotate the function HERMES_REQUIRES(" + gf.mutex + ")"});
+      // Appended to a string that starts with the quote: a leading
+      // `"'" + ...` trips g++ 12's -Wrestrict at -O3.
+      std::string message = "'";
+      message += qualified(fn) + "' accesses '" + gf.cls + "::" + gf.field +
+                 "' (HERMES_GUARDED_BY '" + gf.mutex +
+                 "') without locking it; take a lock_guard/unique_lock or "
+                 "annotate the function HERMES_REQUIRES(" + gf.mutex + ")";
+      out->push_back({fn.file, fn.line, kLockDiscipline, std::move(message)});
     }
   }
 
