@@ -260,7 +260,9 @@ void InvariantSuite::check_duplicates(std::vector<Failure>& out) const {
   for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
     if (!honest(v)) continue;
     std::unordered_set<std::uint64_t> seen;
-    for (std::uint64_t id : ctx_.node(v).pool().arrival_order()) {
+    for (const mempool::Mempool::Entry& entry :
+         ctx_.node(v).pool().arrival_log()) {
+      const std::uint64_t id = entry.id();
       if (seen.insert(id).second) continue;
       std::ostringstream detail;
       detail << "honest node " << v << " delivered tx " << id << " twice";
@@ -781,7 +783,8 @@ void InvariantSuite::check_mempool_pressure(std::vector<Failure>& out) const {
     // means cross-tx interleaving inside the submission path. (A repeated
     // id is no-duplicate-delivery's.)
     std::uint64_t last_own_load_seq = 0;
-    for (std::uint64_t id : pool.arrival_order()) {
+    for (const mempool::Mempool::Entry& entry : pool.arrival_log()) {
+      const std::uint64_t id = entry.id();
       if (static_cast<net::NodeId>(id >> 32) == v &&
           load_injected_.count(id) > 0) {
         const std::uint64_t seq = id & 0xffffffffULL;
@@ -801,8 +804,10 @@ void InvariantSuite::check_mempool_pressure(std::vector<Failure>& out) const {
 std::vector<Failure> InvariantSuite::finish() {
   for (net::NodeId v = 0; v < ctx_.node_count(); ++v) {
     if (!honest(v)) continue;
-    const auto& delivered = ctx_.node(v).pool().arrival_order();
-    honest_delivered_.insert(delivered.begin(), delivered.end());
+    for (const mempool::Mempool::Entry& entry :
+         ctx_.node(v).pool().arrival_log()) {
+      honest_delivered_.insert(entry.id());
+    }
   }
   std::vector<Failure> out;
   check_duplicates(out);

@@ -89,12 +89,13 @@ HermesNode::HermesNode(ExperimentContext& ctx, net::NodeId id,
 }
 
 void HermesNode::submit(const Transaction& tx) {
-  deliver_tx(tx);
+  deliver_own(tx);
   request_trs(tx);
 }
 
 void HermesNode::fast_submit(const Transaction& tx) {
   // No privileged lane exists: go through the committee like everyone else.
+  deliver_own(tx);
   request_trs(tx);
   if (!shared_->config.adversary_blind_blast) return;
   // Naive-adversary mode: blast without a certificate — honest receivers
@@ -155,10 +156,13 @@ void HermesNode::send_trs_request(const TrsId& trs, int attempt) {
 
 void HermesNode::submit_batch(std::vector<Transaction> txs) {
   HERMES_REQUIRE(!txs.empty());
-  for (const Transaction& tx : txs) deliver_tx(tx);
+  // The origin's own record of every member, kept until dissemination.
+  const auto own =
+      std::make_shared<const std::vector<Transaction>>(std::move(txs));
+  for (const Transaction& tx : *own) deliver_tx(own, tx);
   const std::uint64_t seq = allocate_seq();
-  TrsId trs{id(), seq, mempool::batch_hash(txs)};
-  pending_batches_.emplace(trs.key(), std::move(txs));
+  TrsId trs{id(), seq, mempool::batch_hash(*own)};
+  pending_batches_.emplace(trs.key(), own);
   send_trs_request(trs, /*attempt=*/0);
 }
 
@@ -244,7 +248,7 @@ void HermesNode::absorb_chunk(BatchAssembly& assembly,
                                  chunk.total_shards - chunk.data_shards);
   const auto payload = code.decode(assembly.shards);
   if (!payload) return;
-  const auto txs = mempool::deserialize_batch(*payload);
+  auto txs = mempool::deserialize_batch(*payload);
   if (!txs) return;
   if (mempool::batch_hash(*txs) != chunk.trs.tx_hash) {
     // Some shard is not the certified batch's; which one is unknown, so
@@ -255,7 +259,10 @@ void HermesNode::absorb_chunk(BatchAssembly& assembly,
   assembly.decoded = true;
   assembly.shards.clear();
   ++batches_decoded_;
-  for (const Transaction& tx : *txs) deliver_tx(tx);
+  // Every member's entry shares the decoded vector.
+  const auto decoded =
+      std::make_shared<const std::vector<Transaction>>(std::move(*txs));
+  for (const Transaction& tx : *decoded) deliver_tx(decoded, tx);
   // The batch consumed one sequence number of its origin: close it, or
   // gap detection would chase a hole that is not a missing transaction.
   if (healing_enabled()) {
@@ -436,9 +443,9 @@ void HermesNode::on_certified(const TrsId& trs, const Bytes& certificate) {
     disseminate(tx, trs, certificate, overlay_index);
   } else if (const auto batch = pending_batches_.find(trs.key());
              batch != pending_batches_.end()) {
-    const std::vector<Transaction> txs = std::move(batch->second);
+    const auto txs = std::move(batch->second);
     pending_batches_.erase(batch);
-    disseminate_batch(txs, trs, certificate, overlay_index);
+    disseminate_batch(*txs, trs, certificate, overlay_index);
   }
 }
 
@@ -547,8 +554,8 @@ void HermesNode::on_data(const sim::Message& msg) {
 bool HermesNode::bound_to_trs(net::NodeId src, const DataBody& d) {
   // Once forwarded, accept_and_forward ignores the body, so only the
   // first receipts pay for the hash.
-  const Held* held = find_held(d.tx.id);
-  if (held != nullptr && held->forwarded) return true;
+  const mempool::Mempool::Entry* entry = pool_.find(d.tx.id);
+  if (entry != nullptr && entry->forwarded()) return true;
   if (d.trs.origin == d.tx.sender && d.trs.seq == d.tx.sender_seq &&
       d.trs.tx_hash == d.tx.hash()) {
     return true;
@@ -560,9 +567,9 @@ bool HermesNode::bound_to_trs(net::NodeId src, const DataBody& d) {
 bool HermesNode::verified_copy(const DataBody& d) const {
   // Every generation shares one threshold scheme (clone_shared_for_next_
   // epoch copies the pointer), so a verdict holds whatever the epoch.
-  const Held* held = find_held(d.tx.id);
-  return held != nullptr && held->body->trs == d.trs &&
-         held->body->certificate == d.certificate;
+  const DataBody* held = find_held(d.tx.id);
+  return held != nullptr && held->trs == d.trs &&
+         held->certificate == d.certificate;
 }
 
 bool HermesNode::admissible(net::NodeId src, const HermesShared& shared,
@@ -612,30 +619,30 @@ bool HermesNode::admissible(net::NodeId src, const HermesShared& shared,
   return true;
 }
 
-HermesNode::Held& HermesNode::remember(
-    const std::shared_ptr<const DataBody>& body) {
-  const auto [it, created] = held_.try_emplace(body->tx.id, Held{body});
-  if (created && shared_->config.enable_fallback) {
+void HermesNode::remember(const std::shared_ptr<const DataBody>& body) {
+  // The transaction was delivered here first, from this body, from the
+  // origin's own record or from a decoded batch: bind() requires its entry.
+  if (pool_.bind(body->tx.id, body) && shared_->config.enable_fallback) {
     schedule_fallback(body->tx.id);
   }
-  return it->second;
 }
 
-const HermesNode::Held* HermesNode::find_held(std::uint64_t tx_id) const {
-  const auto it = held_.find(tx_id);
-  return it == held_.end() ? nullptr : &it->second;
+const DataBody* HermesNode::find_held(std::uint64_t tx_id) const {
+  const mempool::Mempool::Entry* entry = pool_.find(tx_id);
+  return entry != nullptr && entry->bound()
+             ? static_cast<const DataBody*>(entry->record().get())
+             : nullptr;
 }
 
 void HermesNode::accept_and_forward(
     const HermesShared& shared, const std::shared_ptr<const DataBody>& body) {
   const Transaction& tx = body->tx;
-  deliver_tx(tx);
+  deliver_tx(body, tx);
   // Forward exactly once per transaction. Delivery and forwarding are
   // deduplicated separately: a sender that is itself an entry point has
   // already delivered its own transaction but must still forward it.
-  Held& held = remember(body);
-  if (held.forwarded) return;
-  held.forwarded = true;
+  remember(body);
+  if (!pool_.mark_forwarded(tx.id)) return;
   // Sequence-continuity bookkeeping per origin (reordering across overlays
   // is legitimate; persistent holes are repaired by the fallback).
   if (healing_enabled()) {
@@ -722,9 +729,14 @@ void HermesNode::on_fallback_request(const sim::Message& msg) {
   if (!relays()) return;
   for (std::uint64_t tx_id : msg.as<FallbackRequestBody>().tx_ids) {
     // A payload this node no longer holds (fee-evicted) is not served.
-    const Held* held = find_held(tx_id);
-    if (held == nullptr || !pool_.contains(tx_id)) continue;
-    send_to(msg.src, kMsgFallback, data_wire(*held->body), held->body);
+    const mempool::Mempool::Entry* entry = pool_.find(tx_id);
+    if (entry == nullptr || !entry->bound() ||
+        entry->state() != mempool::Mempool::Admission::kResident) {
+      continue;
+    }
+    auto held = std::static_pointer_cast<const DataBody>(entry->record());
+    const std::size_t wire = data_wire(*held);
+    send_to(msg.src, kMsgFallback, wire, std::move(held));
   }
 }
 
@@ -1304,14 +1316,14 @@ void HermesNode::flush_ack(std::uint64_t tx_id, std::size_t overlay_index) {
   state.pending = 0;
   state.flushed = true;
 
-  const Held* held = find_held(tx_id);
-  const net::NodeId origin = held != nullptr ? held->body->trs.origin : id();
+  const DataBody* held = find_held(tx_id);
+  const net::NodeId origin = held != nullptr ? held->trs.origin : id();
   if (origin == id()) {
     acks_of_[tx_id] += count;
     return;
   }
   const HermesShared* shared =
-      held != nullptr ? shared_for_epoch(held->body->epoch) : shared_.get();
+      held != nullptr ? shared_for_epoch(held->epoch) : shared_.get();
   if (shared == nullptr || overlay_index >= shared->overlays.size()) return;
   const overlay::Overlay& ov = shared->overlays[overlay_index];
   auto body = std::make_shared<AckUpBody>();

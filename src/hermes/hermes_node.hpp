@@ -48,8 +48,9 @@ struct TrsPartialBody final : sim::Body<TrsPartialBody> {
 };
 // The certified tuple (tx, TRS, certificate) of one transaction. The
 // origin builds one immutable body; every node forwards the body it
-// received and keeps it to answer fallback pulls (tag kMsgFallback), so
-// one allocation serves the whole network.
+// received and keeps it in its pool entry, which reads the transaction
+// there, to answer fallback pulls (tag kMsgFallback), so one allocation
+// serves the whole network.
 struct DataBody final : sim::Body<DataBody> {
   Transaction tx;
   TrsId trs;
@@ -360,18 +361,14 @@ class HermesNode final : public ProtocolNode {
   bool bound_to_trs(net::NodeId src, const DataBody& d);
   void accept_and_forward(const HermesShared& shared,
                           const std::shared_ptr<const DataBody>& body);
-  // One record per transaction this node holds: the body it received (or,
-  // at the origin, built), kept for fallback pulls, ack routing and the
-  // certificate rule, and whether this node has forwarded it.
-  struct Held {
-    std::shared_ptr<const DataBody> body;
-    bool forwarded = false;
-  };
-  // The record of `body`'s transaction, created (queuing its offer rounds)
-  // the first time.
-  Held& remember(const std::shared_ptr<const DataBody>& body);
-  // The record of `tx_id`; nullptr when this node holds no body of it.
-  const Held* find_held(std::uint64_t tx_id) const;
+  // The held record is the transaction's pool entry: the body this node
+  // received (or, at the origin, built), kept for fallback pulls, ack
+  // routing and the certificate rule, and whether this node has forwarded
+  // it. remember() binds `body` to the entry the first time (queuing its
+  // offer rounds); the entry must exist.
+  void remember(const std::shared_ptr<const DataBody>& body);
+  // The body bound to `tx_id`'s entry; nullptr when this node holds none.
+  const DataBody* find_held(std::uint64_t tx_id) const;
   // Whether `d` carries the TRS and certificate of the body this node
   // holds for its transaction. That body's certificate was verified on
   // arrival or built here from the combined signature, so an equal copy
@@ -471,8 +468,11 @@ class HermesNode final : public ProtocolNode {
   // Sender-side state.
   TrsCollector collector_;
   std::unordered_map<std::string, Transaction> pending_;
-  // Batches awaiting their TRS, keyed like pending_.
-  std::unordered_map<std::string, std::vector<Transaction>> pending_batches_;
+  // Batches awaiting their TRS, keyed like pending_: the origin's own
+  // record of the members, which its pool entries share.
+  std::unordered_map<std::string,
+                     std::shared_ptr<const std::vector<Transaction>>>
+      pending_batches_;
   std::size_t trs_requests_ = 0;
 
   // Committee-side state.
@@ -483,7 +483,6 @@ class HermesNode final : public ProtocolNode {
   // Dissemination state.
   std::unordered_map<std::size_t, std::vector<std::vector<net::NodeId>>>
       route_cache_;
-  std::unordered_map<std::uint64_t, Held> held_;  // by tx id
   // Fallback offer rounds still to send. Due ticks only grow, so the queue
   // stays sorted by pushing at the back.
   struct FallbackDue {

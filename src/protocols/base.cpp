@@ -47,22 +47,38 @@ mempool::Block ProtocolNode::propose_block(std::uint64_t height,
                                            std::size_t max_txs) const {
   std::vector<mempool::OrderedCandidate> candidates;
   candidates.reserve(pool_.size());
-  for (std::uint64_t tx_id : pool_.arrival_order()) {
+  for (const mempool::Mempool::Entry& entry : pool_.arrival_log()) {
     // Evicted/rejected/committed entries stay in the arrival log for
     // position stability but are not proposable.
-    const auto tx = pool_.get(tx_id);
-    if (!tx.has_value()) continue;
+    if (entry.state() != mempool::Mempool::Admission::kResident) continue;
     candidates.push_back(
-        mempool::OrderedCandidate{tx_id, ordering_position(*tx)});
+        mempool::OrderedCandidate{entry.id(), ordering_position(entry.tx())});
   }
   return mempool::build_block(id(), height, now(), std::move(candidates),
                               max_txs);
 }
 
-bool ProtocolNode::deliver_tx(const Transaction& tx) {
-  if (!pool_.insert(tx, now())) return false;
+bool ProtocolNode::deliver_tx(std::shared_ptr<const void> record,
+                              const Transaction& tx) {
+  if (!pool_.insert(std::move(record), tx, now())) return false;
   if (tx.sender != id()) maybe_front_run(tx);
   return true;
+}
+
+std::shared_ptr<const TxBody> ProtocolNode::deliver_own(const Transaction& tx) {
+  auto body = make_tx_body(tx);
+  deliver_tx(body, body->tx);
+  return body;
+}
+
+std::shared_ptr<const TxBody> ProtocolNode::held_tx_body(
+    std::uint64_t tx_id) const {
+  const mempool::Mempool::Entry* entry = pool_.find(tx_id);
+  if (entry == nullptr ||
+      entry->state() != mempool::Mempool::Admission::kResident) {
+    return nullptr;
+  }
+  return std::static_pointer_cast<const TxBody>(entry->record());
 }
 
 std::size_t ProtocolNode::send_to_sample(
@@ -111,8 +127,7 @@ void ProtocolNode::launch_front_run(const Transaction& victim) {
   attack.victim_id = victim.id;
   ctx_.adversarial_of.emplace(victim.id, attack);
   ctx_.tracker.on_created(attack.id, now());
-  deliver_tx(attack);  // it is in the attacker's own mempool instantly
-  fast_submit(attack);
+  fast_submit(attack);  // it is in the attacker's own mempool instantly
 }
 
 void populate(ExperimentContext& ctx, Protocol& protocol) {

@@ -34,6 +34,19 @@ enum class Behavior : std::uint8_t {
 
 class ProtocolNode;
 
+// A transaction body: what every baseline sends, and the record a
+// transaction originating at a node is kept in there.
+struct TxBody final : sim::Body<TxBody> {
+  Transaction tx;
+};
+
+// The one body every copy of a broadcast of `tx` shares.
+inline std::shared_ptr<const TxBody> make_tx_body(const Transaction& tx) {
+  auto body = std::make_shared<TxBody>();
+  body->tx = tx;
+  return body;
+}
+
 // Shared state of one experiment run: the simulated world plus the
 // measurement instruments.
 struct ExperimentContext {
@@ -125,11 +138,13 @@ class ProtocolNode : public sim::Node {
     return it != ctx_.adversarial_of.end() && it->second.sender == id();
   }
 
-  // Client-facing injection point: disseminate `tx` originating here.
+  // Client-facing injection point: delivers `tx` originating here to this
+  // node's own mempool, then disseminates it.
   virtual void submit(const Transaction& tx) = 0;
   // The fastest dissemination an adversary at this node can mount for its
-  // front-running transaction. Defaults to the normal protocol path;
-  // protocols whose rules permit direct blasting override this.
+  // front-running transaction, which it too delivers here first. Defaults
+  // to the normal protocol path; protocols whose rules permit direct
+  // blasting override this.
   virtual void fast_submit(const Transaction& tx) { submit(tx); }
   // Called once after all nodes exist (timers, initial state).
   virtual void on_start() {}
@@ -140,9 +155,17 @@ class ProtocolNode : public sim::Node {
   std::uint64_t allocate_seq() { return ++last_seq_; }
 
  protected:
-  // Inserts into the mempool (the record of first delivery) and fires the
-  // front-running hook. Returns true when the transaction was new.
-  bool deliver_tx(const Transaction& tx);
+  // Inserts `tx`, which lives inside `record` (the body it arrived in), into
+  // the mempool (the record of first delivery) and fires the front-running
+  // hook. Returns true when the transaction was new.
+  bool deliver_tx(std::shared_ptr<const void> record, const Transaction& tx);
+  // Delivers `tx`, originating here, in a body of its own and returns that
+  // body: the one the origin broadcasts and keeps.
+  std::shared_ptr<const TxBody> deliver_own(const Transaction& tx);
+  // The body this node keeps for resident `tx_id`, which a pull or fetch
+  // answer sends; nullptr when it is not resident. Every record of a
+  // baseline's pool is a TxBody: the one it received or its own.
+  std::shared_ptr<const TxBody> held_tx_body(std::uint64_t tx_id) const;
 
   // The one sampled fan-out: sends one shared `body` to min(count, degree)
   // physical neighbors drawn with rng.sample_indices, skipping `except` (a

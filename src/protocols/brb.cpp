@@ -22,12 +22,12 @@ void BrbNode::broadcast(std::uint32_t type, std::size_t wire,
 }
 
 void BrbNode::submit(const Transaction& tx) {
-  deliver_tx(tx);
+  const auto body = deliver_own(tx);
   Instance& inst = instances_[tx.id];
   inst.have_payload = true;
   inst.echoed = true;
   inst.echoes.insert(id());
-  broadcast(kMsgSend, tx.payload_bytes, make_tx_body(tx));
+  broadcast(kMsgSend, tx.payload_bytes, body);
   broadcast(kMsgEcho, 16, vote_body(tx.id));
   maybe_progress(tx.id, inst);
 }
@@ -61,7 +61,7 @@ void BrbNode::on_message(const sim::Message& msg) {
   switch (msg.type) {
     case kMsgSend: {
       const Transaction& tx = msg.as<TxBody>().tx;
-      const bool fresh = deliver_tx(tx);
+      const bool fresh = deliver_tx(msg.body, tx);
       Instance& inst = instances_[tx.id];
       inst.have_payload = true;
       if (fresh && !inst.echoed && relays_tx(tx)) {
@@ -89,8 +89,9 @@ void BrbNode::on_message(const sim::Message& msg) {
     case kMsgFetch: {
       if (!relays()) return;
       const std::uint64_t tx_id = msg.as<BrbVoteBody>().tx_id;
-      if (const auto tx = pool_.get(tx_id)) {
-        send_to(msg.src, kMsgSend, tx->payload_bytes, make_tx_body(*tx));
+      if (auto body = held_tx_body(tx_id)) {
+        const std::size_t wire = body->tx.payload_bytes;
+        send_to(msg.src, kMsgSend, wire, std::move(body));
       }
       return;
     }

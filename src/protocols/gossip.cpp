@@ -23,31 +23,30 @@ void GossipNode::forward_to_neighbors(
   }
 }
 
-void GossipNode::blast(const Transaction& tx, std::size_t extra_links) {
-  const auto body = make_tx_body(tx);
-  forward_to_neighbors(body, tx.payload_bytes,
-                       ctx_.topology.graph.degree(id()), id());
+void GossipNode::blast(const std::shared_ptr<const TxBody>& body,
+                       std::size_t extra_links) {
+  const std::size_t wire = body->tx.payload_bytes;
+  forward_to_neighbors(body, wire, ctx_.topology.graph.degree(id()), id());
   for (std::size_t i = 0; i < extra_links; ++i) {
     const net::NodeId dst =
         static_cast<net::NodeId>(rng_.uniform_u64(ctx_.node_count()));
-    if (dst != id()) send_to(dst, kMsgTx, tx.payload_bytes, body);
+    if (dst != id()) send_to(dst, kMsgTx, wire, body);
   }
 }
 
 void GossipNode::submit(const Transaction& tx) {
-  deliver_tx(tx);
-  forward_to_neighbors(make_tx_body(tx), tx.payload_bytes, params_.fanout,
+  forward_to_neighbors(deliver_own(tx), tx.payload_bytes, params_.fanout,
                        id());
 }
 
 void GossipNode::fast_submit(const Transaction& tx) {
-  blast(tx, kAdversaryExtraLinks);
+  blast(deliver_own(tx), kAdversaryExtraLinks);
 }
 
 void GossipNode::on_message(const sim::Message& msg) {
   if (msg.type != kMsgTx) return;
   const Transaction& tx = msg.as<TxBody>().tx;
-  if (!deliver_tx(tx)) return;       // duplicate
+  if (!deliver_tx(msg.body, tx)) return;  // duplicate
   if (!relays_tx(tx)) return;        // droppers / front-run censorship
   forward_to_neighbors(msg.body, tx.payload_bytes, params_.fanout, msg.src);
 }

@@ -11,17 +11,6 @@ struct GossipParams {
   std::size_t fanout = 8;
 };
 
-struct TxBody final : sim::Body<TxBody> {
-  Transaction tx;
-};
-
-// The one body every copy of a broadcast of `tx` shares.
-inline std::shared_ptr<const TxBody> make_tx_body(const Transaction& tx) {
-  auto body = std::make_shared<TxBody>();
-  body->tx = tx;
-  return body;
-}
-
 class GossipNode : public ProtocolNode {
  public:
   GossipNode(ExperimentContext& ctx, net::NodeId id, GossipParams params);
@@ -48,9 +37,10 @@ class GossipNode : public ProtocolNode {
   void forward_to_neighbors(const std::shared_ptr<const sim::MessageBody>& body,
                             std::size_t wire, std::size_t count,
                             net::NodeId except);
-  // Adversarial fast path: one body to every neighbor and to `extra_links`
+  // Adversarial fast path: `body` to every neighbor and to `extra_links`
   // random far nodes over ad-hoc links.
-  void blast(const Transaction& tx, std::size_t extra_links);
+  void blast(const std::shared_ptr<const TxBody>& body,
+             std::size_t extra_links);
 
   GossipParams params_;
   Rng rng_;

@@ -61,18 +61,19 @@ void L0Node::gossip_commitment(
 }
 
 void L0Node::submit(const Transaction& tx) {
-  deliver_tx(tx);
+  const auto body = deliver_own(tx);
   // Commit-before-reveal: the commitment precedes the body so witnesses can
   // later audit ordering claims.
   commit(tx);
-  forward_to_neighbors(make_tx_body(tx), tx.payload_bytes, kTxFanout, id());
+  forward_to_neighbors(body, tx.payload_bytes, kTxFanout, id());
 }
 
 void L0Node::fast_submit(const Transaction& tx) {
   // The adversary still has to commit (witnesses would catch an uncommitted
   // transaction), then blasts the body over ad-hoc links.
+  const auto body = deliver_own(tx);
   commit(tx);
-  blast(tx, kAdversaryExtraLinks);
+  blast(body, kAdversaryExtraLinks);
 }
 
 void L0Node::on_message(const sim::Message& msg) {
@@ -95,8 +96,9 @@ void L0Node::on_message(const sim::Message& msg) {
       const auto missing = pool_.missing_from(peer_ids);
       std::size_t pushed = 0;
       for (std::uint64_t id_missing : missing) {
-        if (const auto tx = pool_.get(id_missing)) {
-          send_to(msg.src, kMsgTx, tx->payload_bytes, make_tx_body(*tx));
+        if (auto body = held_tx_body(id_missing)) {
+          const std::size_t wire = body->tx.payload_bytes;
+          send_to(msg.src, kMsgTx, wire, std::move(body));
           if (++pushed >= 32) break;  // bound per-round repair burst
         }
       }
@@ -118,8 +120,9 @@ void L0Node::on_message(const sim::Message& msg) {
     case kMsgTxRequest: {
       if (!relays()) return;
       for (std::uint64_t id_wanted : msg.as<TxRequestBody>().tx_ids) {
-        if (const auto tx = pool_.get(id_wanted)) {
-          send_to(msg.src, kMsgTx, tx->payload_bytes, make_tx_body(*tx));
+        if (auto body = held_tx_body(id_wanted)) {
+          const std::size_t wire = body->tx.payload_bytes;
+          send_to(msg.src, kMsgTx, wire, std::move(body));
         }
       }
       return;

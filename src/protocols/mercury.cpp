@@ -133,31 +133,20 @@ void MercuryNode::intra_fanout(
   }
 }
 
-void MercuryNode::outburst(const Transaction& tx) {
+void MercuryNode::submit(const Transaction& tx) {
   // Early outburst: gateways first (they unlock whole clusters), then the
   // local cluster peers, all sharing one body.
-  const auto body = make_tx_body(tx);
+  const auto body = deliver_own(tx);
   for (net::NodeId g : dir_->gateways[id()]) {
     send_to(g, kMsgGatewayTx, tx.payload_bytes, body);
   }
   intra_fanout(body, tx.payload_bytes, id());
 }
 
-void MercuryNode::submit(const Transaction& tx) {
-  deliver_tx(tx);
-  outburst(tx);
-}
-
-void MercuryNode::fast_submit(const Transaction& tx) {
-  // The adversary's fastest move is the protocol's own outburst — Mercury
-  // already hands every node direct links to all clusters.
-  outburst(tx);
-}
-
 void MercuryNode::on_message(const sim::Message& msg) {
   if (msg.type == kMsgVcsUpdate) return;  // metadata only
   const Transaction& tx = msg.as<TxBody>().tx;
-  const bool fresh = deliver_tx(tx);
+  const bool fresh = deliver_tx(msg.body, tx);
   if (!fresh || !relays_tx(tx)) return;
   intra_fanout(msg.body, tx.payload_bytes, msg.src);
   if (msg.type == kMsgGatewayTx) {

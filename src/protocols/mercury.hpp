@@ -39,8 +39,10 @@ class MercuryNode final : public ProtocolNode {
   MercuryNode(ExperimentContext& ctx, net::NodeId id,
               std::shared_ptr<const MercuryDirectory> directory);
 
+  // Also the adversary's fast_submit: its fastest move is the protocol's
+  // own outburst, since Mercury hands every node direct links to all
+  // clusters.
   void submit(const Transaction& tx) override;
-  void fast_submit(const Transaction& tx) override;
   void on_message(const sim::Message& msg) override;
   void on_start() override;
 
@@ -57,7 +59,6 @@ class MercuryNode final : public ProtocolNode {
   static constexpr std::size_t kVcsUpdateBytes = 64;
 
  private:
-  void outburst(const Transaction& tx);
   // Sends the transaction `body` to this node's cluster peers but `except`.
   void intra_fanout(const std::shared_ptr<const sim::MessageBody>& body,
                     std::size_t wire, net::NodeId except);

@@ -18,30 +18,32 @@ void NarwhalNode::record_certificate(std::uint64_t tx_id) {
   cert_position_.try_emplace(tx_id, cert_position_.size());
 }
 
-void NarwhalNode::broadcast_tx(const Transaction& tx) {
+void NarwhalNode::broadcast_tx(const std::shared_ptr<const TxBody>& body) {
   // Broadcast over the connected topology (the paper's setup): the batch
   // floods the physical graph, every node forwarding its first copy to
   // kFloodFanout sampled neighbors. Byzantine relays simply sit on it,
   // which is what produces Narwhal's robustness curve in Figure 5b.
-  send_to_sample(rng_, kFloodFanout, id(), kMsgTx, tx.payload_bytes,
-                 make_tx_body(tx));
+  send_to_sample(rng_, kFloodFanout, id(), kMsgTx, body->tx.payload_bytes,
+                 body);
 }
 
 void NarwhalNode::submit(const Transaction& tx) {
-  deliver_tx(tx);
+  const auto body = deliver_own(tx);
   acks_.try_emplace(tx.id);
   // The worker waits for the batch to fill (or the delay to expire)
   // before broadcasting — part of Narwhal's dissemination latency.
-  ctx_.engine.schedule(kBatchDelayMs, [this, tx] {
-    broadcast_tx(tx);
-    retransmit_unacked(tx, 0);
+  ctx_.engine.schedule(kBatchDelayMs, [this, body] {
+    broadcast_tx(body);
+    retransmit_unacked(body, 0);
   });
 }
 
-void NarwhalNode::retransmit_unacked(const Transaction& tx, int round) {
+void NarwhalNode::retransmit_unacked(const std::shared_ptr<const TxBody>& body,
+                                     int round) {
   constexpr int kMaxRounds = 3;
   if (round >= kMaxRounds) return;
-  ctx_.engine.schedule(kRepairTimeoutMs, [this, tx, round] {
+  ctx_.engine.schedule(kRepairTimeoutMs, [this, body, round] {
+    const Transaction& tx = body->tx;
     if (cert_broadcast_.count(tx.id)) return;  // quorum reached
     const auto it = acks_.find(tx.id);
     if (it == acks_.end()) return;
@@ -62,17 +64,17 @@ void NarwhalNode::retransmit_unacked(const Transaction& tx, int round) {
     }
     rng_.shuffle(non_ackers);
     if (non_ackers.size() > needed) non_ackers.resize(needed);
-    const auto body = make_tx_body(tx);
     for (net::NodeId v : non_ackers) send_to(v, kMsgTx, tx.payload_bytes, body);
-    retransmit_unacked(tx, round + 1);
+    retransmit_unacked(body, round + 1);
   });
 }
 
 void NarwhalNode::fast_submit(const Transaction& tx) {
   // Narwhal already permits any validator to broadcast at once — the
   // adversary's fastest move is the protocol itself.
+  const auto body = deliver_own(tx);
   acks_.try_emplace(tx.id);
-  broadcast_tx(tx);
+  broadcast_tx(body);
 }
 
 void NarwhalNode::request_repair(std::uint64_t tx_id,
@@ -97,7 +99,7 @@ void NarwhalNode::on_message(const sim::Message& msg) {
   switch (msg.type) {
     case kMsgTx: {
       const Transaction& tx = msg.as<TxBody>().tx;
-      const bool fresh = deliver_tx(tx);
+      const bool fresh = deliver_tx(msg.body, tx);
       // Relay duty first: flooding over the topology. Only droppers and
       // the attacker itself sit on the victim's batch — block order is
       // decided by certificates here, so co-conspirators gain nothing from
@@ -158,8 +160,9 @@ void NarwhalNode::on_message(const sim::Message& msg) {
     case kMsgFetch: {
       if (!relays()) return;  // byzantine: refuse to serve
       const std::uint64_t tx_id = msg.as<FetchBody>().tx_id;
-      if (const auto tx = pool_.get(tx_id)) {
-        send_to(msg.src, kMsgTx, tx->payload_bytes, make_tx_body(*tx));
+      if (auto body = held_tx_body(tx_id)) {
+        const std::size_t wire = body->tx.payload_bytes;
+        send_to(msg.src, kMsgTx, wire, std::move(body));
       }
       return;
     }

@@ -68,7 +68,7 @@ class NarwhalNode final : public ProtocolNode {
   std::size_t certificates_formed() const { return certs_formed_; }
 
  private:
-  void broadcast_tx(const Transaction& tx);
+  void broadcast_tx(const std::shared_ptr<const TxBody>& body);
   std::size_t quorum() const {  // 2f_max + 1 with f_max = floor(n/3)
     return 2 * (ctx_.node_count() / 3) + 1;
   }
@@ -86,7 +86,8 @@ class NarwhalNode final : public ProtocolNode {
   // Sender-side reliability: real Narwhal runs over TCP; on lossy links we
   // model that by retransmitting the batch to non-ackers until the
   // certificate forms (up to 3 rounds, kRepairTimeoutMs apart).
-  void retransmit_unacked(const Transaction& tx, int round);
+  void retransmit_unacked(const std::shared_ptr<const TxBody>& body,
+                          int round);
 
   // Sender-side: acks collected per own transaction.
   std::unordered_map<std::uint64_t, std::vector<net::NodeId>> acks_;

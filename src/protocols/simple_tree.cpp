@@ -14,8 +14,7 @@ void SimpleTreeNode::forward(const std::shared_ptr<const sim::MessageBody>& body
 }
 
 void SimpleTreeNode::submit(const Transaction& tx) {
-  deliver_tx(tx);
-  const auto body = make_tx_body(tx);
+  const auto body = deliver_own(tx);
   for (net::NodeId entry : tree_->entry_points()) {
     if (entry == id()) {
       forward(body, tx.payload_bytes);
@@ -28,7 +27,7 @@ void SimpleTreeNode::submit(const Transaction& tx) {
 void SimpleTreeNode::on_message(const sim::Message& msg) {
   if (msg.type != kMsgTx) return;
   const Transaction& tx = msg.as<TxBody>().tx;
-  if (!deliver_tx(tx)) return;
+  if (!deliver_tx(msg.body, tx)) return;
   if (!relays_tx(tx)) return;
   forward(msg.body, tx.payload_bytes);
 }

@@ -274,6 +274,58 @@ TEST(HermesFallback, DigestPullListsOnlyTheMissingIds) {
   for (const sim::Message& m : forwards) EXPECT_EQ(m.body, payloads[0].body);
 }
 
+TEST(HermesFallback, RelayAnswersAPullWithTheBodyItHolds) {
+  // A relay's held record is its pool entry: the body it received, which
+  // the entry reads the transaction from, and which a pull answer sends.
+  HermesProtocol protocol(fast_config());
+  World w(40, protocol, 67);
+  w.start();
+  const net::NodeId origin = 7;
+  std::shared_ptr<const sim::MessageBody> forwarded;
+  w.ctx->network.set_send_tap([&](const sim::Message& m, sim::SimTime) {
+    if (m.type == HermesNode::kMsgData && m.src == origin && !forwarded) {
+      forwarded = m.body;
+    }
+  });
+  const auto tx = w.send_from(origin);
+  w.run_ms(3000);
+  ASSERT_NE(forwarded, nullptr);
+  ASSERT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0);
+
+  // A relay that is not the origin, asked by one of its neighbours.
+  const net::NodeId relay = 23;
+  const net::NodeId asker = w.ctx->topology.graph.neighbors(relay)[0].to;
+  ASSERT_NE(relay, origin);
+  const mempool::Mempool::Entry* entry =
+      w.ctx->node(relay).pool().find(tx.id);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->bound());
+  const auto* held = static_cast<const DataBody*>(entry->record().get());
+  EXPECT_EQ(&entry->tx(), &held->tx);
+  EXPECT_EQ(w.ctx->node(relay).pool().get(tx.id), &held->tx);
+
+  std::vector<sim::Message> answers;
+  w.ctx->network.set_send_tap([&](const sim::Message& m, sim::SimTime) {
+    if (m.type == HermesNode::kMsgFallback && m.src == relay) {
+      answers.push_back(m);
+    }
+  });
+  auto req = std::make_shared<FallbackRequestBody>();
+  req->tx_ids.push_back(tx.id);
+  {
+    sim::Engine::ShardScope scope(w.ctx->engine, w.ctx->shard_of(asker));
+    w.ctx->network.send(sim::Message{asker, relay,
+                                     HermesNode::kMsgFallbackRequest, 16,
+                                     std::move(req)});
+  }
+  w.run_ms(1000);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].dst, asker);
+  EXPECT_EQ(answers[0].body.get(), held);
+  // The one body of the transaction: the origin's, relayed hop by hop.
+  EXPECT_EQ(answers[0].body, forwarded);
+}
+
 TEST(HermesFallback, PullServesCertificateAndPayload) {
   // Nodes that learn a tx only via fallback must still end up with a
   // serving-capable copy (certificate included), so repair is epidemic.

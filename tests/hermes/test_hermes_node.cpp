@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "protocols/gossip.hpp"
 
@@ -66,6 +68,49 @@ TEST(HermesNode, EveryHopForwardsTheOriginsBody) {
   ASSERT_NE(injected, nullptr);
   EXPECT_GT(sends, 40u);
   EXPECT_EQ(foreign, 0u);
+}
+
+TEST(HermesNode, ForwardsEachTransactionOncePerSuccessor) {
+  // The forwarded bit lives in the pool entry: a node that receives a
+  // transaction from all f+1 predecessors, and again through fallback
+  // pulls, forwards it to each successor once.
+  HermesProtocol protocol(fast_config());
+  World w(40, protocol);
+  w.start();
+  std::map<std::tuple<net::NodeId, net::NodeId, std::uint64_t>, int> sent;
+  std::size_t pulled = 0;
+  w.ctx->network.set_send_tap([&](const sim::Message& m, sim::SimTime) {
+    if (m.type == HermesNode::kMsgFallback) ++pulled;
+    if (!tree_send(m)) return;
+    ++sent[{m.src, m.dst, m.as<DataBody>().tx.id}];
+  });
+  const auto tx = w.send_from(7);
+  w.run_ms(3000);
+  ASSERT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0);
+  // Every holder answers a pull from each of its neighbours: copies reach
+  // nodes that have forwarded already.
+  for (net::NodeId v = 0; v < 40; ++v) {
+    for (const auto& e : w.ctx->topology.graph.neighbors(v)) {
+      auto req = std::make_shared<FallbackRequestBody>();
+      req->tx_ids.push_back(tx.id);
+      sim::Engine::ShardScope scope(w.ctx->engine, w.ctx->shard_of(e.to));
+      w.ctx->network.send(sim::Message{e.to, v,
+                                       HermesNode::kMsgFallbackRequest, 24,
+                                       std::move(req)});
+    }
+  }
+  w.run_ms(3000);
+  EXPECT_GT(pulled, 40u);
+  ASSERT_FALSE(sent.empty());
+  for (const auto& [hop, copies] : sent) {
+    EXPECT_EQ(copies, 1) << std::get<0>(hop) << " -> " << std::get<1>(hop);
+  }
+  for (net::NodeId v = 0; v < 40; ++v) {
+    const auto* entry = w.ctx->node(v).pool().find(tx.id);
+    ASSERT_NE(entry, nullptr) << v;
+    EXPECT_TRUE(entry->bound()) << v;
+    EXPECT_TRUE(entry->forwarded()) << v;
+  }
 }
 
 TEST(HermesNode, MultipleTransactionsUseDifferentOverlays) {

@@ -14,10 +14,13 @@
 #include <set>
 #include <vector>
 
+#include "insert.hpp"
 #include "support/rng.hpp"
 
 namespace hermes::mempool {
 namespace {
+
+using testing::insert;
 
 Transaction make_tx(net::NodeId sender, std::uint64_t seq,
                     std::uint64_t fee) {
@@ -58,7 +61,8 @@ TEST(MempoolPressure, CapacityBoundHoldsAfterEveryInsert) {
   Rng rng(101);
   for (std::uint64_t i = 0; i < 400; ++i) {
     const auto sender = static_cast<net::NodeId>(rng.uniform_u64(8));
-    pool.insert(make_tx(sender, i, rng.uniform_u64(50)), static_cast<double>(i));
+    insert(pool, make_tx(sender, i, rng.uniform_u64(50)),
+           static_cast<double>(i));
     ASSERT_LE(pool.size(), kCapacity) << "after insert " << i;
     ASSERT_EQ(pool.digest().size(), pool.size());
   }
@@ -79,7 +83,7 @@ TEST(MempoolPressure, ResidentSetMatchesReferenceModelUnderRandomLoad) {
         make_tx(static_cast<net::NodeId>(rng.uniform_u64(6)), i,
                 rng.uniform_u64(20));
     offered.push_back(tx);
-    pool.insert(tx, static_cast<double>(i));
+    insert(pool, tx, static_cast<double>(i));
     ASSERT_EQ(pool_residents(pool), model_residents(offered, kCapacity))
         << "after insert " << i;
   }
@@ -91,7 +95,7 @@ TEST(MempoolPressure, EveryEvictionDisplacesTheResidentMinimum) {
   pool.set_capacity(8);
   Rng rng(303);
   for (std::uint64_t i = 0; i < 200; ++i) {
-    pool.insert(make_tx(1, i, rng.uniform_u64(30)), static_cast<double>(i));
+    insert(pool, make_tx(1, i, rng.uniform_u64(30)), static_cast<double>(i));
   }
   EXPECT_GT(pool.evicted_total(), 0u);
   for (const Eviction& ev : pool.eviction_log()) {
@@ -129,7 +133,7 @@ TEST(MempoolPressure, ResidentSetInvariantUnderInsertionOrderPermutations) {
     Mempool pool;
     pool.set_capacity(kCapacity);
     double now = 0.0;
-    for (const Transaction& tx : order) pool.insert(tx, now += 1.0);
+    for (const Transaction& tx : order) insert(pool, tx, now += 1.0);
     const auto residents = pool_residents(pool);
     ASSERT_EQ(residents.size(), kCapacity);
     ASSERT_EQ(residents, model_residents(txs, kCapacity))
@@ -146,13 +150,13 @@ TEST(MempoolPressure, ResidentSetInvariantUnderInsertionOrderPermutations) {
 TEST(MempoolPressure, RejectionBelowResidentMinimumLeavesLogClean) {
   Mempool pool;
   pool.set_capacity(2);
-  pool.insert(make_tx(1, 1, 50), 1.0);
-  pool.insert(make_tx(1, 2, 60), 2.0);
+  insert(pool, make_tx(1, 1, 50), 1.0);
+  insert(pool, make_tx(1, 2, 60), 2.0);
   const std::size_t evictions = pool.evicted_total();
   const Transaction low = make_tx(1, 3, 1);
   // Fresh (seen-wise) but below the resident minimum: rejected, no
   // eviction, and it never enters the arrival log's resident view.
-  EXPECT_TRUE(pool.insert(low, 3.0));
+  EXPECT_TRUE(insert(pool, low, 3.0));
   EXPECT_EQ(pool.admission_of(low.id), Mempool::Admission::kRejected);
   EXPECT_FALSE(pool.contains(low.id));
   EXPECT_TRUE(pool.seen(low.id));
@@ -165,7 +169,7 @@ TEST(MempoolPressure, UnboundedPoolNeverEvictsOrRejects) {
   Mempool pool;  // capacity 0: historical unbounded behaviour
   Rng rng(505);
   for (std::uint64_t i = 0; i < 200; ++i) {
-    pool.insert(make_tx(1, i, rng.uniform_u64(10)), static_cast<double>(i));
+    insert(pool, make_tx(1, i, rng.uniform_u64(10)), static_cast<double>(i));
   }
   EXPECT_EQ(pool.size(), 200u);
   EXPECT_EQ(pool.evicted_total(), 0u);

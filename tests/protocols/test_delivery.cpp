@@ -22,7 +22,7 @@ class HandFedNode final : public ProtocolNode {
  public:
   using ProtocolNode::ProtocolNode;
   using ProtocolNode::deliver_tx;
-  void submit(const Transaction& tx) override { deliver_tx(tx); }
+  void submit(const Transaction& tx) override { deliver_own(tx); }
   void on_message(const sim::Message&) override {}
 };
 
@@ -61,7 +61,9 @@ struct FourNodes {
     world.ctx->engine.run_until(when);
     Transaction tx;
     tx.id = item;
-    return static_cast<HandFedNode&>(world.ctx->node(v)).deliver_tx(tx);
+    const auto body = make_tx_body(tx);
+    return static_cast<HandFedNode&>(world.ctx->node(v))
+        .deliver_tx(body, body->tx);
   }
   DeliveryTracker& tracker() { return world.ctx->tracker; }
 
@@ -185,8 +187,8 @@ TEST(DeliveryTracker, MempoolsMatchTheObservedStreamAtWorkers1And4) {
     std::vector<Delivery> recorded;
     for (net::NodeId v = 0; v < ctx.node_count(); ++v) {
       const mempool::Mempool& pool = ctx.node(v).pool();
-      for (std::uint64_t tx : pool.arrival_order()) {
-        recorded.emplace_back(tx, v, pool.arrival_time(tx));
+      for (const mempool::Mempool::Entry& entry : pool.arrival_log()) {
+        recorded.emplace_back(entry.id(), v, entry.arrived());
       }
     }
     ASSERT_FALSE(recorded.empty());

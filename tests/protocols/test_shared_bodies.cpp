@@ -1,9 +1,10 @@
 // The send rule every baseline keeps: a broadcast builds its message body
 // once and all of its copies share it, and a relay sends on the body that
-// was sent to it. Only pull and fetch answers build a new body, from the
-// mempool. A send tap records every message of a run with lossy links,
-// front-runners and several transactions, so retransmits, repairs,
-// reconciliation and adversarial blasts are checked too.
+// was sent to it. A node keeps the body a transaction reached it in (the
+// origin, the body it built) as its mempool record, and pull and fetch
+// answers send that body. A send tap records every message of a run with
+// lossy links, front-runners and several transactions, so retransmits,
+// repairs, reconciliation and adversarial blasts are checked too.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -114,14 +115,44 @@ Tally tally(const std::vector<Sent>& sends,
   return t;
 }
 
-class SharedBodies : public ::testing::TestWithParam<Case> {};
+// The transaction bodies each node sent and was sent, per transaction.
+struct HeldTally {
+  std::size_t answers = 0;  // body sends to a node that had asked
+  std::size_t mixed = 0;    // sends of one transaction by one node in a
+                            // second body
+  std::size_t unheld = 0;   // sends by a non-origin in a body it was never
+                            // sent
+};
 
-TEST_P(SharedBodies, BroadcastsShareOneBodyAndRelaysForwardIt) {
-  const Case& c = GetParam();
-  auto protocol = c.make();
-  sim::NetworkParams np;
-  np.drop_probability = 0.05;
-  World w(30, *protocol, 4242, np);
+HeldTally held_tally(const std::vector<Sent>& sends,
+                     const std::set<std::uint32_t>& requests,
+                     std::size_t nodes) {
+  using NodeTx = std::pair<net::NodeId, std::uint64_t>;
+  std::map<NodeTx, const sim::MessageBody*> sent_in;
+  std::map<NodeTx, std::set<const sim::MessageBody*>> sent_to;
+  std::vector<std::set<net::NodeId>> asked(nodes);
+  HeldTally t;
+  for (const Sent& s : sends) {
+    const sim::Message& m = s.msg;
+    if (const auto* b = m.try_as<TxBody>()) {
+      const std::uint64_t tx = b->tx.id;
+      if (asked[m.src].count(m.dst) > 0) ++t.answers;
+      const auto [it, first] = sent_in.try_emplace({m.src, tx}, m.body.get());
+      if (!first && it->second != m.body.get()) ++t.mixed;
+      if (m.src != b->tx.sender &&
+          sent_to[{m.src, tx}].count(m.body.get()) == 0) {
+        ++t.unheld;
+      }
+      sent_to[{m.dst, tx}].insert(m.body.get());
+    }
+    if (requests.count(m.type) > 0) asked[m.dst].insert(m.src);
+  }
+  return t;
+}
+
+// One run with lossy links, front-runners and six transactions; returns
+// every send after start-up.
+std::vector<Sent> run_and_tap(World& w) {
   w.ctx->assign_behaviors(0.15, Behavior::kFrontRunner);
   w.ctx->attack_enabled = true;
   w.start();
@@ -135,6 +166,22 @@ TEST_P(SharedBodies, BroadcastsShareOneBodyAndRelaysForwardIt) {
   }
   w.run_ms(3000);
   w.ctx->network.set_send_tap(nullptr);
+  return sends;
+}
+
+sim::NetworkParams lossy() {
+  sim::NetworkParams np;
+  np.drop_probability = 0.05;
+  return np;
+}
+
+class SharedBodies : public ::testing::TestWithParam<Case> {};
+
+TEST_P(SharedBodies, BroadcastsShareOneBodyAndRelaysForwardIt) {
+  const Case& c = GetParam();
+  auto protocol = c.make();
+  World w(30, *protocol, 4242, lossy());
+  const std::vector<Sent> sends = run_and_tap(w);
 
   const Tally t = tally(sends, c.requests, w.ctx->node_count());
   EXPECT_GT(t.copies, 0u);
@@ -143,6 +190,45 @@ TEST_P(SharedBodies, BroadcastsShareOneBodyAndRelaysForwardIt) {
   }
   EXPECT_EQ(t.split, 0u) << "copies of one broadcast with bodies of their own";
   EXPECT_EQ(t.rebuilt, 0u) << "relays that rebuilt the body they were sent";
+}
+
+// Per node and transaction, every TxBody the node was sent, or sent as
+// the transaction's origin.
+std::map<std::pair<net::NodeId, std::uint64_t>,
+         std::set<const sim::MessageBody*>>
+reached_bodies(const std::vector<Sent>& sends) {
+  std::map<std::pair<net::NodeId, std::uint64_t>,
+           std::set<const sim::MessageBody*>>
+      bodies;
+  for (const Sent& s : sends) {
+    if (const auto* b = s.msg.try_as<TxBody>()) {
+      bodies[{s.msg.dst, b->tx.id}].insert(s.msg.body.get());
+      if (s.msg.src == b->tx.sender) {
+        bodies[{s.msg.src, b->tx.id}].insert(s.msg.body.get());
+      }
+    }
+  }
+  return bodies;
+}
+
+TEST_P(SharedBodies, PoolKeepsTheBodyATransactionArrivedIn) {
+  const Case& c = GetParam();
+  auto protocol = c.make();
+  World w(30, *protocol, 4242, lossy());
+  auto bodies = reached_bodies(run_and_tap(w));
+  std::size_t entries = 0;
+  for (net::NodeId v = 0; v < w.ctx->node_count(); ++v) {
+    for (const auto& entry : w.ctx->node(v).pool().arrival_log()) {
+      ++entries;
+      // The entry reads the transaction inside its record, a TxBody that
+      // reached this node: the same object, no copy.
+      const auto* record = static_cast<const TxBody*>(entry.record().get());
+      EXPECT_EQ(&entry.tx(), &record->tx) << entry.id() << " at " << v;
+      const auto& reached = bodies[{v, entry.id()}];
+      EXPECT_EQ(reached.count(record), 1u) << entry.id() << " at " << v;
+    }
+  }
+  EXPECT_GT(entries, w.ctx->node_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,6 +246,35 @@ INSTANTIATE_TEST_SUITE_P(
              true},
         Case{"simpletree",
              [] { return std::make_unique<SimpleTreeProtocol>(); }, {}, true}),
+    [](const ::testing::TestParamInfo<Case>& info) {
+      return std::string(info.param.name);
+    });
+
+// The baselines that answer pulls or fetches: every transaction body a
+// node sends, answers included, is the one body it holds for it.
+class HeldBodies : public ::testing::TestWithParam<Case> {};
+
+TEST_P(HeldBodies, PullAndFetchAnswersSendTheBodyTheNodeHolds) {
+  const Case& c = GetParam();
+  auto protocol = c.make();
+  World w(30, *protocol, 4242, lossy());
+  const std::vector<Sent> sends = run_and_tap(w);
+
+  const HeldTally t = held_tally(sends, c.requests, w.ctx->node_count());
+  EXPECT_GT(t.answers, 0u);
+  EXPECT_EQ(t.mixed, 0u) << "one node sent one transaction in two bodies";
+  EXPECT_EQ(t.unheld, 0u) << "answers in a body the node was never sent";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, HeldBodies,
+    ::testing::Values(
+        Case{"l0", [] { return std::make_unique<L0Protocol>(); },
+             {L0Node::kMsgDigest, L0Node::kMsgTxRequest}, true},
+        Case{"narwhal", [] { return std::make_unique<NarwhalProtocol>(); },
+             {NarwhalNode::kMsgFetch}, true},
+        Case{"brb", [] { return std::make_unique<BrbProtocol>(); },
+             {BrbNode::kMsgFetch}, false}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });
