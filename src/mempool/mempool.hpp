@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "mempool/transaction.hpp"
+#include "support/position_index.hpp"
 
 namespace hermes::mempool {
 
@@ -168,15 +169,11 @@ class Mempool {
     return id_a > id_b;
   }
 
-  // The index slot holding `tx_id`, or the empty slot where it would go.
-  // Requires a non-empty index.
-  std::size_t probe(std::uint64_t tx_id) const;
-  // What the index holds for `tx_id`: its log position + 1, or 0 when it
-  // was never seen.
-  std::uint32_t slot_of(std::uint64_t tx_id) const;
+  // Reads the id at a log position for the index.
+  auto id_at() const {
+    return [this](std::size_t pos) { return (*log_)[pos].id_; };
+  }
   Entry* find_mut(std::uint64_t tx_id);
-  // Doubles the index (16 slots at first) and re-places every log entry.
-  void grow_index();
   void admit(Entry& entry);
 
   std::size_t capacity_ = 0;
@@ -187,10 +184,8 @@ class Mempool {
   // Created by the first insert: an empty std::deque already allocates,
   // and every node builds its pool during set-up.
   std::optional<std::deque<Entry>> log_;
-  // Open-addressed, linear probing from a Fibonacci hash of the id: a slot
-  // holds log position + 1, 0 is empty. Its size is 0 or a power of two.
-  std::vector<std::uint32_t> index_;
-  unsigned index_shift_ = 64;  // 64 - log2(index_.size())
+  // tx id -> log position.
+  PositionIndex index_;
   // Residents as a (fee, id) min-heap, filled only under a capacity.
   // Eviction is its one reader, and a resident only ever leaves it as the
   // minimum, so the front is always the eviction candidate.

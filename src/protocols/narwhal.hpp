@@ -14,6 +14,7 @@
 #include <unordered_set>
 
 #include "protocols/gossip.hpp"
+#include "support/position_index.hpp"
 
 namespace hermes::protocols {
 
@@ -78,7 +79,9 @@ class NarwhalNode final : public ProtocolNode {
   std::size_t cert_wire_bytes() const { return 48 + quorum() * 36; }
 
   Rng rng_;
-  void record_certificate(std::uint64_t tx_id);
+  // Appends `tx_id` to the certificate order unless it is there; returns
+  // whether it was new.
+  bool record_certificate(std::uint64_t tx_id);
   // Pull the batch from up to kRepairRequests random signers; re-arms
   // itself every kRepairTimeoutMs (up to 3 rounds) while the hole stays.
   void request_repair(std::uint64_t tx_id, std::vector<net::NodeId> signers,
@@ -92,8 +95,10 @@ class NarwhalNode final : public ProtocolNode {
   // Sender-side: acks collected per own transaction.
   std::unordered_map<std::uint64_t, std::vector<net::NodeId>> acks_;
   std::unordered_set<std::uint64_t> cert_broadcast_;
-  // Receiver-side: certificate arrival log (the availability order).
-  std::unordered_map<std::uint64_t, std::size_t> cert_position_;
+  // Receiver-side: certificate arrival log (the availability order), tx ids
+  // by first arrival, and the index of each id's position in it.
+  std::vector<std::uint64_t> cert_order_;
+  PositionIndex cert_position_;
   std::size_t certs_formed_ = 0;
 };
 

@@ -23,39 +23,49 @@ constexpr auto later = [](const auto& a, const auto& b) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Lane: one event heap over a slab pool (see header comment for the design).
+// Lane: one event heap over a chunked slab (see header comment for the
+// design).
 // ---------------------------------------------------------------------------
 
 SimTime Engine::Lane::next_when() const {
   return heap_.empty() ? kInfTime : heap_.front().when;
 }
 
-void Engine::Lane::enqueue(SimTime when, std::uint64_t seq, EventFn fn) {
-  std::uint32_t slot;
+void Engine::Lane::enqueue(SimTime when, std::uint64_t seq, EventFn&& fn) {
+  std::uint32_t s;
   if (!free_.empty()) {
-    slot = free_.back();
+    s = free_.back();
     free_.pop_back();
-    pool_[slot] = std::move(fn);
   } else {
-    slot = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(std::move(fn));
+    if (slots_ == chunks_.size() * kSlabChunkSlots) {
+      chunks_.push_back(std::make_unique<Chunk>());
+    }
+    s = slots_++;
   }
-  heap_.push_back(EventRef{when, seq, slot});
+  slot(s) = std::move(fn);
+  heap_.push_back(EventRef{when, seq, s});
   std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
-Engine::EventRef Engine::Lane::extract_min(EventFn& fn_out) {
+Engine::EventRef Engine::Lane::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), later);
   const EventRef ref = heap_.back();
   heap_.pop_back();
-  fn_out = std::move(pool_[ref.slot]);
-  free_.push_back(ref.slot);
   return ref;
+}
+
+void Engine::Lane::run(std::uint32_t s) {
+  // The slot is neither on the free list nor in a chunk that can move, so
+  // events this one schedules into the lane take other slots.
+  EventFn& fn = slot(s);
+  fn();
+  fn.reset();
+  free_.push_back(s);
 }
 
 void Engine::Lane::clear_events() {
   for (const EventRef& e : heap_) {
-    pool_[e.slot].reset();
+    slot(e.slot).reset();
     free_.push_back(e.slot);
   }
   heap_.clear();
@@ -149,7 +159,7 @@ void Engine::schedule_cross(std::uint32_t shard, SimTime when, EventFn fn) {
     }
     HERMES_REQUIRE(when >= src.now + lookahead_ &&
                    "cross-shard event below the lookahead horizon");
-    src.outbox[shard].push_back({when, src.next_seq(), std::move(fn)});
+    src.outbox[shard].emplace_back(when, src.next_seq(), std::move(fn));
     return;
   }
   // Quiescent context: direct insert. The seq comes from the context shard
@@ -172,7 +182,7 @@ void Engine::schedule_global_at(SimTime when, EventFn fn) {
     // to it is deterministic (the bound is a function of event content).
     Lane& ln = lanes_[c.shard];
     const SimTime w = std::max(when, window_bound_);
-    ln.outbox[shard_count()].push_back({w, ln.next_seq(), std::move(fn)});
+    ln.outbox[shard_count()].emplace_back(w, ln.next_seq(), std::move(fn));
     return;
   }
   HERMES_REQUIRE(when >= now_);
@@ -184,7 +194,7 @@ void Engine::defer(EventFn fn) {
   const ExecContext& c = tls();
   if (c.engine == this && c.draining) {
     Lane& ln = lanes_[c.shard];
-    ln.deferred.push_back({ln.now, ln.cur_seq, ln.fx_idx++, std::move(fn)});
+    ln.deferred.emplace_back(ln.now, ln.cur_seq, ln.fx_idx++, std::move(fn));
     return;
   }
   fn();
@@ -231,9 +241,9 @@ std::size_t Engine::run_until(SimTime deadline) {
     now_ = bound;
 
     if (ctl.next_when() <= bound) {
-      EventFn fn;
-      now_ = ctl.extract_min(fn).when;
-      fn();
+      const EventRef ref = ctl.pop();
+      now_ = ref.when;
+      ctl.run(ref.slot);
       ++executed;
       now_ = bound;
     }
@@ -242,48 +252,58 @@ std::size_t Engine::run_until(SimTime deadline) {
   return executed;
 }
 
+template <typename Fn>
+void Engine::for_each_lane(std::size_t n, const Fn& fn) {
+  if (pool_ != nullptr) {
+    pool_->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 void Engine::drain_lanes(SimTime bound) {
-  const auto drain_one = [this, bound](std::size_t i) {
+  for_each_lane(shard_count(), [this, bound](std::size_t i) {
     Lane& ln = lanes_[i];
     if (ln.next_when() > bound) return;
     ExecContext& c = tls();
     const ExecContext prev = c;
     c = ExecContext{this, static_cast<std::uint32_t>(i), true};
-    EventFn fn;
     while (ln.next_when() <= bound) {
-      const EventRef ref = ln.extract_min(fn);
+      const EventRef ref = ln.pop();
       ln.now = ref.when;
       ln.cur_seq = ref.seq;
       ln.fx_idx = 0;
-      fn();
-      fn.reset();
+      ln.run(ref.slot);
       ++ln.executed;
     }
     c = prev;
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(shard_count(), drain_one);
-  } else {
-    for (std::size_t i = 0; i < shard_count(); ++i) drain_one(i);
-  }
+  });
 }
 
 bool Engine::flush_outboxes(SimTime bound) {
-  bool redrain = false;
   const std::size_t R = shard_count();
-  for (std::size_t src = 0; src < R; ++src) {
-    // Destination R is the control lane: its events wait for step 5 of
-    // the window loop and never call for another drain.
-    for (std::size_t dst = 0; dst <= R; ++dst) {
+  // One task per destination lane, the control lane (R) included: task d
+  // writes only lane d and column d of the outboxes, and takes the column
+  // in source order, so lane d's enqueue sequence is the sequential one.
+  for_each_lane(R + 1, [this, R, bound](std::size_t dst) {
+    Lane& d = lanes_[dst];
+    bool in_window = false;
+    for (std::size_t src = 0; src < R; ++src) {
       std::vector<CrossEvent>& box = lanes_[src].outbox[dst];
-      Lane& d = lanes_[dst];
       for (CrossEvent& ev : box) {
         HERMES_DCHECK(ev.when >= d.now);
-        if (dst < R && ev.when <= bound) redrain = true;
+        in_window = in_window || ev.when <= bound;
         d.enqueue(ev.when, ev.seq, std::move(ev.fn));
       }
       box.clear();
     }
+    d.merged_in_window = in_window;
+  });
+  // The control lane's events wait for step 5 of the window loop and never
+  // call for another drain.
+  bool redrain = false;
+  for (std::size_t dst = 0; dst < R; ++dst) {
+    redrain = redrain || lanes_[dst].merged_in_window;
   }
   return redrain;
 }
@@ -322,7 +342,7 @@ std::size_t Engine::pending() const {
 
 std::size_t Engine::pool_capacity() const {
   std::size_t total = 0;
-  for (const Lane& ln : lanes_) total += ln.pool_.size();
+  for (const Lane& ln : lanes_) total += ln.slots_;
   return total;
 }
 

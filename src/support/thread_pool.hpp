@@ -1,8 +1,10 @@
-// Small reusable thread pool for CPU-bound fan-out (annealing candidate
-// batches, multi-tree builds). One batch runs at a time: parallel_for()
+// Small reusable thread pool for CPU-bound fan-out. Its one user is the
+// region-sharded sim::Engine, which runs two batches per window: one task
+// per lane to drain it, then one per destination lane to merge the
+// cross-lane events sent to it. One batch runs at a time: parallel_for()
 // hands indices to the workers and to the calling thread, then blocks
 // until every index has been processed. Workers persist across batches so
-// repeated short batches (one per annealing round) stay cheap.
+// the short batches of every window stay cheap.
 //
 // Tasks must not throw; determinism is the caller's job (the pool makes no
 // ordering promises beyond "every index runs exactly once").

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+
 #include "harness.hpp"
 #include "support/stats.hpp"
 
@@ -126,6 +129,66 @@ TEST(Narwhal, AdversaryFastPathIsPlainBroadcast) {
     if (w.ctx->tracker.delivered(attack_id, v)) ++reached;
   }
   EXPECT_GT(reached, 25u);
+}
+
+// The certificate order is first arrival: a certificate takes the next
+// position the first time it reaches a node and keeps it, and a repeat is
+// not relayed again. A transaction without a certificate sorts after every
+// certified one while resident, and nowhere once evicted or never seen.
+TEST(Narwhal, CertificateOrderIsFirstArrival) {
+  NarwhalProtocol protocol;
+  World w(30, protocol);
+  w.ctx->mempool_capacity = 2;
+  w.start();
+  constexpr net::NodeId kNode = 5;
+  constexpr net::NodeId kPeer = 7;
+  auto& node = static_cast<NarwhalNode&>(w.ctx->node(kNode));
+  std::size_t cert_sends = 0;
+  w.ctx->network.set_send_tap(
+      [&cert_sends](const sim::Message& m, sim::SimTime) {
+        if (m.src == kNode && m.type == NarwhalNode::kMsgCert) ++cert_sends;
+      });
+  const auto tx_of = [](std::uint64_t seq, std::uint64_t fee) {
+    Transaction tx;
+    tx.sender = kPeer;
+    tx.sender_seq = seq;
+    tx.id = Transaction::make_id(kPeer, seq);
+    tx.fee = fee;
+    return tx;
+  };
+  const auto cert_of = [](const Transaction& tx) {
+    auto cert = std::make_shared<CertBody>();
+    cert->tx_id = tx.id;
+    cert->signers = {1, 2};
+    return sim::Message{kPeer, kNode, NarwhalNode::kMsgCert, 100,
+                        std::move(cert)};
+  };
+  // At capacity 2 the third, higher-fee transaction evicts the first.
+  const Transaction evicted = tx_of(1, 10);
+  const Transaction resident = tx_of(2, 20);
+  const Transaction certified = tx_of(3, 30);
+  const Transaction hole = tx_of(4, 40);  // certified, never delivered
+  const Transaction unseen = tx_of(5, 50);
+  for (const Transaction& tx : {evicted, resident, certified}) {
+    node.on_message(sim::Message{kPeer, kNode, NarwhalNode::kMsgTx,
+                                 tx.payload_bytes, make_tx_body(tx)});
+  }
+  ASSERT_EQ(node.pool().admission_of(evicted.id),
+            mempool::Mempool::Admission::kEvicted);
+
+  node.on_message(cert_of(certified));
+  EXPECT_GT(cert_sends, 0u);
+  node.on_message(cert_of(hole));
+  const std::size_t relayed = cert_sends;
+  node.on_message(cert_of(certified));
+  EXPECT_EQ(cert_sends, relayed) << "a repeated certificate was relayed";
+
+  EXPECT_EQ(node.ordering_position(certified), 0u);
+  EXPECT_EQ(node.ordering_position(hole), 1u);
+  // Arrival position 1, behind every certificate.
+  EXPECT_EQ(node.ordering_position(resident), (std::size_t{1} << 20) + 1);
+  EXPECT_EQ(node.ordering_position(evicted), SIZE_MAX);
+  EXPECT_EQ(node.ordering_position(unseen), SIZE_MAX);
 }
 
 }  // namespace

@@ -200,6 +200,35 @@ TEST(Engine, PoolSlotsAreReusedAcrossRepetitions) {
   EXPECT_EQ(e.pool_capacity(), warm);
 }
 
+// An event runs in the slot it is stored in, and its slot is freed only
+// after it returns: scheduling more than two chunks of events into its own
+// lane from inside it must leave its capture as it was. A slot reused
+// while its event runs is overwritten by the first event scheduled; a slab
+// that moves its slots frees the capture under the running event (ASan
+// reports it).
+TEST(Engine, EventRunsInPlaceWhileItsLaneGrows) {
+  Engine e;
+  auto token = std::make_shared<int>(0);
+  static constexpr std::array<std::uint64_t, 4> kBulk{11, 22, 33, 44};
+  auto grow = [eng = &e, token, bulk = kBulk] {
+    Engine& engine = *eng;  // read before anything can overwrite it
+    for (std::uint32_t i = 0; i <= 2 * Engine::kSlabChunkSlots; ++i) {
+      engine.schedule(1.0, [filler = std::array<std::uint64_t, 6>{}] {
+        (void)filler;
+      });
+    }
+    ASSERT_EQ(bulk, kBulk);
+    ASSERT_EQ(token.use_count(), 2);
+    ++*token;
+  };
+  static_assert(sizeof(grow) <= EventFn::kInlineBytes);
+  e.schedule(1.0, std::move(grow));
+  e.run();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_GT(e.pool_capacity(), 2 * std::size_t{Engine::kSlabChunkSlots});
+}
+
 // Captures larger than the inline buffer take the heap fallback; they must
 // still execute and destroy exactly once (exercised under ASan).
 TEST(Engine, LargeCapturesExecuteAndDestroy) {

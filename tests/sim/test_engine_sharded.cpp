@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace hermes::sim {
@@ -185,6 +186,57 @@ TEST(EngineSharded, GlobalFromLaneDefersToWindowBarrier) {
 
 // Cross-shard inserts below the lookahead horizon are a correctness error
 // and must trip loudly instead of silently reordering.
+// A cross-lane event whose latency equals the lookahead lands at the
+// window bound, inside the window: the merge must call for another drain,
+// so it runs before the control event at that bound. Each region lane is
+// the one destination of such an event in one window, so every
+// destination's answer counts.
+std::vector<std::pair<double, int>> drive_in_window_hops(std::size_t workers) {
+  constexpr std::uint32_t kLanes = 4;
+  constexpr double kLookahead = 10.0;
+  Engine e;
+  e.configure_shards(kLanes, kLookahead);
+  e.set_workers(workers);
+  auto log = std::make_shared<std::vector<std::pair<double, int>>>();
+  for (std::uint32_t k = 0; k < kLanes; ++k) {
+    const double t = 100.0 * k + 1.0;
+    {
+      Engine::ShardScope scope(e, k);
+      e.schedule_at(t, [&e, log, k] {
+        const int sender = static_cast<int>(k);
+        e.defer([log, now = e.now(), sender] {
+          log->emplace_back(now, sender);
+        });
+        const std::uint32_t dst = (k + 1) % kLanes;
+        e.schedule_cross(dst, e.now() + kLookahead, [&e, log, dst] {
+          e.defer([log, now = e.now(), hop = 100 + static_cast<int>(dst)] {
+            log->emplace_back(now, hop);
+          });
+        });
+      });
+    }
+    e.schedule_global_at(t + kLookahead, [&e, log, k] {
+      log->emplace_back(e.now(), 200 + static_cast<int>(k));
+    });
+  }
+  e.run();
+  return *log;
+}
+
+TEST(EngineSharded, InWindowCrossEventRedrainsAtEveryWorkerCount) {
+  std::vector<std::pair<double, int>> expected;
+  for (int k = 0; k < 4; ++k) {
+    const double t = 100.0 * k + 1.0;
+    expected.emplace_back(t, k);                       // the sender
+    expected.emplace_back(t + 10.0, 100 + (k + 1) % 4);  // its hop
+    expected.emplace_back(t + 10.0, 200 + k);          // then control
+  }
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    EXPECT_EQ(drive_in_window_hops(workers), expected);
+  }
+}
+
 TEST(EngineShardedDeathTest, CrossShardBelowLookaheadTrips) {
   auto violate = [] {
     Engine e;
