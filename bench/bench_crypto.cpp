@@ -270,13 +270,11 @@ void BM_ThresholdVerifyPartialsBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ThresholdVerifyPartialsBatch)->Unit(benchmark::kMicrosecond);
 
-// Combine with every cache warm (Montgomery context, Bezout pair, Lagrange
-// coefficients for this index subset) — the steady-state committee path.
+// Combine on a context built once (Montgomery context, Bezout pair) — the
+// steady-state committee path. Each call computes its subset's Lagrange
+// coefficients.
 void BM_ThresholdCombineWarm(benchmark::State& state) {
   const ThresholdFixture& f = threshold_fixture();
-  // Prime the Lagrange cache for this subset.
-  benchmark::DoNotOptimize(
-      crypto::threshold_combine(*f.ctx, f.message, f.partials));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         crypto::threshold_combine(*f.ctx, f.message, f.partials));

@@ -149,8 +149,8 @@ class BlastNode final : public sim::Node {
 };
 
 // Random point-to-point sends across a mid-size topology: exercises the
-// pair-latency cache, uplink serialization accounting, the delivery
-// closure, and typed dispatch on receive.
+// keyed pair-latency draw of non-adjacent pairs, uplink serialization
+// accounting, the delivery closure, and typed dispatch on receive.
 void BM_NetworkRandomSends(benchmark::State& state) {
   const std::size_t n = 256;
   constexpr std::size_t kSends = 1 << 16;

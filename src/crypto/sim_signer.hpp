@@ -52,10 +52,9 @@ class SimThresholdScheme final : public ThresholdScheme {
 
 // Real Shoup threshold RSA backend. Holds all shares (the simulator plays
 // every committee member); a deployment would give each node one share.
-// The warm ThresholdRsaContext (Montgomery state, Bezout pair, Lagrange
-// coefficient cache) lives for the scheme's lifetime — the sim keeps the
-// scheme across committee epochs, so coefficients cached for one epoch's
-// index subsets stay warm after a view change.
+// The ThresholdRsaContext (Montgomery state, Bezout pair, fixed-base table,
+// verification-key inverses) lives for the scheme's lifetime — the sim
+// keeps the scheme across committee epochs, so it is built once per key.
 class RsaThresholdScheme final : public ThresholdScheme {
  public:
   explicit RsaThresholdScheme(ThresholdRsaKey key);

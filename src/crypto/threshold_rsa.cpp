@@ -80,43 +80,6 @@ const BigUint* ThresholdRsaContext::verification_key_inverse(
   return inv ? &*inv : nullptr;
 }
 
-std::shared_ptr<const std::map<std::size_t, BigInt>>
-ThresholdRsaContext::lagrange_coeffs(
-    const std::vector<std::size_t>& indices) const {
-  {
-    const std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto it = lagrange_cache_.find(indices);
-    if (it != lagrange_cache_.end()) return it->second;
-  }
-  // Compute outside the lock: identical inputs give identical coefficients,
-  // so a racing double-compute is wasted work, never wrong results.
-  const BigInt delta = BigInt::from_biguint(delta_);
-  auto coeffs = std::make_shared<std::map<std::size_t, BigInt>>();
-  for (const std::size_t idx : indices) {
-    BigInt num = 1;
-    BigInt den = 1;
-    const BigInt i(static_cast<std::int64_t>(idx));
-    for (const std::size_t jdx : indices) {
-      if (jdx == idx) continue;
-      const BigInt j(static_cast<std::int64_t>(jdx));
-      num = num * (-j);
-      den = den * (i - j);
-    }
-    // Delta * num / den is an integer (den divides Delta * num).
-    const BigInt lambda = (delta * num) / den;
-    HERMES_DCHECK((delta * num) % den == BigInt(0));
-    coeffs->emplace(idx, lambda + lambda);  // 2 * lambda'_i
-  }
-  const std::lock_guard<std::mutex> lock(cache_mu_);
-  return lagrange_cache_.try_emplace(indices, std::move(coeffs))
-      .first->second;
-}
-
-std::size_t ThresholdRsaContext::lagrange_cache_size() const {
-  const std::lock_guard<std::mutex> lock(cache_mu_);
-  return lagrange_cache_.size();
-}
-
 BigUint factorial_big(std::size_t l) {
   BigUint out(1);
   for (std::size_t i = 2; i <= l; ++i) out = out * BigUint(i);
@@ -320,19 +283,26 @@ std::optional<Bytes> threshold_combine(const ThresholdRsaContext& ctx,
   const BigUint& n = pub.rsa.n;
   const BigUint x = fdh_encode(message, n);
 
-  // w = prod x_i^{2 * lambda'_i}, lambda'_i = Delta * prod_{j!=i} (0-j)/(i-j).
-  // The coefficient set depends only on the participating index subset, so
-  // it is fetched from (or inserted into) the per-context cache.
-  std::vector<std::size_t> indices;
-  indices.reserve(subset.size());
-  for (const ThresholdPartial* pi : subset) indices.push_back(pi->signer_index);
-  std::sort(indices.begin(), indices.end());
-  const auto coeffs = ctx.lagrange_coeffs(indices);
-
+  // w = prod x_i^{2 * lambda'_i}, lambda'_i = Delta * prod_{j!=i} (0-j)/(i-j)
+  // over the subset's indices. Integer products do not depend on the order
+  // the partials arrived in, so any permutation of a subset gives the same
+  // coefficients.
+  const BigInt delta = BigInt::from_biguint(ctx.delta());
   BigUint w(1);
   for (const ThresholdPartial* pi : subset) {
-    const BigInt& exp2 = coeffs->at(pi->signer_index);  // 2 * lambda'
-    const auto term = powmod_signed(mont, pi->value, exp2);
+    const BigInt i(static_cast<std::int64_t>(pi->signer_index));
+    BigInt num = 1;
+    BigInt den = 1;
+    for (const ThresholdPartial* pj : subset) {
+      if (pj == pi) continue;
+      const BigInt j(static_cast<std::int64_t>(pj->signer_index));
+      num = num * (-j);
+      den = den * (i - j);
+    }
+    // Delta * num / den is an integer (den divides Delta * num).
+    const BigInt lambda = (delta * num) / den;
+    HERMES_DCHECK((delta * num) % den == BigInt(0));
+    const auto term = powmod_signed(mont, pi->value, lambda + lambda);
     if (!term) return std::nullopt;
     w = mont.mulmod(w, *term);
   }

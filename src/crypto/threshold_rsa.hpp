@@ -26,9 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -36,7 +33,6 @@
 #include "crypto/rsa.hpp"
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace hermes::crypto {
 
@@ -82,13 +78,11 @@ ThresholdRsaKey threshold_rsa_generate(Rng& rng, std::size_t bits,
 // same public parameters: the Montgomery context for n (one division at
 // construction, division-free modular arithmetic after), Delta = l!, the
 // Bezout pair for e' = 4*Delta^2, a fixed-base table for the verification
-// base v, the inverse of every verification key, and a cache of integer
-// Lagrange coefficient sets keyed by the participating index subset. A
-// committee epoch reuses one context for its whole lifetime (the scheme object
-// survives view changes, so warm coefficients carry across epochs that
-// re-elect the same index subset); the coefficient cache is mutex-guarded
-// because the region-sharded simulation may verify/combine from worker
-// threads.
+// base v, and the inverse of every verification key. A committee epoch
+// reuses one context for its whole lifetime (the scheme object survives
+// view changes). Everything is fixed at construction, so the region-sharded
+// simulation's worker threads sign, verify and combine on one context
+// without a lock.
 //
 // The context borrows `pub` — it must outlive the context (the owning
 // RsaThresholdScheme keeps both).
@@ -109,14 +103,6 @@ class ThresholdRsaContext {
   // not invertible (its partials fail verification).
   const BigUint* verification_key_inverse(std::size_t index) const;
 
-  // 2*lambda'_i for every i in `indices` (sorted, distinct, 1-based),
-  // computed once per distinct subset and cached. The shared_ptr keeps a
-  // returned set valid even if another thread inserts concurrently.
-  std::shared_ptr<const std::map<std::size_t, BigInt>> lagrange_coeffs(
-      const std::vector<std::size_t>& indices) const;
-
-  // Number of distinct index subsets currently cached (test hook).
-  std::size_t lagrange_cache_size() const;
 
  private:
   const ThresholdRsaPublic* pub_;
@@ -126,10 +112,6 @@ class ThresholdRsaContext {
   ExtendedGcd bezout_;
   MontgomeryCtx::FixedBaseTable v_table_;
   std::vector<std::optional<BigUint>> verification_key_inverses_;
-  mutable std::mutex cache_mu_;
-  mutable std::map<std::vector<std::size_t>,
-                   std::shared_ptr<const std::map<std::size_t, BigInt>>>
-      lagrange_cache_ HERMES_GUARDED_BY(cache_mu_);
 };
 
 // Produces player `share.index`'s partial signature with its proof. The

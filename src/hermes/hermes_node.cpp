@@ -148,10 +148,19 @@ void HermesNode::send_trs_request(const TrsId& trs, int attempt) {
   // Message loss is not retried by the network; the sender re-requests
   // until the certificate forms. Committee members answer duplicates of
   // already-delivered tuples with a fresh partial, so one surviving
-  // retransmission completes the round.
-  ctx_.engine.schedule(kTrsRetryMs, [this, trs, attempt] {
-    send_trs_request(trs, attempt + 1);
-  });
+  // retransmission completes the round. Every request names its sender as
+  // origin, so the timer keeps only (seq, hash): `this`, 8 + 32 B and
+  // `attempt` fit EventFn's inline buffer, where the whole 48-B TrsId would
+  // not.
+  HERMES_REQUIRE(trs.origin == id());
+  const std::uint64_t seq = trs.seq;
+  const crypto::Digest tx_hash = trs.tx_hash;
+  auto retry = [this, seq, tx_hash, attempt] {
+    send_trs_request(TrsId{id(), seq, tx_hash}, attempt + 1);
+  };
+  static_assert(sizeof(retry) <= sim::EventFn::kInlineBytes,
+                "the TRS retry timer must stay inline in the event pool");
+  ctx_.engine.schedule(kTrsRetryMs, std::move(retry));
 }
 
 void HermesNode::submit_batch(std::vector<Transaction> txs) {
@@ -1582,12 +1591,9 @@ void HermesProtocol::install_pipelined(
   // The pipelined epoch's seed is a pure function of the epoch number, so
   // any node can verify the warm rebuild just like a scratch one.
   Rng build_rng(0x91e11e5eULL ^ (next->epoch * 0x9e3779b97f4a7c15ULL));
-  if (!costs_) {
-    costs_ = std::make_unique<overlay::LinkCostCache>(ctx.topology.graph);
-  }
   auto set = overlay::build_overlay_set_warm(ctx.topology.graph,
                                              next->config.builder, last_set_,
-                                             churned, build_rng, costs_.get());
+                                             churned, build_rng);
   install_generation(ctx, std::move(next), std::move(set));
 }
 

@@ -629,9 +629,6 @@ class HermesProtocol final : public Protocol {
   double last_auto_advance_ms_ = -1e300;
   std::uint64_t auto_advances_ = 0;
   std::uint64_t stw_advances_ = 0;
-  // Physical shortest-path cache for the joins of warm rebuilds: the graph
-  // never changes between epochs, so each joiner's row is computed once.
-  std::unique_ptr<overlay::LinkCostCache> costs_;
   // Last built overlay set (decoded trees + accumulated ranks): the warm
   // seed for the next pipelined rebuild.
   overlay::OverlaySet last_set_;

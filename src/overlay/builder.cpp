@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "overlay/join.hpp"
 #include "overlay/repair.hpp"
 
 namespace hermes::overlay {
@@ -58,8 +59,7 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 OverlaySet build_overlay_set_warm(const net::Graph& g,
                                   const BuilderParams& params,
                                   const OverlaySet& previous,
-                                  const std::vector<NodeId>& churned, Rng& rng,
-                                  const LinkCostCache* costs) {
+                                  const std::vector<NodeId>& churned, Rng& rng) {
   OverlaySet set;
   set.final_ranks.assign(g.node_count(), 0.0);
   set.overlays.reserve(params.k);
@@ -85,9 +85,7 @@ OverlaySet build_overlay_set_warm(const net::Graph& g,
       }
       if (ok) {
         for (NodeId v : churned) {
-          if (!attach_node_locally(warm, v, g, costs,
-                                   params.annealing.weights)
-                   .ok) {
+          if (!attach_node_locally(warm, v, g, params.annealing.weights).ok) {
             ok = false;
             break;
           }

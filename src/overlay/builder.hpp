@@ -6,7 +6,6 @@
 
 #include "net/graph.hpp"
 #include "overlay/annealing.hpp"
-#include "overlay/join.hpp"
 #include "overlay/overlay.hpp"
 #include "overlay/robust_tree.hpp"
 #include "support/rng.hpp"
@@ -44,13 +43,9 @@ OverlaySet build_overlay_set(const net::Graph& g, const BuilderParams& params,
 // to the scratch robust-tree build. `churned` must be sorted ascending —
 // the canonical application order that keeps results byte-identical across
 // replicas. Deterministic given the rng seed.
-// Passing `costs` (built over the same graph) lets the joins reuse the
-// caller's shortest-path rows across trees and epochs; the physical graph
-// does not change between epochs.
 OverlaySet build_overlay_set_warm(const net::Graph& g,
                                   const BuilderParams& params,
                                   const OverlaySet& previous,
-                                  const std::vector<NodeId>& churned, Rng& rng,
-                                  const LinkCostCache* costs = nullptr);
+                                  const std::vector<NodeId>& churned, Rng& rng);
 
 }  // namespace hermes::overlay

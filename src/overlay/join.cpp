@@ -11,11 +11,10 @@ namespace {
 
 // Cheapest link cost from p to v: physical edge, else shortest path (same
 // preference order as repair.cpp). The single-source row is computed from
-// the joiner's side at most once per call when no shared cache is passed.
+// the joiner's side at most once per call.
 double link_cost(const net::Graph& g, NodeId p, NodeId v,
-                 const LinkCostCache* costs, std::vector<double>* sp_cache) {
+                 std::vector<double>* sp_cache) {
   if (const auto lat = g.edge_latency(p, v)) return *lat;
-  if (costs != nullptr) return costs->cost(p, v);
   if (sp_cache->empty()) *sp_cache = g.shortest_latencies(v);
   return (*sp_cache)[p];
 }
@@ -34,26 +33,12 @@ struct Candidate {
 
 }  // namespace
 
-double LinkCostCache::cost(NodeId a, NodeId b) const {
-  if (const auto lat = g_.edge_latency(a, b)) return *lat;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(a);
-  if (it == cache_.end()) {
-    it = cache_
-             .emplace(a, std::make_unique<const std::vector<double>>(
-                             g_.shortest_latencies(a)))
-             .first;
-  }
-  return (*it->second)[b];
-}
-
 std::size_t join_out_degree_cap(std::size_t f) {
   return std::max<std::size_t>(4, 2 * (f + 1));
 }
 
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
-                                        const LinkCostCache* costs,
                                         const ObjectiveWeights& weights) {
   JoinPlacementResult result;
   if (joiner >= o.node_count()) return result;
@@ -133,7 +118,7 @@ JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
       Candidate c;
       c.id = p;
       c.overloaded = o.successors(p).size() >= cap;
-      c.cost = link_cost(g, p, joiner, costs, &sp_cache);
+      c.cost = link_cost(g, p, joiner, &sp_cache);
       if (c.cost >= net::kInfLatency) continue;
       pool.push_back(c);
     }

@@ -18,36 +18,11 @@
 // determinism bar remove_node_locally meets).
 #pragma once
 
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
-
 #include "net/graph.hpp"
 #include "overlay/annealing.hpp"
 #include "overlay/overlay.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace hermes::overlay {
-
-// Lazily caches single-source shortest-path rows of the physical graph, so
-// repeated joins of the same node (one per tree, and again in later epochs)
-// price their logical links without rerunning Dijkstra. Thread-safe; rows
-// are immutable once computed.
-class LinkCostCache {
- public:
-  explicit LinkCostCache(const net::Graph& g) : g_(g) {}
-
-  // Physical edge latency of (a, b) if the edge exists, else the
-  // shortest-path latency from a's cached row.
-  double cost(NodeId a, NodeId b) const;
-
- private:
-  const net::Graph& g_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<NodeId, std::unique_ptr<const std::vector<double>>>
-      cache_ HERMES_GUARDED_BY(mu_);
-};
 
 struct JoinPlacementResult {
   bool ok = false;
@@ -66,13 +41,11 @@ std::size_t join_out_degree_cap(std::size_t f);
 
 // Attaches `joiner` (currently unplaced: depth 0, no links) to `o` under
 // the role/latency/out-degree constraints above. Physical edges of `g` are
-// preferred; multi-hop logical links (shortest-path latency) fill gaps.
-// Passing `costs` reuses a shared shortest-path cache instead of running
-// per-call Dijkstras. Fails (overlay unchanged) when no depth offers f+1
-// distinct predecessors.
+// preferred; multi-hop logical links (shortest-path latency from the
+// joiner's own Dijkstra row, run at most once per call) fill gaps. Fails
+// (overlay unchanged) when no depth offers f+1 distinct predecessors.
 JoinPlacementResult attach_node_locally(Overlay& o, NodeId joiner,
                                         const net::Graph& g,
-                                        const LinkCostCache* costs = nullptr,
                                         const ObjectiveWeights& weights = {});
 
 }  // namespace hermes::overlay

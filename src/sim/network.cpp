@@ -7,74 +7,11 @@ namespace hermes::sim {
 
 namespace {
 
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 std::uint64_t pair_key(net::NodeId a, net::NodeId b) {
   return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
 }
 
 }  // namespace
-
-Network::PairCache::PairCache(std::size_t node_count) {
-  // Each node caches a handful of non-adjacent peers in typical overlay
-  // workloads; all-to-all protocols grow the table on demand.
-  const std::size_t capacity = next_pow2(std::max<std::size_t>(64, node_count * 8));
-  slots_.resize(capacity);
-  mask_ = capacity - 1;
-}
-
-std::size_t Network::PairCache::probe_start(std::uint64_t key,
-                                            std::size_t mask) {
-  // splitmix64 finalizer: the packed (min << 32 | max) keys are highly
-  // regular, so mix before masking to keep probe sequences short.
-  key ^= key >> 30;
-  key *= 0xbf58476d1ce4e5b9ULL;
-  key ^= key >> 27;
-  key *= 0x94d049bb133111ebULL;
-  key ^= key >> 31;
-  return static_cast<std::size_t>(key) & mask;
-}
-
-const double* Network::PairCache::find(std::uint64_t key) const {
-  for (std::size_t i = probe_start(key, mask_);; i = (i + 1) & mask_) {
-    const Slot& slot = slots_[i];
-    if (slot.key == key) return &slot.value;
-    if (slot.key == 0) return nullptr;
-  }
-}
-
-void Network::PairCache::insert(std::uint64_t key, double value) {
-  if ((used_ + 1) * 10 > slots_.size() * 7) grow();
-  for (std::size_t i = probe_start(key, mask_);; i = (i + 1) & mask_) {
-    Slot& slot = slots_[i];
-    if (slot.key == 0) {
-      slot.key = key;
-      slot.value = value;
-      ++used_;
-      return;
-    }
-    HERMES_REQUIRE(slot.key != key);  // double insert
-  }
-}
-
-void Network::PairCache::grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{});
-  mask_ = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.key == 0) continue;
-    for (std::size_t i = probe_start(slot.key, mask_);; i = (i + 1) & mask_) {
-      if (slots_[i].key == 0) {
-        slots_[i] = slot;
-        break;
-      }
-    }
-  }
-}
 
 Network::Network(Engine& engine, const net::Topology& topology,
                  NetworkParams params, Rng rng)
@@ -97,7 +34,7 @@ Network::Network(Engine& engine, const net::Topology& topology,
   const std::size_t slices = engine_.shard_count() + 1;
   shards_.reserve(slices);
   for (std::size_t i = 0; i < slices; ++i) {
-    shards_.emplace_back(rng_.next_u64(), n);
+    shards_.emplace_back(rng_.next_u64());
   }
 }
 
@@ -136,20 +73,14 @@ void Network::attach(net::NodeId id, Node* node) {
   nodes_[id] = node;
 }
 
-double Network::pair_latency(net::NodeId a, net::NodeId b) {
+double Network::pair_latency(net::NodeId a, net::NodeId b) const {
   if (const auto lat = topology_.graph.edge_latency(a, b)) return *lat;
-  const std::uint64_t key = pair_key(a, b);
-  ShardState& st = state();
-  if (const double* cached = st.cache.find(key)) return *cached;
   // Keyed (counter-free) sampling: the latency is a pure function of the
-  // network seed and the pair, so every shard computes the same value no
-  // matter which samples it first or in what order — pair latencies are
-  // independent of drain interleaving by construction.
-  Rng pr(pair_seed_ ^ (key * 0x9e3779b97f4a7c15ULL));
-  const double lat =
-      net::sample_latency(topology_.regions[a], topology_.regions[b], pr);
-  st.cache.insert(key, lat);
-  return lat;
+  // network seed and the pair, so every read on every shard draws the same
+  // value — pair latencies are independent of drain interleaving by
+  // construction.
+  Rng pr(pair_seed_ ^ (pair_key(a, b) * 0x9e3779b97f4a7c15ULL));
+  return net::sample_latency(topology_.regions[a], topology_.regions[b], pr);
 }
 
 std::optional<SimTime> Network::send(const Message& msg) {

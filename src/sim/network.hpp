@@ -3,17 +3,16 @@
 // accounting. Latency between overlay neighbors follows the physical graph
 // edge label; latency between non-adjacent pairs (protocols that assume a
 // connected topology, e.g. Narwhal) is a pure keyed function of the network
-// seed and the pair — equivalent to sampling once and caching — so a pair
-// behaves like a stable path and the value is independent of which engine
-// shard evaluates it first.
+// seed and the pair, drawn afresh on every read, so a pair behaves like a
+// stable path and the value is independent of which engine shard reads it.
 //
 // Sharding: construction splits the engine into one lane per geographic
 // region (the shard of a node is its region) with the conservative
 // lookahead derived from the latency model: cross-region latency is never
 // below min(min inter-region edge label, inter mean - 8 inter stddev),
 // and the engine asserts that bound on every cross-shard delivery. The
-// mutable per-send state that no node owns (rng streams, drop counts, pair
-// caches) is kept per shard; per-node counters are written only by the
+// mutable per-send state that no node owns (rng streams, drop counts) is
+// kept per shard; per-node counters are written only by the
 // node's own lane (sends by the source lane, receipts by the destination
 // lane at delivery).
 // Global fault switches (crash, partition, flaps, stragglers) may only be
@@ -80,8 +79,9 @@ class Network {
   // filter, or stochastic loss).
   std::optional<SimTime> send(const Message& msg);
 
-  // Stable latency for the (a, b) pair (graph edge label or keyed sample).
-  double pair_latency(net::NodeId a, net::NodeId b);
+  // Stable latency for the (a, b) pair: the graph edge label, else a sample
+  // drawn from an Rng keyed by the network seed and the unordered pair.
+  double pair_latency(net::NodeId a, net::NodeId b) const;
 
   const BandwidthCounters& counters(net::NodeId id) const {
     return counters_[id];
@@ -136,41 +136,13 @@ class Network {
   }
 
  private:
-  // Open-addressed (linear probing) map from the packed pair key
-  // (min << 32 | max, never 0 because src != dst) to the sampled latency.
-  // Flat storage sized from the node count keeps the per-send lookup a
-  // couple of cache lines instead of an unordered_map bucket chase; the
-  // Narwhal all-to-all workload touches O(n^2) pairs, so the table grows
-  // (rehashes) at ~0.7 load.
-  class PairCache {
-   public:
-    explicit PairCache(std::size_t node_count);
-    // Returns the cached value, or nullptr (caller samples and insert()s).
-    const double* find(std::uint64_t key) const;
-    void insert(std::uint64_t key, double value);
-
-   private:
-    struct Slot {
-      std::uint64_t key = 0;  // 0 = empty
-      double value = 0.0;
-    };
-    static std::size_t probe_start(std::uint64_t key, std::size_t mask);
-    void grow();
-
-    std::vector<Slot> slots_;
-    std::size_t mask_ = 0;
-    std::size_t used_ = 0;
-  };
-
   // Mutable per-send state, sliced per engine shard so concurrent lanes
   // never share a cache line of it. The extra trailing slice serves
   // contexts outside any shard (setup code, control events).
   struct ShardState {
-    explicit ShardState(std::uint64_t seed, std::size_t node_count)
-        : rng(seed), cache(node_count) {}
+    explicit ShardState(std::uint64_t seed) : rng(seed) {}
     Rng rng;  // drop / jitter draws, consumed in per-lane event order
     std::uint64_t dropped = 0;
-    PairCache cache;
   };
 
   // The ShardState slice for the calling context.

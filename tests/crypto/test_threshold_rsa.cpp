@@ -329,10 +329,10 @@ TEST(ThresholdRsaReference, VerdictsAgreeOnForgedPartials) {
   }
 }
 
-TEST(ThresholdRsaContextCache, ColdVsWarmCombineByteIdentical) {
-  // Same context, same subset: the first combine computes the Lagrange
-  // coefficient set, the second hits the cache. Both byte streams — and
-  // a second, fresh context's — must be identical.
+TEST(ThresholdRsaCombine, RepeatedAndFreshContextCombinesByteIdentical) {
+  // Combining one subset twice on one context, and once on a fresh context
+  // over the same key, must give byte-identical signatures: the combine
+  // keeps no state between calls.
   const auto& key = test_key();
   const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("epoch 3 seed");
@@ -340,26 +340,22 @@ TEST(ThresholdRsaContextCache, ColdVsWarmCombineByteIdentical) {
       threshold_partial_sign(ctx, key.shares[0], msg),
       threshold_partial_sign(ctx, key.shares[1], msg),
       threshold_partial_sign(ctx, key.shares[2], msg)};
-  EXPECT_EQ(ctx.lagrange_cache_size(), 0u);
-  const auto cold = threshold_combine(ctx, msg, subset);
-  ASSERT_TRUE(cold.has_value());
-  EXPECT_EQ(ctx.lagrange_cache_size(), 1u);
-  const auto warm = threshold_combine(ctx, msg, subset);
-  ASSERT_TRUE(warm.has_value());
-  EXPECT_EQ(ctx.lagrange_cache_size(), 1u);
-  EXPECT_EQ(*cold, *warm);
+  const auto first = threshold_combine(ctx, msg, subset);
+  ASSERT_TRUE(first.has_value());
+  const auto again = threshold_combine(ctx, msg, subset);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(*first, *again);
   const ThresholdRsaContext fresh(key.pub);
   const auto other = threshold_combine(fresh, msg, subset);
   ASSERT_TRUE(other.has_value());
-  EXPECT_EQ(*cold, *other);
+  EXPECT_EQ(*first, *other);
 }
 
-TEST(ThresholdRsaContextCache, DistinctSubsetsAcrossViewChange) {
+TEST(ThresholdRsaCombine, DistinctSubsetsAcrossViewChange) {
   // A view change rotates the responsive committee subset. The context
   // survives the rotation: epoch A combines over {1,2,3}, epoch B over
-  // {2,3,4} — two cached coefficient sets, and (RSA-FDH uniqueness) the
-  // same final signature from either subset. Re-electing epoch A's subset
-  // later must not grow the cache.
+  // {2,3,4}, and (RSA-FDH uniqueness) either subset gives the same final
+  // signature, as does re-electing epoch A's subset later.
   const auto& key = test_key();
   const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("cross-epoch message");
@@ -371,20 +367,18 @@ TEST(ThresholdRsaContextCache, DistinctSubsetsAcrossViewChange) {
   const std::vector<ThresholdPartial> epoch_b{all[1], all[2], all[3]};
   const auto sig_a = threshold_combine(ctx, msg, epoch_a);
   ASSERT_TRUE(sig_a.has_value());
-  EXPECT_EQ(ctx.lagrange_cache_size(), 1u);
   const auto sig_b = threshold_combine(ctx, msg, epoch_b);
   ASSERT_TRUE(sig_b.has_value());
-  EXPECT_EQ(ctx.lagrange_cache_size(), 2u);
   EXPECT_EQ(*sig_a, *sig_b);
   const auto sig_a2 = threshold_combine(ctx, msg, epoch_a);
   ASSERT_TRUE(sig_a2.has_value());
-  EXPECT_EQ(ctx.lagrange_cache_size(), 2u);
   EXPECT_EQ(*sig_a, *sig_a2);
 }
 
-TEST(ThresholdRsaContextCache, CacheKeyedBySortedIndices) {
+TEST(ThresholdRsaCombine, PermutedSubsetGivesTheSameSignature) {
   // Partial order within a round is delivery order, not index order; the
-  // cache must key on the index *set*, so a permuted subset is a hit.
+  // Lagrange coefficients depend on the index set only, so a permuted
+  // subset combines to the same signature.
   const auto& key = test_key();
   const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("permuted");
@@ -398,13 +392,11 @@ TEST(ThresholdRsaContextCache, CacheKeyedBySortedIndices) {
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(*a, *b);
-  EXPECT_EQ(ctx.lagrange_cache_size(), 1u);
 }
 
-TEST(ThresholdRsaContextCache, ContextCombineErrorPaths) {
-  // The cached-context combine must reject the same inputs the transient
-  // path does: repeated indices, fewer than threshold partials — and must
-  // not pollute the coefficient cache when it rejects.
+TEST(ThresholdRsaCombine, ContextCombineErrorPaths) {
+  // A combine rejects repeated indices, fewer than threshold partials and
+  // an empty set, and a good subset still combines on the same context.
   const auto& key = test_key();
   const ThresholdRsaContext ctx(key.pub);
   const Bytes msg = to_bytes("bad sets");
@@ -417,7 +409,6 @@ TEST(ThresholdRsaContextCache, ContextCombineErrorPaths) {
   EXPECT_FALSE(threshold_combine(ctx, msg, below).has_value());
   const std::vector<ThresholdPartial> empty;
   EXPECT_FALSE(threshold_combine(ctx, msg, empty).has_value());
-  EXPECT_EQ(ctx.lagrange_cache_size(), 0u);
   const std::vector<ThresholdPartial> good{p0, p1, p2};
   EXPECT_TRUE(threshold_combine(ctx, msg, good).has_value());
 }

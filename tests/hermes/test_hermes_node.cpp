@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "protocols/gossip.hpp"
 
@@ -321,6 +322,38 @@ TEST(HermesNode, EndToEndWithRealThresholdRsa) {
       dynamic_cast<const crypto::RsaThresholdScheme*>(shared->scheme.get());
   ASSERT_NE(scheme, nullptr);
   EXPECT_GE(scheme->public_params().rsa.n.bit_length(), 255u);
+}
+
+TEST(WorkersDeterminism, RealThresholdRsaIdenticalAcrossWorkerCounts) {
+  // EndToEndWithRealThresholdRsa's scenario on worker threads: every lane's
+  // nodes sign, verify and combine on the one ThresholdRsaContext they
+  // share, without a lock, so the send trace must not depend on the worker
+  // count.
+  using Send = std::tuple<sim::SimTime, net::NodeId, net::NodeId,
+                          std::uint32_t, std::size_t>;
+  const auto trace = [](std::size_t workers) {
+    HermesConfig config = fast_config(1, 3);
+    config.use_real_threshold_crypto = true;
+    config.real_threshold_rsa_bits = 256;
+    HermesProtocol protocol(config);
+    sim::NetworkParams np;
+    np.workers = workers;
+    World w(25, protocol, 4242, np);
+    std::vector<Send> sends;
+    w.ctx->network.set_send_tap([&](const sim::Message& m, sim::SimTime at) {
+      sends.emplace_back(at, m.src, m.dst, m.type, m.wire_bytes);
+    });
+    w.start();
+    const auto tx = w.send_from(4);
+    w.run_ms(6000);
+    EXPECT_DOUBLE_EQ(honest_coverage(*w.ctx, tx), 1.0) << workers;
+    return sends;
+  };
+  const std::vector<Send> base = trace(1);
+  ASSERT_FALSE(base.empty());
+  for (const std::size_t workers : {2, 4}) {
+    EXPECT_EQ(trace(workers), base) << "diverged at workers=" << workers;
+  }
 }
 
 TEST(PickCommittee, CapsByzantineMembers) {

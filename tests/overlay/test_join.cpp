@@ -85,10 +85,9 @@ TEST(JoinPlacement, AttachIsAPureFunctionOfTheBaseTree) {
 
   Overlay a = fx.tree;
   Overlay b = fx.tree;
-  // One replica resolves link costs through the shared cache, the other
-  // through per-call Dijkstra rows: the placement must not depend on it.
-  const LinkCostCache costs(fx.topo.graph);
-  ASSERT_TRUE(attach_node_locally(a, joiner, fx.topo.graph, &costs).ok);
+  // Two replicas of one base tree place the joiner byte-identically: the
+  // placement reads nothing but (overlay, joiner, graph).
+  ASSERT_TRUE(attach_node_locally(a, joiner, fx.topo.graph).ok);
   ASSERT_TRUE(attach_node_locally(b, joiner, fx.topo.graph).ok);
   EXPECT_EQ(encode_overlay(a), encode_overlay(b));
 }
@@ -144,8 +143,8 @@ TEST(JoinPlacement, IncrementalPlacementStaysNearAnnealedObjective) {
   }();
   ASSERT_NE(joiner, net::NodeId(-1));
   ASSERT_TRUE(remove_node_locally(annealed, joiner, fx.topo.graph).ok);
-  const auto result = attach_node_locally(annealed, joiner, fx.topo.graph,
-                                          nullptr, ap.weights);
+  const auto result =
+      attach_node_locally(annealed, joiner, fx.topo.graph, ap.weights);
   ASSERT_TRUE(result.ok);
   const double v_incremental = objective_value(annealed, ranks, ap.weights);
   EXPECT_LT(v_incremental, v_annealed * 1.15)

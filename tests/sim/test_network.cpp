@@ -68,10 +68,39 @@ TEST(Network, DeliversWithPairLatency) {
 
 TEST(Network, PairLatencyStableAcrossCalls) {
   NetworkFixture fx;
-  // Non-adjacent pairs get a cached sample; repeated queries must agree.
+  // Non-adjacent pairs get a keyed sample; repeated queries must agree.
   const double a = fx.net_.pair_latency(0, 7);
   EXPECT_DOUBLE_EQ(a, fx.net_.pair_latency(0, 7));
   EXPECT_DOUBLE_EQ(a, fx.net_.pair_latency(7, 0));
+}
+
+TEST(Network, PairLatencyIsAPureFunctionOfSeedAndPair) {
+  // A non-adjacent pair's latency is drawn afresh on every read, so it may
+  // depend on nothing but the network seed and the unordered pair: not on
+  // the order pairs are read in, nor on the shard context reading them.
+  // Two networks over one seed and one topology read every such pair in
+  // opposite orders, one from control context and one under the source's
+  // lane, with the endpoints swapped.
+  const net::Topology topo = small_topology(40);
+  Engine engine_a;
+  Engine engine_b;
+  const Network a(engine_a, topo, NetworkParams{}, Rng(5));
+  const Network b(engine_b, topo, NetworkParams{}, Rng(5));
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+  const auto n = static_cast<net::NodeId>(topo.graph.node_count());
+  for (net::NodeId u = 0; u < n; ++u) {
+    for (net::NodeId v = u + 1; v < n; ++v) {
+      if (!topo.graph.edge_latency(u, v)) pairs.emplace_back(u, v);
+    }
+  }
+  ASSERT_GT(pairs.size(), 500u);
+  std::vector<double> forward;
+  for (const auto& [u, v] : pairs) forward.push_back(a.pair_latency(u, v));
+  for (std::size_t i = pairs.size(); i-- > 0;) {
+    const auto [u, v] = pairs[i];
+    const Engine::ShardScope scope(engine_b, b.shard_of(v));
+    EXPECT_EQ(b.pair_latency(v, u), forward[i]) << u << "-" << v;
+  }
 }
 
 TEST(Network, BandwidthAccounting) {
