@@ -103,7 +103,6 @@ class ThresholdRsaContext {
   // not invertible (its partials fail verification).
   const BigUint* verification_key_inverse(std::size_t index) const;
 
-
  private:
   const ThresholdRsaPublic* pub_;
   MontgomeryCtx mont_;

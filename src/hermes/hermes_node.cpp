@@ -149,9 +149,9 @@ void HermesNode::send_trs_request(const TrsId& trs, int attempt) {
   // until the certificate forms. Committee members answer duplicates of
   // already-delivered tuples with a fresh partial, so one surviving
   // retransmission completes the round. Every request names its sender as
-  // origin, so the timer keeps only (seq, hash): `this`, 8 + 32 B and
-  // `attempt` fit EventFn's inline buffer, where the whole 48-B TrsId would
-  // not.
+  // origin, so the timer keeps (seq, hash) and rebuilds the TrsId: the
+  // closure fits EventFn's inline buffer, where one holding the 48-B TrsId
+  // would not.
   HERMES_REQUIRE(trs.origin == id());
   const std::uint64_t seq = trs.seq;
   const crypto::Digest tx_hash = trs.tx_hash;

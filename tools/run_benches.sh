@@ -24,7 +24,9 @@
 # sample count of every metric over ten repetitions, the traced per-layer
 # metrics, and the commit and host they were measured on. The previous
 # BENCH_e2e.json's commit and per-workload medians stay in it as the
-# "baseline" block.
+# "baseline" block. That block was recorded at another time, and the
+# host's speed drifts between recordings, so ratios against it mix the
+# drift into a change's effect; interleaved parent/change runs show it.
 #
 # Usage: tools/run_benches.sh [--quick]
 #                             [--only overlay|sim|workload|crypto|e2e]
@@ -322,7 +324,9 @@ if os.path.exists(out):
     previous = json.load(open(out))
     baseline = {
         "note": "the previous BENCH_e2e.json: its commit and per-workload "
-                "medians",
+                "medians, recorded at another time; the host's speed drifts "
+                "between recordings, so ratios against this block do not "
+                "show a change's effect (interleaved parent/change runs do)",
         "commit": previous.get("commit"),
         "workloads": {
             name: {k: m["median"] for k, m in w["metrics"].items()}
